@@ -28,6 +28,7 @@ from .estimator import (
     default_gamma,
     threshold_select,
     build_dictionary,
+    reconstruct,
     soft_threshold,
     solve_ls,
     solve_lasso,

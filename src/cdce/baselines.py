@@ -1,5 +1,8 @@
 """Reference estimators: single-tap interpolators, the full-size statistical
-LMMSE, and a TF-domain sparse recovery without coarse support detection."""
+LMMSE, and a TF-domain sparse recovery without coarse support detection.
+
+The last two estimate a channel in the span of the same unit-path atoms as
+CDCE and share its dictionary builder and reconstruction."""
 
 from __future__ import annotations
 
@@ -7,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelStats, Pulse, sample_channel, time_channel_matrix, effective_tf_channel, unit_path_tf_channel
-from .estimator import Dictionary, LassoConfig, signed_doppler, solve_lasso
-from .grids import Dims, vec, unvec
+from .channel import ChannelStats, Pulse, sample_channel
+from .estimator import LassoConfig, build_dictionary, reconstruct, signed_doppler, solve_lasso
+from .grids import Dims, vec
 from .pilots import Frame
 
 __all__ = [
@@ -72,11 +75,18 @@ def st_lmmse(y_tf: np.ndarray, frame: Frame, snr: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovarianceModel:
-    """Sample mean and a low-rank factor U with cov = U U^H, fitted over
-    vectorized effective TF channel matrices."""
+    """Sample mean and a low-rank factor U with cov = U U^H of the path-gain
+    vector over the search-region bins ``pairs``.
+
+    The effective TF channel is that vector mapped through the unit-path
+    atoms of ``pulse`` (see ``reconstruct``), so the model of vec(H_TF) is the
+    same mean and factor lifted by the atoms.
+    """
 
     mean: np.ndarray
     factor: np.ndarray
+    pairs: tuple[tuple[int, int], ...]
+    pulse: Pulse
     n_samples: int
 
     @property
@@ -90,98 +100,70 @@ def fit_covariance(
     k_samples: int,
     rng: np.random.Generator,
     pulse: Pulse = Pulse("ideal"),
-    fractional: bool = False,
 ) -> CovarianceModel:
-    """Monte Carlo estimate of the mean and covariance factor of vec(H_TF).
+    """Monte Carlo estimate of the mean and covariance factor of the region
+    path-gain vector: each sampled path's gain lands in its bin's entry.
 
     The factor keeps only singular directions above a 1e-12 relative cutoff;
     for the integer-grid path ensemble the rank equals the region size.
     """
     if k_samples < 2:
         raise ValueError(f"need at least 2 samples, got {k_samples}")
-    mn = d.grid_size
-    samples = np.empty((mn * mn, k_samples), dtype=complex)
+    pairs = stats.region_pairs
+    index = {pair: i for i, pair in enumerate(pairs)}
+    samples = np.zeros((len(pairs), k_samples), dtype=complex)
     for j in range(k_samples):
-        ch = sample_channel(stats, d, rng, fractional=fractional)
-        g = time_channel_matrix(ch, pulse)
-        samples[:, j] = vec(effective_tf_channel(g, d))
+        for p in sample_channel(stats, d, rng).paths:
+            samples[index[(p.delay_int, p.doppler_int)], j] += p.gain
     mean = samples.mean(axis=1)
     centered = (samples - mean[:, None]) / np.sqrt(k_samples)
     u, sv, _ = np.linalg.svd(centered, full_matrices=False)
     # rounding in the sample mean leaves scatter near machine epsilon even
-    # when every sample is the same matrix, so gate on the sample scale too
+    # when every sample is the same channel, so gate on the sample scale too
     scale = np.linalg.norm(samples) / np.sqrt(k_samples)
     if sv.size and sv[0] > max(scale, 1.0) * 1e-12:
         r = int(np.sum(sv > sv[0] * 1e-12))
     else:
         r = 0
-    return CovarianceModel(mean=mean, factor=u[:, :r] * sv[:r], n_samples=k_samples)
+    return CovarianceModel(
+        mean=mean, factor=u[:, :r] * sv[:r], pairs=pairs, pulse=pulse, n_samples=k_samples
+    )
 
 
-def fs_lmmse(
-    y_tf: np.ndarray,
-    frame: Frame,
-    cov: CovarianceModel,
-    n0: float,
-    use_full_frame: bool = False,
-) -> np.ndarray:
+def fs_lmmse(y_tf: np.ndarray, frame: Frame, cov: CovarianceModel, n0: float) -> np.ndarray:
     """Full-size LMMSE estimate of the effective TF channel matrix.
 
-    Solves in the rank-r factor domain: with X the linear map h -> H x for
-    the reference transmit grid, the estimate is
-        hbar + U (XU)^H ((XU)(XU)^H + N0 I)^{-1} (y - X hbar).
-    The reference grid is the pilot-only frame unless use_full_frame is set.
+    With D the pilot-only responses of the region atoms and B = D U, the
+    estimate is reconstruct(hbar + U z) with
+        z = (B^H B + N0 I)^{-1} B^H (y - D hbar),
+    the pseudo-inverse solution when N0 = 0. By the push-through identity this
+    equals the LMMSE over vec(H_TF) with the lifted mean and covariance.
     """
     if n0 < 0:
         raise ValueError(f"n0 must be non-negative, got {n0}")
     d = frame.dims
-    mn = d.grid_size
-    x_tf = frame.tf if use_full_frame else frame.pilot_only_tf
-    x = vec(x_tf)
-    y = vec(y_tf)
     if cov.rank == 0:
-        return unvec(cov.mean, d.m * d.n, d.m * d.n)
-    # X h = unvec(h) @ x where h is vec of an (MN x MN) matrix, so the action
-    # on a factor column u is unvec(u) @ x, batched over columns.
-    xu = np.einsum(
-        "ijr,j->ir",
-        cov.factor.reshape(mn, mn, cov.rank, order="F"),
-        x,
-    )
-    resid = y - unvec(cov.mean, mn, mn) @ x
-    gram = xu @ xu.conj().T
+        return reconstruct(cov.mean, cov.pairs, cov.pulse, d)
+    atoms = build_dictionary(frame.pilot_only_tf, cov.pairs, cov.pulse, d).matrix
+    b = atoms @ cov.factor
+    resid = vec(y_tf) - atoms @ cov.mean
     if n0 == 0:
-        z, *_ = np.linalg.lstsq(gram, resid, rcond=None)
+        z, *_ = np.linalg.lstsq(b, resid, rcond=None)
     else:
-        z = np.linalg.solve(gram + n0 * np.eye(mn), resid)
-    h = cov.mean + cov.factor @ (xu.conj().T @ z)
-    return unvec(h, mn, mn)
+        bh = b.conj().T
+        z = np.linalg.solve(bh @ b + n0 * np.eye(cov.rank), bh @ resid)
+    return reconstruct(cov.mean + cov.factor @ z, cov.pairs, cov.pulse, d)
 
 
 def tf_lasso(
     y_tf: np.ndarray,
     frame: Frame,
-    stats: ChannelStats | None = None,
     cfg: LassoConfig = LassoConfig(),
     pulse: Pulse = Pulse("ideal"),
 ) -> np.ndarray:
     """Sparse recovery over the full M x N delay-Doppler dictionary, the
     search region extended to the whole grid in place of coarse detection."""
-    del stats
     d = frame.dims
-    x = vec(frame.pilot_only_tf)
-    pairs = []
-    columns = []
-    for kc in range(d.n):
-        for l in range(d.m):
-            k = signed_doppler(kc, d.n)
-            pairs.append((l, k))
-            columns.append(unit_path_tf_channel(d, pulse, l, k) @ x)
-    dictionary = Dictionary(matrix=np.column_stack(columns), pairs=tuple(pairs))
-    h = solve_lasso(vec(y_tf), dictionary, cfg)
-    mn = d.grid_size
-    h_tf = np.zeros((mn, mn), dtype=complex)
-    for gain, (l, k) in zip(h, pairs):
-        if gain != 0:
-            h_tf += gain * unit_path_tf_channel(d, pulse, l, k)
-    return h_tf
+    pairs = tuple((l, signed_doppler(kc, d.n)) for kc in range(d.n) for l in range(d.m))
+    h = solve_lasso(vec(y_tf), build_dictionary(frame.pilot_only_tf, pairs, pulse, d), cfg)
+    return reconstruct(h, pairs, pulse, d)

@@ -110,6 +110,14 @@ class ChannelStats:
         """Number of (delay, Doppler) bins in the search region."""
         return (self.l_max + 1) * (2 * self.k_max + 1)
 
+    @property
+    def region_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The region's (delay, Doppler) bins, delay fastest: entry i is the
+        bin that ``sample_channel`` draws for flat index i."""
+        return tuple(
+            (l, k) for k in range(-self.k_max, self.k_max + 1) for l in range(self.l_max + 1)
+        )
+
 
 @dataclass(frozen=True)
 class ChannelRealization:
@@ -130,15 +138,9 @@ def sample_channel(
     stats: ChannelStats,
     dims: Dims,
     rng: np.random.Generator,
-    fractional: bool = False,
 ) -> ChannelRealization:
     """Draw a random channel: distinct integer (delay, Doppler) pairs uniform
-    over [0, l_max] x [-k_max, k_max], i.i.d. complex Gaussian gains.
-
-    With ``fractional`` set, sub-grid offsets are drawn uniformly from
-    [-1/2, 1/2]; the delay offset of a zero-delay path is folded positive so
-    the total delay stays causal.
-    """
+    over [0, l_max] x [-k_max, k_max], i.i.d. complex Gaussian gains."""
     n_pairs = stats.region_size
     if stats.n_paths > n_pairs:
         raise ValueError(
@@ -150,18 +152,11 @@ def sample_channel(
     flat = rng.choice(n_pairs, size=stats.n_paths, replace=False)
     sigma = math.sqrt(stats.per_path_variance / 2.0)
     gains = sigma * (rng.standard_normal(stats.n_paths) + 1j * rng.standard_normal(stats.n_paths))
-    paths = []
-    for idx, gain in zip(flat, gains):
-        l = int(idx) % (stats.l_max + 1)
-        k = int(idx) // (stats.l_max + 1) - stats.k_max
-        dl = dk = 0.0
-        if fractional:
-            dl = float(rng.uniform(-0.5, 0.5))
-            dk = float(rng.uniform(-0.5, 0.5))
-            if l == 0:
-                dl = abs(dl)
-        paths.append(PathParams(complex(gain), l, k, dl, dk))
-    return ChannelRealization(tuple(paths), dims)
+    pairs = stats.region_pairs
+    paths = tuple(
+        PathParams(complex(gain), *pairs[int(idx)]) for idx, gain in zip(flat, gains)
+    )
+    return ChannelRealization(paths, dims)
 
 
 def pulse_af(tau: float, nu: float, pulse: Pulse, ts: float = 1.0) -> complex:

@@ -6,7 +6,9 @@ its gain magnitude, and keeps the (delay, Doppler) bins inside the search
 region whose score clears a threshold. Stage two rebuilds the TF dictionary
 restricted to the surviving bins and recovers the fading coefficients with a
 pseudo-inverse least squares solve (or FISTA when the dictionary is fat or
-ill-conditioned), then reconstructs the effective TF channel matrix.
+ill-conditioned), then reconstructs the effective TF channel matrix from the
+unit-path atoms. The dictionary builder and the reconstruction are shared
+with the reference estimators, which work in the span of the same atoms.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "default_gamma",
     "threshold_select",
     "build_dictionary",
+    "reconstruct",
     "soft_threshold",
     "solve_ls",
     "solve_lasso",
@@ -156,11 +159,10 @@ def threshold_select(v_dd: np.ndarray, stats: ChannelStats, gamma: float) -> Coa
     v_dd = np.asarray(v_dd)
     n_dim = v_dd.shape[1]
     kept = []
-    for l in range(stats.l_max + 1):
-        for k in range(-stats.k_max, stats.k_max + 1):
-            score = complex(v_dd[l, doppler_col(k, n_dim)])
-            if abs(score) >= gamma:
-                kept.append(((l, k), score))
+    for l, k in stats.region_pairs:
+        score = complex(v_dd[l, doppler_col(k, n_dim)])
+        if abs(score) >= gamma:
+            kept.append(((l, k), score))
     kept.sort(key=lambda item: (-abs(item[1]), item[0]))
     return CoarseEstimate(
         pairs=tuple(pair for pair, _ in kept),
@@ -170,17 +172,33 @@ def threshold_select(v_dd: np.ndarray, stats: ChannelStats, gamma: float) -> Coa
 
 def build_dictionary(
     pilot_only_tf: np.ndarray,
-    coarse: CoarseEstimate,
+    pairs: tuple[tuple[int, int], ...],
     pulse: Pulse,
     d: Dims,
 ) -> Dictionary:
     """Columns are the vectorized TF responses of unit-gain single paths at
-    the coarse pairs, driven by the pilot-only frame."""
-    if coarse.p_hat < 1:
-        raise ValueError("cannot build a dictionary from an empty coarse estimate")
+    the (delay, Doppler) pairs, driven by the pilot-only frame."""
+    if not pairs:
+        raise ValueError("cannot build a dictionary from an empty set of pairs")
     x = vec(pilot_only_tf)
-    columns = [unit_path_tf_channel(d, pulse, l, k) @ x for l, k in coarse.pairs]
-    return Dictionary(matrix=np.column_stack(columns), pairs=coarse.pairs)
+    columns = [unit_path_tf_channel(d, pulse, l, k) @ x for l, k in pairs]
+    return Dictionary(matrix=np.column_stack(columns), pairs=tuple(pairs))
+
+
+def reconstruct(
+    h: np.ndarray,
+    pairs: tuple[tuple[int, int], ...],
+    pulse: Pulse,
+    d: Dims,
+) -> np.ndarray:
+    """Effective TF channel sum_i h_i H_TF(pairs[i]) of path gains h on the
+    unit-path atoms; zero gains are skipped."""
+    mn = d.grid_size
+    h_tf = np.zeros((mn, mn), dtype=complex)
+    for gain, (l, k) in zip(h, pairs):
+        if gain != 0:
+            h_tf += gain * unit_path_tf_channel(d, pulse, l, k)
+    return h_tf
 
 
 def soft_threshold(x: np.ndarray, gamma: float) -> np.ndarray:
@@ -191,26 +209,6 @@ def soft_threshold(x: np.ndarray, gamma: float) -> np.ndarray:
     above = mag > gamma
     out[above] = (1.0 - gamma / mag[above]) * x[above]
     return out
-
-
-def _spectral_norm_sq(gram: np.ndarray, iters: int = 50, tol: float = 1e-10) -> float:
-    """Largest eigenvalue of a Hermitian PSD Gram matrix by power iteration."""
-    n = gram.shape[0]
-    v = np.random.default_rng(0).standard_normal(n) + 0.0j
-    nv = np.linalg.norm(v)
-    v /= nv
-    lam = 0.0
-    for _ in range(iters):
-        w = gram @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-        new = float(np.real(np.vdot(v, gram @ v)))
-        if abs(new - lam) <= tol * max(abs(new), 1.0):
-            return new
-        lam = new
-    return lam
 
 
 def solve_ls(y: np.ndarray, dictionary: Dictionary) -> np.ndarray:
@@ -232,14 +230,16 @@ def solve_ls(y: np.ndarray, dictionary: Dictionary) -> np.ndarray:
 def solve_lasso(y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig) -> np.ndarray:
     """FISTA for min_h 0.5 ||y - D h||^2 + lambda ||h||_1.
 
-    Step size 1/||D||_2^2, per-step threshold lambda times the step, Nesterov
-    momentum from beta_0 = 1, stopping on the relative change of the iterate.
+    Step size 1/||D||_2^2 from the exact largest eigenvalue of the Gram
+    (an underestimate would make the iteration diverge), per-step threshold
+    lambda times the step, Nesterov momentum from beta_0 = 1, stopping on the
+    relative change of the iterate.
     """
     d = dictionary.matrix
     gram = d.conj().T @ d
     dty = d.conj().T @ y
-    norm_sq = _spectral_norm_sq(gram)
-    if norm_sq == 0:
+    norm_sq = float(np.linalg.eigvalsh(gram)[-1])
+    if norm_sq <= 0:
         raise ValueError("degenerate dictionary with zero spectral norm")
     eps = 1.0 / norm_sq
     gamma = cfg.lam * eps
@@ -288,29 +288,19 @@ def cdce_estimate(
     scores = twisted_convolution(y_dd, x_dd) / pilot_energy
     gamma = default_gamma(mode, n0=n0, v_dd=scores, region_size=stats.region_size)
     coarse = threshold_select(scores, stats, gamma)
-    mn = d.grid_size
-    if coarse.p_hat == 0:
-        return ChannelEstimate(
-            h_hat=np.zeros(0, dtype=complex),
-            pairs=(),
-            h_tf_hat=np.zeros((mn, mn), dtype=complex),
-            empty=True,
-        )
-    dictionary = build_dictionary(frame.pilot_only_tf, coarse, pulse, d)
-    rows, cols = dictionary.matrix.shape
-    if rows >= cols and np.linalg.cond(dictionary.matrix) < LS_CONDITION_LIMIT:
-        h = solve_ls(vec(y_tf), dictionary)
-    else:
-        h = solve_lasso(vec(y_tf), dictionary, lasso)
+    h = np.zeros(0, dtype=complex)
+    if coarse.p_hat:
+        dictionary = build_dictionary(frame.pilot_only_tf, coarse.pairs, pulse, d)
+        try:
+            h = solve_ls(vec(y_tf), dictionary)
+        except ValueError:  # fat or ill-conditioned dictionary
+            h = solve_lasso(vec(y_tf), dictionary, lasso)
     keep = h != 0
-    kept_pairs = tuple(p for p, flag in zip(dictionary.pairs, keep) if flag)
+    kept_pairs = tuple(p for p, flag in zip(coarse.pairs, keep) if flag)
     kept_h = h[keep]
-    h_tf_hat = np.zeros((mn, mn), dtype=complex)
-    for gain, (l, k) in zip(kept_h, kept_pairs):
-        h_tf_hat += gain * unit_path_tf_channel(d, pulse, l, k)
     return ChannelEstimate(
         h_hat=kept_h,
         pairs=kept_pairs,
-        h_tf_hat=h_tf_hat,
+        h_tf_hat=reconstruct(kept_h, kept_pairs, pulse, d),
         empty=kept_h.size == 0,
     )

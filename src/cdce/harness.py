@@ -68,6 +68,15 @@ class SimConfig:
             raise ValueError(f"cov_samples must be at least 2, got {self.cov_samples}")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
+        stats, dims = self.stats, self.dims
+        if stats.l_max > dims.cp_len:
+            raise ValueError(f"l_max {stats.l_max} exceeds the CP length {dims.cp_len}")
+        if stats.k_max > dims.n / 2:
+            raise ValueError(f"k_max {stats.k_max} exceeds half the Doppler grid (N/2 = {dims.n / 2})")
+        if stats.n_paths > stats.region_size:
+            raise ValueError(
+                f"cannot draw {stats.n_paths} distinct paths from a region of {stats.region_size} bins"
+            )
         if self.mode == "pilot_only" and self.frame.data_mode != "none":
             raise ValueError("pilot_only mode requires a frame without data")
         if self.mode == "with_data" and self.frame.data_mode == "none":
@@ -147,7 +156,7 @@ def run_trial(
         elif name == "st_lmmse":
             h_hat = st_lmmse(y_tf, frame, math.inf if n0 == 0 else 1.0 / n0)
         else:
-            h_hat = tf_lasso(y_tf, frame, cfg.stats, cfg.lasso, cfg.pulse)
+            h_hat = tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse)
         out[name] = float(np.sum(np.abs(h_hat - h_true) ** 2)) / denom
     return out
 

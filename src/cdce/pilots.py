@@ -68,6 +68,8 @@ class FrameSpec:
             raise ValueError(f"pilot power must be positive, got {self.pilot_power}")
         if self.lattice.freq_offset >= self.dims.m or self.lattice.time_offset >= self.dims.n:
             raise ValueError("lattice offsets leave no pilot positions")
+        # the sequence is built per frame; an impossible length or parameter fails here
+        make_pilot_sequence(self.sequence_kind, self.n_pilots, self.sequence_param)
 
     @property
     def n_pilots(self) -> int:

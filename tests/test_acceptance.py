@@ -24,11 +24,11 @@ from cdce.channel import (
     unit_path_tf_channel,
 )
 from cdce.estimator import (
-    CoarseEstimate,
     LassoConfig,
     build_dictionary,
     cdce_estimate,
     doppler_col,
+    reconstruct,
     signed_doppler,
     solve_lasso,
     solve_ls,
@@ -169,11 +169,8 @@ def test_criterion_2_bound_within_reach_of_stage_two(data_cov):
             h_true = effective_tf_channel(time_channel_matrix(ch, IDEAL), D)
             energy = np.sum(np.abs(h_true) ** 2)
             pairs = tuple((p.delay_int, p.doppler_int) for p in ch.paths)
-            support = CoarseEstimate(pairs=pairs, scores=(0j,) * len(pairs))
-            gains = solve_ls(vec(y), build_dictionary(frame.pilot_only_tf, support, IDEAL, D))
-            h_oracle = sum(
-                gain * unit_path_tf_channel(D, IDEAL, l, k) for gain, (l, k) in zip(gains, pairs)
-            )
+            gains = solve_ls(vec(y), build_dictionary(frame.pilot_only_tf, pairs, IDEAL, D))
+            h_oracle = reconstruct(gains, pairs, IDEAL, D)
             oracle.append(np.sum(np.abs(h_oracle - h_true) ** 2) / energy)
             lmmse.append(np.sum(np.abs(fs_lmmse(y, frame, data_cov, n0) - h_true) ** 2) / energy)
         # the frames are the harness's own: trial 0 scores FS-LMMSE identically
@@ -331,7 +328,10 @@ def test_criterion_8_transform_and_property_suite():
     ch4 = sample_channel(stats4, d4, np.random.default_rng(81))
     y4 = received_tf(frame4, ch4, n0=0.3, rng=np.random.default_rng(82))
     fact = fs_lmmse(y4, frame4, cov, 0.3)
-    dense = dense_fs_lmmse_oracle(vec(y4), vec(frame4.pilot_only_tf), cov.mean, cov.factor, 0.3)
+    atoms = np.column_stack([vec(unit_path_tf_channel(d4, cov.pulse, l, k)) for l, k in cov.pairs])
+    dense = dense_fs_lmmse_oracle(
+        vec(y4), vec(frame4.pilot_only_tf), atoms @ cov.mean, atoms @ cov.factor, 0.3
+    )
     if not np.allclose(fact, unvec(dense, d4.grid_size, d4.grid_size), atol=1e-8):
         failures.append("factored FS-LMMSE disagrees with the dense oracle")
 

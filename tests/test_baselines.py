@@ -19,8 +19,9 @@ from cdce.channel import (
     effective_tf_channel,
     sample_channel,
     time_channel_matrix,
+    unit_path_tf_channel,
 )
-from cdce.estimator import LassoConfig
+from cdce.estimator import LassoConfig, reconstruct
 from cdce.grids import Dims, remove_cp, tf_to_time, time_to_tf, unvec, vec
 from cdce.pilots import Frame, FrameSpec, Lattice, assemble_frame
 
@@ -35,6 +36,15 @@ def received_tf(frame, ch, n0=0.0, rng=None):
     s = tf_to_time(frame.tf, frame.dims, with_cp=True)
     r = apply_channel(s, g, n0, rng)
     return time_to_tf(remove_cp(r, frame.dims), frame.dims)
+
+
+def lifted(cov, d):
+    """Mean and factor of vec(H_TF): the path-gain model mapped through the
+    vectorized unit-path atoms."""
+    atoms = np.column_stack(
+        [vec(unit_path_tf_channel(d, cov.pulse, l, k)) for l, k in cov.pairs]
+    )
+    return atoms @ cov.mean, atoms @ cov.factor
 
 
 def nmse_db(est, true):
@@ -117,19 +127,30 @@ class TestFitCovariance:
         with pytest.raises(ValueError, match="2"):
             fit_covariance(ChannelStats(), D, 1, np.random.default_rng(0))
 
-    def test_factor_energy_matches_sample_scatter(self):
+    @pytest.mark.parametrize("pulse", [IDEAL, Pulse("rectangular")], ids=lambda p: p.kind)
+    def test_factor_energy_matches_sample_scatter(self, pulse):
+        # the lifted model against the statistics of the sampled vec(H_TF)
         stats = ChannelStats()
         k = 20
-        cov = fit_covariance(stats, D, k, np.random.default_rng(42))
+        cov = fit_covariance(stats, D, k, np.random.default_rng(42), pulse=pulse)
         rng = np.random.default_rng(42)
         samples = np.empty((D.grid_size**2, k), dtype=complex)
         for j in range(k):
             ch = sample_channel(stats, D, rng)
-            samples[:, j] = vec(effective_tf_channel(time_channel_matrix(ch, IDEAL), D))
+            samples[:, j] = vec(effective_tf_channel(time_channel_matrix(ch, pulse), D))
         mean = samples.mean(axis=1)
-        np.testing.assert_allclose(cov.mean, mean, atol=1e-12)
-        scatter = np.sum(np.abs(samples - mean[:, None]) ** 2) / k
-        assert np.sum(np.abs(cov.factor) ** 2) == pytest.approx(scatter, rel=1e-10)
+        scatter = (samples - mean[:, None]) / np.sqrt(k)
+        lift_mean, lift_factor = lifted(cov, D)
+        np.testing.assert_allclose(lift_mean, mean, atol=1e-12)
+        assert np.sum(np.abs(lift_factor) ** 2) == pytest.approx(np.sum(np.abs(scatter) ** 2), rel=1e-10)
+        # both covariances applied to random probes, without forming either
+        probe = np.random.default_rng(43).standard_normal((mean.size, 4)) + 0j
+        np.testing.assert_allclose(
+            lift_factor @ (lift_factor.conj().T @ probe),
+            scatter @ (scatter.conj().T @ probe),
+            rtol=0,
+            atol=1e-10 * np.linalg.norm(scatter) ** 2 * np.linalg.norm(probe),
+        )
 
     def test_rank_saturates_at_region_size(self):
         stats = ChannelStats()
@@ -145,7 +166,7 @@ class TestFitCovariance:
         cov = fit_covariance(ChannelStats(), D, 5, np.random.default_rng(0))
         assert cov.rank == 0
         np.testing.assert_allclose(
-            unvec(cov.mean, D.grid_size, D.grid_size),
+            reconstruct(cov.mean, cov.pairs, cov.pulse, D),
             effective_tf_channel(time_channel_matrix(fixed, IDEAL), D),
             atol=1e-12,
         )
@@ -162,6 +183,16 @@ def small_setup():
     return d4, stats4, cov, frame4
 
 
+@pytest.fixture(scope="module")
+def full_pilot_frame4(small_setup):
+    # pilots on every resource element; all-ones pilots there would make the
+    # Doppler +2 and -2 atoms of the 4 x 4 grid indistinguishable
+    d4 = small_setup[0]
+    return assemble_frame(
+        FrameSpec(dims=d4, lattice=Lattice(freq_spacing=1), sequence_kind="zadoff_chu")
+    )
+
+
 class TestFsLmmse:
     def test_negative_noise_rejected(self, small_setup):
         d4, _, cov, frame4 = small_setup
@@ -169,36 +200,36 @@ class TestFsLmmse:
             fs_lmmse(np.zeros((d4.m, d4.n)), frame4, cov, -0.5)
 
     def test_rank_zero_returns_prior_mean(self, frame):
-        mn = D.grid_size
-        mean = np.arange(mn * mn, dtype=complex)
-        cov = CovarianceModel(mean=mean, factor=np.zeros((mn * mn, 0)), n_samples=3)
+        stats = ChannelStats()
+        mean = np.arange(stats.region_size, dtype=complex)
+        cov = CovarianceModel(
+            mean=mean,
+            factor=np.zeros((stats.region_size, 0)),
+            pairs=stats.region_pairs,
+            pulse=IDEAL,
+            n_samples=3,
+        )
         rng = np.random.default_rng(4)
         y = rng.standard_normal((D.m, D.n)) + 1j * rng.standard_normal((D.m, D.n))
-        np.testing.assert_array_equal(fs_lmmse(y, frame, cov, 1.0), unvec(mean, mn, mn))
+        np.testing.assert_array_equal(
+            fs_lmmse(y, frame, cov, 1.0), reconstruct(mean, stats.region_pairs, IDEAL, D)
+        )
 
-    def test_overwhelming_noise_returns_prior_mean(self, small_setup):
-        d4, stats4, cov, frame4 = small_setup
+    def test_overwhelming_noise_returns_prior_mean(self, small_setup, full_pilot_frame4):
+        d4, stats4, cov, _ = small_setup
         ch = sample_channel(stats4, d4, np.random.default_rng(13))
-        y = received_tf(frame4, ch)
-        est = fs_lmmse(y, frame4, cov, 1e12, use_full_frame=True)
-        prior = unvec(cov.mean, d4.grid_size, d4.grid_size)
+        y = received_tf(full_pilot_frame4, ch)
+        est = fs_lmmse(y, full_pilot_frame4, cov, 1e12)
+        prior = unvec(lifted(cov, d4)[0], d4.grid_size, d4.grid_size)
         assert np.linalg.norm(est - prior) <= 1e-8 * np.linalg.norm(prior)
 
-    def test_noiseless_full_frame_recovers_ensemble_channel(self, small_setup):
-        d4, stats4, cov, frame4 = small_setup
+    def test_noiseless_full_frame_recovers_ensemble_channel(self, small_setup, full_pilot_frame4):
+        d4, stats4, cov, _ = small_setup
         ch = sample_channel(stats4, d4, np.random.default_rng(13))
-        y = received_tf(frame4, ch)
+        y = received_tf(full_pilot_frame4, ch)
         h_true = effective_tf_channel(time_channel_matrix(ch, IDEAL), d4)
-        est = fs_lmmse(y, frame4, cov, 0.0, use_full_frame=True)
+        est = fs_lmmse(y, full_pilot_frame4, cov, 0.0)
         assert nmse_db(est, h_true) < -60.0
-
-    def test_reference_grid_flag_changes_the_answer(self, small_setup):
-        d4, stats4, cov, frame4 = small_setup
-        ch = sample_channel(stats4, d4, np.random.default_rng(13))
-        y = received_tf(frame4, ch)
-        full = fs_lmmse(y, frame4, cov, 0.0, use_full_frame=True)
-        pilot = fs_lmmse(y, frame4, cov, 0.0)
-        assert np.linalg.norm(full - pilot) > 1e-6
 
     def test_matches_dense_oracle(self, small_setup):
         d4, stats4, cov, frame4 = small_setup
@@ -207,7 +238,7 @@ class TestFsLmmse:
         n0 = 0.5
         est = fs_lmmse(y, frame4, cov, n0)
         dense = dense_fs_lmmse_oracle(
-            vec(y), vec(frame4.pilot_only_tf), cov.mean, cov.factor, n0
+            vec(y), vec(frame4.pilot_only_tf), *lifted(cov, d4), n0
         )
         np.testing.assert_allclose(
             est, unvec(dense, d4.grid_size, d4.grid_size), atol=1e-8
@@ -229,13 +260,3 @@ class TestTfLasso:
     def test_zero_signal_gives_zero_estimate(self, frame):
         est = tf_lasso(np.zeros((D.m, D.n), dtype=complex), frame)
         np.testing.assert_array_equal(est, np.zeros((D.grid_size, D.grid_size)))
-
-    def test_stats_argument_is_inert(self, frame):
-        ch = ChannelRealization(
-            paths=(PathParams(gain=0.5, delay_int=2, doppler_int=1),), dims=D
-        )
-        y = received_tf(frame, ch)
-        cfg = LassoConfig(lam=0.01, tol=1e-8, max_iter=2000)
-        with_stats = tf_lasso(y, frame, ChannelStats(), cfg)
-        without = tf_lasso(y, frame, None, cfg)
-        np.testing.assert_array_equal(with_stats, without)

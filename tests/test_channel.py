@@ -117,15 +117,6 @@ class TestSampleChannel:
                 ChannelStats(n_paths=22), D, np.random.default_rng(0)
             )
 
-    def test_fractional_draws_populate_fractions(self):
-        ch = sample_channel(
-            ChannelStats(), D, np.random.default_rng(3), fractional=True
-        )
-        fracs = [p.delay_frac for p in ch.paths] + [p.doppler_frac for p in ch.paths]
-        assert any(f != 0 for f in fracs)
-        for p in ch.paths:
-            assert p.delay_int + p.delay_frac >= 0
-
 
 class TestPulseAf:
     def test_zero_lag_is_unity(self):

@@ -98,6 +98,11 @@ class TestLoadConfig:
             ("frame: {freq_spacing: 0}", "invalid frame"),
             ("estimators: [kalman]", "invalid config"),
             ("trials: 0", "invalid config"),
+            ("stats: {l_max: 3}", "CP length"),
+            ("stats: {k_max: 8}", "Doppler grid"),
+            ("stats: {n_paths: 22}", "distinct paths"),
+            ("frame: {sequence: walsh}", "power-of-two"),
+            ("frame: {sequence: zadoff_chu, sequence_param: 2}", "coprime"),
         ],
     )
     def test_bad_configs_rejected(self, tmp_path, text, fragment):
@@ -105,7 +110,8 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, text))
 
     def test_sequence_key_maps_to_kind(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, "frame: {sequence: walsh}"))
+        # Walsh rows need a power-of-two pilot count: 4 x 16 here
+        cfg = load_config(write_config(tmp_path, "dims: {n: 16}\nframe: {sequence: walsh}"))
         assert cfg.frame.sequence_kind == "walsh"
 
     def test_env_overrides_file_seed(self, tmp_path):

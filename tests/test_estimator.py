@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cdce.estimator as estimator
 from cdce.channel import (
     ChannelRealization,
     ChannelStats,
@@ -15,7 +16,6 @@ from cdce.channel import (
     unit_path_tf_channel,
 )
 from cdce.estimator import (
-    CoarseEstimate,
     Dictionary,
     LassoConfig,
     build_dictionary,
@@ -30,7 +30,7 @@ from cdce.estimator import (
     twisted_convolution,
 )
 from cdce.grids import Dims, remove_cp, tf_to_dd, tf_to_time, time_to_tf, vec
-from cdce.pilots import Frame, FrameSpec, assemble_frame
+from cdce.pilots import Frame, FrameSpec, Lattice, assemble_frame
 
 from oracles import ista_reference, lasso_certificate_gap, twisted_convolution_reference
 
@@ -225,14 +225,12 @@ class TestThresholdSelect:
 
 class TestBuildDictionary:
     def test_identity_pair_column_is_the_pilot(self, frame):
-        coarse = CoarseEstimate(pairs=((0, 0),), scores=(1.0,))
-        d = build_dictionary(frame.pilot_only_tf, coarse, IDEAL, D)
+        d = build_dictionary(frame.pilot_only_tf, ((0, 0),), IDEAL, D)
         np.testing.assert_allclose(d.matrix[:, 0], vec(frame.pilot_only_tf), atol=1e-12)
 
     def test_columns_preserve_pilot_energy(self, frame):
         pairs = tuple((l, k) for l in range(3) for k in (-3, 0, 2))
-        coarse = CoarseEstimate(pairs=pairs, scores=tuple(1.0 for _ in pairs))
-        d = build_dictionary(frame.pilot_only_tf, coarse, IDEAL, D)
+        d = build_dictionary(frame.pilot_only_tf, pairs, IDEAL, D)
         energy = np.sum(np.abs(frame.pilot_only_tf) ** 2)
         for j in range(d.matrix.shape[1]):
             assert np.sum(np.abs(d.matrix[:, j]) ** 2) == pytest.approx(energy, rel=1e-10)
@@ -240,15 +238,12 @@ class TestBuildDictionary:
     def test_column_linearity_against_received_signal(self, frame):
         gain = 0.3 - 0.8j
         y = received_tf(frame, make_channel([(gain, 2, -3)]))
-        coarse = CoarseEstimate(pairs=((2, -3),), scores=(1.0,))
-        d = build_dictionary(frame.pilot_only_tf, coarse, IDEAL, D)
+        d = build_dictionary(frame.pilot_only_tf, ((2, -3),), IDEAL, D)
         np.testing.assert_allclose(vec(y), gain * d.matrix[:, 0], atol=1e-10)
 
     def test_empty_coarse_rejected(self, frame):
         with pytest.raises(ValueError, match="empty"):
-            build_dictionary(
-                frame.pilot_only_tf, CoarseEstimate(pairs=(), scores=()), IDEAL, D
-            )
+            build_dictionary(frame.pilot_only_tf, (), IDEAL, D)
 
 
 class TestSoftThreshold:
@@ -294,10 +289,7 @@ class TestSolveLs:
     def test_noiseless_three_path_gains(self, frame):
         paths = [(0.5 + 0.1j, 0, 1), (-0.3 + 0.4j, 1, -2), (0.25, 2, 3)]
         y = received_tf(frame, make_channel(paths))
-        coarse = CoarseEstimate(
-            pairs=((0, 1), (1, -2), (2, 3)), scores=(1.0, 1.0, 1.0)
-        )
-        d = build_dictionary(frame.pilot_only_tf, coarse, IDEAL, D)
+        d = build_dictionary(frame.pilot_only_tf, ((0, 1), (1, -2), (2, 3)), IDEAL, D)
         np.testing.assert_allclose(
             solve_ls(vec(y), d), [0.5 + 0.1j, -0.3 + 0.4j, 0.25], atol=1e-10
         )
@@ -371,11 +363,7 @@ class TestSolveLasso:
             (0, 1), (0, -1), (0, 2), (1, -2), (1, 3), (1, -3),
             (2, 0), (2, 1), (2, 2), (2, 3),
         ]
-        coarse = CoarseEstimate(
-            pairs=tuple(true_pairs + spurious),
-            scores=tuple(1.0 for _ in range(13)),
-        )
-        d = build_dictionary(frame.pilot_only_tf, coarse, IDEAL, D)
+        d = build_dictionary(frame.pilot_only_tf, tuple(true_pairs + spurious), IDEAL, D)
         h = solve_lasso(vec(y), d, LassoConfig())
         for j, pair in enumerate(d.pairs):
             if pair in true_pairs:
@@ -425,6 +413,24 @@ class TestCdceEstimate:
         y = received_tf(data_frame, ch, n0=0.01, rng=rng)
         est = cdce_estimate(y, data_frame, STATS, n0=0.01, mode="with_data")
         assert (1, 0) in est.pairs
+
+    @pytest.mark.parametrize("freq_spacing,branch", [(2, "solve_ls"), (4, "solve_lasso")])
+    def test_fista_only_for_ill_conditioned_dictionaries(self, monkeypatch, freq_spacing, branch):
+        # n0 = 0 keeps all 21 region bins; pilots on every fourth subcarrier
+        # cannot tell delay 0 from delay 2, so two columns coincide
+        fr = assemble_frame(FrameSpec(dims=D, lattice=Lattice(freq_spacing=freq_spacing)))
+        y = received_tf(fr, make_channel([(0.9, 1, 1)]))
+        finished = []
+        for name in ("solve_ls", "solve_lasso"):
+            def spy(*args, _solve=getattr(estimator, name), _name=name):
+                h = _solve(*args)
+                finished.append(_name)
+                return h
+
+            monkeypatch.setattr(estimator, name, spy)
+        est = cdce_estimate(y, fr, STATS, n0=0.0)
+        assert len(est.pairs) > 0
+        assert finished == [branch]
 
     def test_reconstruction_uses_only_surviving_pairs(self, frame):
         gain = 0.9
