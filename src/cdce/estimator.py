@@ -14,12 +14,13 @@ with the reference estimators, which work in the span of the same atoms.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelStats, Pulse, unit_path_tf_channel
-from .grids import Dims, tf_to_dd, vec
+from .grids import Dims, doppler_col, signed_doppler, tf_to_dd, twisted_convolution, vec
 from .pilots import Frame
 
 __all__ = [
@@ -87,47 +88,6 @@ class ChannelEstimate:
     pairs: tuple[tuple[int, int], ...]
     h_tf_hat: np.ndarray
     empty: bool = False
-
-
-def signed_doppler(col: int, n: int) -> int:
-    """Map a Doppler column index in [0, N) to its signed value."""
-    return col if col <= n // 2 else col - n
-
-
-def doppler_col(k: int, n: int) -> int:
-    """Column index of a signed Doppler value."""
-    return k % n
-
-
-def twisted_convolution(y_dd: np.ndarray, x_dd: np.ndarray) -> np.ndarray:
-    """Twisted cross-correlation V[l, k] of two DD grids.
-
-    V[l, k] = sum_{m,n} conj(Y[m, n]) X[(m-l) mod M, (n-k) mod N]
-              alpha(m-l, n-k) exp(2j pi k_signed (m-l) / (M N))
-    with alpha(a, b) = exp(-2j pi b / N) when a < 0 and 1 otherwise. The
-    phase factor uses the signed Doppler value and the unwrapped delay
-    difference; both are required for correlation peaks at negative Doppler
-    to add coherently instead of cancelling.
-    """
-    y_dd = np.asarray(y_dd, dtype=complex)
-    x_dd = np.asarray(x_dd, dtype=complex)
-    if y_dd.shape != x_dd.shape or y_dd.ndim != 2:
-        raise ValueError(f"DD grids must share one 2-D shape, got {y_dd.shape} and {x_dd.shape}")
-    m_dim, n_dim = y_dd.shape
-    rows = np.arange(m_dim)[:, None]
-    cols = np.arange(n_dim)[None, :]
-    y_conj = np.conj(y_dd)
-    v = np.empty((m_dim, n_dim), dtype=complex)
-    for l in range(m_dim):
-        a = rows - l
-        wrap = a < 0
-        for kc in range(n_dim):
-            k = signed_doppler(kc, n_dim)
-            shifted = np.roll(x_dd, (l, kc), axis=(0, 1))
-            alpha = np.where(wrap, np.exp(-2j * np.pi * (cols - kc) / n_dim), 1.0)
-            phase = np.exp(2j * np.pi * k * a / (m_dim * n_dim))
-            v[l, kc] = np.sum(y_conj * shifted * alpha * phase)
-    return v
 
 
 def default_gamma(
@@ -233,7 +193,8 @@ def solve_lasso(y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig) -> np.n
     Step size 1/||D||_2^2 from the exact largest eigenvalue of the Gram
     (an underestimate would make the iteration diverge), per-step threshold
     lambda times the step, Nesterov momentum from beta_0 = 1, stopping on the
-    relative change of the iterate.
+    relative change of the iterate. Using up ``max_iter`` without meeting
+    ``tol`` emits a RuntimeWarning and returns the last iterate.
     """
     d = dictionary.matrix
     gram = d.conj().T @ d
@@ -255,11 +216,16 @@ def solve_lasso(y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig) -> np.n
         delta = float(np.linalg.norm(h_new - h))
         denom = float(np.linalg.norm(h))
         h = h_new
-        if denom > 0:
-            if delta / denom < cfg.tol:
-                break
-        elif delta == 0:
+        change = delta / denom if denom > 0 else (0.0 if delta == 0 else math.inf)
+        if change < cfg.tol:
             break
+    else:
+        warnings.warn(
+            f"FISTA did not converge: lam={cfg.lam:g}, max_iter={cfg.max_iter} used up "
+            f"with last relative change {change:.3e} (tol {cfg.tol:g})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return h
 
 

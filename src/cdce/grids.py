@@ -1,4 +1,5 @@
-"""Transforms between the time-frequency, time, and delay-Doppler signal domains.
+"""Transforms between the time-frequency, time, and delay-Doppler signal
+domains, and the twisted correlation of two delay-Doppler grids.
 
 All grids are M x N complex matrices. TF grids index subcarriers along rows
 and OFDM symbols along columns; DD grids index delay bins along rows and
@@ -25,6 +26,9 @@ __all__ = [
     "remove_cp",
     "tf_to_dd",
     "dd_to_tf",
+    "signed_doppler",
+    "doppler_col",
+    "twisted_convolution",
 ]
 
 
@@ -150,3 +154,61 @@ def dd_to_tf(x: np.ndarray, d: Dims) -> np.ndarray:
     """Exact inverse of :func:`tf_to_dd`."""
     x = _check_grid(x, d, "DD grid")
     return dft_matrix(d.m) @ x @ dft_matrix(d.n).conj().T
+
+
+def signed_doppler(col: int, n: int) -> int:
+    """Map a Doppler column index in [0, N) to its signed value."""
+    return col if col <= n // 2 else col - n
+
+
+def doppler_col(k: int, n: int) -> int:
+    """Column index of a signed Doppler value."""
+    return k % n
+
+
+@lru_cache(maxsize=None)
+def _twist_tables(m_dim: int, n_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index and phase of the twisted correlation operator.
+
+    Row (l, k) and column (m, n) are row-major flat indices of an M x N grid.
+    ``index`` holds the flat position of X[(m-l) mod M, (n-k) mod N] and
+    ``phase`` the factor alpha(m-l, n-k) exp(2j pi k_signed (m-l) / (M N)).
+    """
+    l, kc, m, n = np.ix_(np.arange(m_dim), np.arange(n_dim), np.arange(m_dim), np.arange(n_dim))
+    a = m - l
+    b = n - kc
+    k = np.where(kc <= n_dim // 2, kc, kc - n_dim)
+    alpha = np.where(a < 0, np.exp(-2j * np.pi * b / n_dim), 1.0)
+    phase = alpha * np.exp(2j * np.pi * k * a / (m_dim * n_dim))
+    index = (a % m_dim) * n_dim + b % n_dim
+    mn = m_dim * n_dim
+    index = index.reshape(mn, mn)
+    phase = phase.reshape(mn, mn)
+    index.setflags(write=False)
+    phase.setflags(write=False)
+    return index, phase
+
+
+def twisted_convolution(y_dd: np.ndarray, x_dd: np.ndarray) -> np.ndarray:
+    """Twisted cross-correlation V[l, k] of two DD grids.
+
+    V[l, k] = sum_{m,n} conj(Y[m, n]) X[(m-l) mod M, (n-k) mod N]
+              alpha(m-l, n-k) exp(2j pi k_signed (m-l) / (M N))
+    with alpha(a, b) = exp(-2j pi b / N) when a < 0 and 1 otherwise. The
+    phase factor uses the signed Doppler value and the unwrapped delay
+    difference; both are required for correlation peaks at negative Doppler
+    to add coherently instead of cancelling.
+
+    It is evaluated as one matrix-vector product: X is gathered into the
+    MN x MN operator X[index] * phase, which multiplies conj(vec Y). The
+    gather index and phase tables depend only on (M, N), are built once per
+    shape, cached read-only, and hold (MN)^2 entries each (0.3 MB together at
+    8 x 14, 1.6 MB at 16 x 16).
+    """
+    y_dd = np.asarray(y_dd, dtype=complex)
+    x_dd = np.asarray(x_dd, dtype=complex)
+    if y_dd.shape != x_dd.shape or y_dd.ndim != 2:
+        raise ValueError(f"DD grids must share one 2-D shape, got {y_dd.shape} and {x_dd.shape}")
+    index, phase = _twist_tables(*y_dd.shape)
+    v = (x_dd.ravel()[index] * phase) @ np.conj(y_dd.ravel())
+    return v.reshape(y_dd.shape)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import hadamard
 
-from .grids import Dims, tf_to_dd
+from .grids import Dims, tf_to_dd, twisted_convolution
 
 __all__ = [
     "Lattice",
@@ -172,6 +172,4 @@ def discrete_af(x_dd: np.ndarray) -> np.ndarray:
     This is the self-correlation case of the twisted convolution, so
     A[0, 0] equals the grid energy and |A| peaks there.
     """
-    from .estimator import twisted_convolution
-
     return twisted_convolution(x_dd, x_dd)

@@ -2,7 +2,8 @@
 
 Each test prints one pass/fail line with the measured numbers. The two
 Monte Carlo sweeps (500 paired trials per SNR point, pilot-only and with
-data) are shared module fixtures so the whole gate runs them once.
+data) are shared module fixtures so the whole gate runs them once. The
+module is marked ``slow``: ``pytest -m "not slow"`` runs everything else.
 """
 
 import math
@@ -56,6 +57,8 @@ from cdce.pilots import (
 )
 
 from oracles import dense_fs_lmmse_oracle, ista_reference, lasso_certificate_gap
+
+pytestmark = pytest.mark.slow
 
 D = Dims(8, 14, 2)
 STATS = ChannelStats()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cdce.channel import (
     Pulse,
     apply_channel,
     effective_tf_channel,
+    sample_channel,
     time_channel_matrix,
     unit_path_tf_channel,
 )
@@ -29,7 +31,7 @@ from cdce.estimator import (
     threshold_select,
     twisted_convolution,
 )
-from cdce.grids import Dims, remove_cp, tf_to_dd, tf_to_time, time_to_tf, vec
+from cdce.grids import Dims, _twist_tables, remove_cp, tf_to_dd, tf_to_time, time_to_tf, vec
 from cdce.pilots import Frame, FrameSpec, Lattice, assemble_frame
 
 from oracles import ista_reference, lasso_certificate_gap, twisted_convolution_reference
@@ -88,7 +90,7 @@ class TestTwistedConvolution:
         with pytest.raises(ValueError):
             twisted_convolution(np.zeros((4, 6)), np.zeros((4, 5)))
 
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(2, 6))
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 7))
     @settings(max_examples=10)
     def test_matches_scalar_reference(self, seed, m, n):
         rng = np.random.default_rng(seed)
@@ -97,6 +99,44 @@ class TestTwistedConvolution:
         np.testing.assert_allclose(
             twisted_convolution(y, x), twisted_convolution_reference(y, x), atol=1e-10
         )
+
+    def test_alternating_shapes_match_scalar_reference(self):
+        # the per-shape tables must be keyed on (M, N): a stale table fails here
+        rng = np.random.default_rng(5)
+        for shape in ((4, 6), (5, 7), (4, 6)):
+            y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            np.testing.assert_allclose(
+                twisted_convolution(y, x), twisted_convolution_reference(y, x), atol=1e-10
+            )
+
+    def test_cached_tables_are_read_only(self):
+        twisted_convolution(np.ones((3, 5)), np.ones((3, 5)))
+        index, phase = _twist_tables(3, 5)
+        with pytest.raises(ValueError):
+            index[0, 0] = 1
+        with pytest.raises(ValueError):
+            phase[0, 0] = 1.0
+
+    def test_random_pilot_support_matches_scalar_reference(self):
+        spec = FrameSpec(dims=D, sequence_kind="zadoff_chu", placement="uniform_random")
+        assert spec.n_pilots == 56
+        n0 = 0.1  # 10 dB SNR
+        gamma = default_gamma("pilot_only", n0=n0)
+        rng = np.random.default_rng(2024)
+        detected = 0
+        for _ in range(20):
+            fr = assemble_frame(spec, rng)
+            g = time_channel_matrix(sample_channel(STATS, D, rng), IDEAL)
+            r = apply_channel(tf_to_time(fr.tf, D, with_cp=True), g, n0, rng)
+            y_dd = tf_to_dd(time_to_tf(remove_cp(r, D), D), D)
+            x_dd = tf_to_dd(fr.pilot_only_tf, D)
+            energy = np.sum(np.abs(x_dd) ** 2)
+            fast = threshold_select(twisted_convolution(y_dd, x_dd) / energy, STATS, gamma)
+            slow = threshold_select(twisted_convolution_reference(y_dd, x_dd) / energy, STATS, gamma)
+            assert fast.pairs == slow.pairs
+            detected += fast.p_hat
+        assert detected >= 20
 
     def test_matches_scalar_reference_at_frame_size(self, frame):
         rng = np.random.default_rng(99)
@@ -328,8 +368,20 @@ class TestSolveLasso:
         h3 = step(z2)
 
         for iters, expected in ((1, h1), (2, h2), (3, h3)):
-            got = solve_lasso(y, d, LassoConfig(lam=lam, tol=1e-30, max_iter=iters))
+            with pytest.warns(RuntimeWarning, match="did not converge"):
+                got = solve_lasso(y, d, LassoConfig(lam=lam, tol=1e-30, max_iter=iters))
             np.testing.assert_allclose(got, expected, atol=1e-9)
+
+    def test_exhausted_max_iter_warns(self):
+        y, d, _ = random_lasso_instance(3)
+        with pytest.warns(RuntimeWarning, match=r"lam=0\.05, max_iter=3 .*relative change"):
+            solve_lasso(y, d, LassoConfig(lam=0.05, tol=1e-30, max_iter=3))
+
+    def test_converging_solve_does_not_warn(self):
+        y, d, _ = random_lasso_instance(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve_lasso(y, d, LassoConfig(lam=0.05, tol=1e-6, max_iter=5000))
 
     def test_agrees_with_converged_ista(self):
         y, d, h_true = random_lasso_instance(7)
