@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,6 +45,13 @@ __all__ = [
 
 LS_CONDITION_LIMIT = 1e6
 
+# Dictionaries kept by build_dictionary, most recently used last. A lattice
+# trial asks for two fixed ones (the full grid and the search region) and one
+# per detected support; a random-pilot frame is never seen twice, so the
+# bound keeps its misses from growing the cache.
+DICTIONARY_CACHE_SIZE = 8
+_dictionaries: OrderedDict = OrderedDict()
+
 
 @dataclass(frozen=True)
 class CoarseEstimate:
@@ -59,10 +68,22 @@ class CoarseEstimate:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """TF response dictionary restricted to a candidate support."""
+    """TF response dictionary restricted to a candidate support, with its
+    Gram matrix and squared spectral norm computed on first use."""
 
     matrix: np.ndarray
     pairs: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        gram = self.matrix.conj().T @ self.matrix
+        gram.setflags(write=False)
+        return gram
+
+    @cached_property
+    def norm_sq(self) -> float:
+        """||D||_2^2, the exact largest eigenvalue of the Gram."""
+        return float(np.linalg.eigvalsh(self.gram)[-1])
 
 
 @dataclass(frozen=True)
@@ -137,12 +158,39 @@ def build_dictionary(
     d: Dims,
 ) -> Dictionary:
     """Columns are the vectorized TF responses of unit-gain single paths at
-    the (delay, Doppler) pairs, driven by the pilot-only frame."""
+    the (delay, Doppler) pairs, driven by the pilot-only frame.
+
+    The result is memoised on (dims, pulse, pairs, pilot-only frame bytes) in
+    a least-recently-used cache of DICTIONARY_CACHE_SIZE entries, so a frame
+    that repeats across trials builds its dictionary, Gram and step once. The
+    cached matrix is read-only.
+    """
     if not pairs:
         raise ValueError("cannot build a dictionary from an empty set of pairs")
     x = vec(pilot_only_tf)
-    columns = [unit_path_tf_channel(d, pulse, l, k) @ x for l, k in pairs]
-    return Dictionary(matrix=np.column_stack(columns), pairs=tuple(pairs))
+    pairs = tuple(pairs)
+    key = (d, pulse, pairs, x.dtype.str, x.tobytes())
+    dictionary = _dictionaries.get(key)
+    if dictionary is not None:
+        _dictionaries.move_to_end(key)
+        return dictionary
+    matrix = np.column_stack([unit_path_tf_channel(d, pulse, l, k) @ x for l, k in pairs])
+    matrix.setflags(write=False)
+    dictionary = _dictionaries[key] = Dictionary(matrix=matrix, pairs=pairs)
+    if len(_dictionaries) > DICTIONARY_CACHE_SIZE:
+        _dictionaries.popitem(last=False)
+    return dictionary
+
+
+@lru_cache(maxsize=None)
+def _block_support(d: Dims, sub_blocks: int) -> np.ndarray:
+    """The diagonal symbol blocks and the first ``sub_blocks`` sub-diagonal
+    ones of an MN x MN matrix, as row-major indices into the matrix viewed as
+    MN * N row pieces of m entries."""
+    lag = (np.arange(d.grid_size) // d.m)[:, None] - np.arange(d.n)[None, :]
+    index = np.flatnonzero((lag >= 0) & (lag <= sub_blocks))
+    index.setflags(write=False)
+    return index
 
 
 def reconstruct(
@@ -152,13 +200,27 @@ def reconstruct(
     d: Dims,
 ) -> np.ndarray:
     """Effective TF channel sum_i h_i H_TF(pairs[i]) of path gains h on the
-    unit-path atoms; zero gains are skipped."""
+    unit-path atoms; zero gains are skipped.
+
+    A received payload sample depends on transmit samples at most ``l``
+    earlier, so an atom of delay l is exactly zero outside the diagonal
+    symbol blocks and the first ceil((l - cp_len) / (m + cp_len)) sub-diagonal
+    ones (one for the whole grid, none for the search region). The sum runs
+    over that support, gathered in row pieces one symbol block wide, term by
+    term in the order given, and is scattered into the MN x MN result once:
+    every entry equals the dense sum's.
+    """
     mn = d.grid_size
-    h_tf = np.zeros((mn, mn), dtype=complex)
-    for gain, (l, k) in zip(h, pairs):
+    l_max = max((l for l, _ in pairs), default=0)
+    sub_blocks = min(max(-(-(l_max - d.cp_len) // (d.m + d.cp_len)), 0), d.n - 1)
+    support = _block_support(d, sub_blocks)
+    acc = np.zeros((support.size, d.m), dtype=complex)
+    for gain, (l, k) in zip(np.asarray(h).tolist(), pairs):
         if gain != 0:
-            h_tf += gain * unit_path_tf_channel(d, pulse, l, k)
-    return h_tf
+            acc += gain * unit_path_tf_channel(d, pulse, l, k).reshape(-1, d.m).take(support, axis=0)
+    h_tf = np.zeros((mn * d.n, d.m), dtype=complex)
+    h_tf[support] = acc
+    return h_tf.reshape(mn, mn)
 
 
 def soft_threshold(x: np.ndarray, gamma: float) -> np.ndarray:
@@ -183,8 +245,7 @@ def solve_ls(y: np.ndarray, dictionary: Dictionary) -> np.ndarray:
             f"dictionary condition number {cond:.3e} exceeds {LS_CONDITION_LIMIT:.0e}, "
             "use solve_lasso"
         )
-    gram = d.conj().T @ d
-    return np.linalg.solve(gram, d.conj().T @ y)
+    return np.linalg.solve(dictionary.gram, d.conj().T @ y)
 
 
 def solve_lasso(y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig) -> np.ndarray:
@@ -194,12 +255,14 @@ def solve_lasso(y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig) -> np.n
     (an underestimate would make the iteration diverge), per-step threshold
     lambda times the step, Nesterov momentum from beta_0 = 1, stopping on the
     relative change of the iterate. Using up ``max_iter`` without meeting
-    ``tol`` emits a RuntimeWarning and returns the last iterate.
+    ``tol`` emits a RuntimeWarning and returns the last iterate. The Gram and
+    the step come with the dictionary; both norms of the stopping rule are
+    numpy's own formula, sqrt(re.re + im.im).
     """
     d = dictionary.matrix
-    gram = d.conj().T @ d
+    gram = dictionary.gram
     dty = d.conj().T @ y
-    norm_sq = float(np.linalg.eigvalsh(gram)[-1])
+    norm_sq = dictionary.norm_sq
     if norm_sq <= 0:
         raise ValueError("degenerate dictionary with zero spectral norm")
     eps = 1.0 / norm_sq
@@ -213,8 +276,9 @@ def solve_lasso(y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig) -> np.n
         beta_next = (1.0 + math.sqrt(1.0 + 4.0 * beta * beta)) / 2.0
         z = h_new + ((beta - 1.0) / beta_next) * (h_new - h)
         beta = beta_next
-        delta = float(np.linalg.norm(h_new - h))
-        denom = float(np.linalg.norm(h))
+        step = h_new - h
+        delta = math.sqrt(step.real.dot(step.real) + step.imag.dot(step.imag))
+        denom = math.sqrt(h.real.dot(h.real) + h.imag.dot(h.imag))
         h = h_new
         change = delta / denom if denom > 0 else (0.0 if delta == 0 else math.inf)
         if change < cfg.tol:

@@ -71,8 +71,11 @@ class SimConfig:
         stats, dims = self.stats, self.dims
         if stats.l_max > dims.cp_len:
             raise ValueError(f"l_max {stats.l_max} exceeds the CP length {dims.cp_len}")
-        if stats.k_max > dims.n / 2:
-            raise ValueError(f"k_max {stats.k_max} exceeds half the Doppler grid (N/2 = {dims.n / 2})")
+        if 2 * stats.k_max >= dims.n:
+            # on even N, Doppler +N/2 and -N/2 are one DD column
+            raise ValueError(
+                f"k_max {stats.k_max} must stay below half the Doppler grid (N/2 = {dims.n / 2})"
+            )
         if stats.n_paths > stats.region_size:
             raise ValueError(
                 f"cannot draw {stats.n_paths} distinct paths from a region of {stats.region_size} bins"

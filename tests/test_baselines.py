@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cdce.baselines as baselines
+import cdce.estimator as estimator
 from cdce.baselines import (
     CovarianceModel,
     fit_covariance,
@@ -260,3 +261,27 @@ class TestTfLasso:
     def test_zero_signal_gives_zero_estimate(self, frame):
         est = tf_lasso(np.zeros((D.m, D.n), dtype=complex), frame)
         np.testing.assert_array_equal(est, np.zeros((D.grid_size, D.grid_size)))
+
+
+class TestFrameCache:
+    def test_alternating_lattice_frames_match_cold_results(self):
+        stats = ChannelStats()
+        cov = fit_covariance(stats, D, 50, np.random.default_rng(3))
+        rng = np.random.default_rng(9)
+        frames = [assemble_frame(FrameSpec(dims=D, pilot_power=p)) for p in (1.0, 2.0)]
+        received = [
+            received_tf(fr, sample_channel(stats, D, rng), n0=0.1, rng=rng) for fr in frames
+        ]
+
+        def both(y, fr):
+            return tf_lasso(y, fr), fs_lmmse(y, fr, cov, 0.1)
+
+        cold = []
+        for y, fr in zip(received, frames):
+            estimator._dictionaries.clear()
+            cold.append(both(y, fr))
+        estimator._dictionaries.clear()
+        for _ in range(2):
+            for (y, fr), want in zip(zip(received, frames), cold):
+                for got, expected in zip(both(y, fr), want):
+                    np.testing.assert_array_equal(got, expected)

@@ -100,6 +100,7 @@ class TestLoadConfig:
             ("trials: 0", "invalid config"),
             ("stats: {l_max: 3}", "CP length"),
             ("stats: {k_max: 8}", "Doppler grid"),
+            ("stats: {k_max: 7}", "Doppler grid"),
             ("stats: {n_paths: 22}", "distinct paths"),
             ("frame: {sequence: walsh}", "power-of-two"),
             ("frame: {sequence: zadoff_chu, sequence_param: 2}", "coprime"),

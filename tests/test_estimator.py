@@ -24,6 +24,7 @@ from cdce.estimator import (
     cdce_estimate,
     default_gamma,
     doppler_col,
+    reconstruct,
     signed_doppler,
     soft_threshold,
     solve_lasso,
@@ -34,7 +35,13 @@ from cdce.estimator import (
 from cdce.grids import Dims, _twist_tables, remove_cp, tf_to_dd, tf_to_time, time_to_tf, vec
 from cdce.pilots import Frame, FrameSpec, Lattice, assemble_frame
 
-from oracles import ista_reference, lasso_certificate_gap, twisted_convolution_reference
+from oracles import (
+    dense_reconstruct_oracle,
+    fista_reference,
+    ista_reference,
+    lasso_certificate_gap,
+    twisted_convolution_reference,
+)
 
 D = Dims(8, 14, 2)
 IDEAL = Pulse("ideal")
@@ -286,6 +293,46 @@ class TestBuildDictionary:
             build_dictionary(frame.pilot_only_tf, (), IDEAL, D)
 
 
+class TestDictionaryCache:
+    def test_repeated_frame_returns_the_cached_dictionary(self, frame):
+        pairs = STATS.region_pairs
+        first = build_dictionary(frame.pilot_only_tf, pairs, IDEAL, D)
+        assert build_dictionary(frame.pilot_only_tf.copy(), pairs, IDEAL, D) is first
+        other = build_dictionary(2.0 * frame.pilot_only_tf, pairs, IDEAL, D)
+        np.testing.assert_array_equal(other.matrix, 2.0 * first.matrix)
+
+    def test_cached_matrix_and_gram_are_read_only(self, frame):
+        d = build_dictionary(frame.pilot_only_tf, STATS.region_pairs, IDEAL, D)
+        with pytest.raises(ValueError):
+            d.matrix[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            d.gram[0, 0] = 1.0
+
+    def test_random_pilot_frames_stay_within_the_bound(self):
+        spec = FrameSpec(dims=D, sequence_kind="zadoff_chu", placement="uniform_random")
+        rng = np.random.default_rng(50)
+        for _ in range(50):
+            build_dictionary(assemble_frame(spec, rng).pilot_only_tf, STATS.region_pairs, IDEAL, D)
+            assert len(estimator._dictionaries) <= estimator.DICTIONARY_CACHE_SIZE
+        assert len(estimator._dictionaries) == estimator.DICTIONARY_CACHE_SIZE
+
+
+class TestReconstruct:
+    @pytest.mark.parametrize("kind", ["ideal", "rectangular"])
+    @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
+    def test_whole_grid_matches_dense_oracle(self, shape, kind):
+        d, pulse = Dims(*shape), Pulse(kind)
+        pairs = tuple((l, signed_doppler(kc, d.n)) for kc in range(d.n) for l in range(d.m))
+        atoms = [unit_path_tf_channel(d, pulse, l, k) for l, k in pairs]
+        rng = np.random.default_rng(d.grid_size)
+        h = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
+        h[rng.random(len(pairs)) < 0.3] = 0.0
+        for gains in (h, np.zeros(len(pairs), dtype=complex)):
+            np.testing.assert_array_equal(
+                reconstruct(gains, pairs, pulse, d), dense_reconstruct_oracle(gains, atoms)
+            )
+
+
 class TestSoftThreshold:
     def test_shrinks_magnitude(self):
         theta = 0.7
@@ -396,6 +443,33 @@ class TestSolveLasso:
         cfg = LassoConfig(lam=0.05, tol=1e-12, max_iter=50000)
         h = solve_lasso(y, d, cfg)
         assert lasso_certificate_gap(y, d.matrix, 0.05, h) < 1e-3
+
+    @pytest.mark.parametrize(
+        "lam,tol,max_iter,converges",
+        [(0.05, 1e-6, 5000, True), (0.02, 1e-12, 50000, True), (0.05, 1e-30, 7, False)],
+    )
+    def test_matches_fista_oracle_on_random_instances(self, lam, tol, max_iter, converges):
+        for seed in range(10):
+            y, d, _ = random_lasso_instance(seed, noise=0.05)
+            ref, converged = fista_reference(y, d.matrix, lam, tol, max_iter)
+            assert converged == converges
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                h = solve_lasso(y, d, LassoConfig(lam=lam, tol=tol, max_iter=max_iter))
+            assert len(caught) == (0 if converges else 1)
+            np.testing.assert_array_equal(h, ref)
+
+    @pytest.mark.parametrize("snr_db", [0.0, 5.0, 10.0, 15.0, 20.0])
+    def test_matches_fista_oracle_on_a_lattice_full_grid_frame(self, frame, snr_db):
+        rng = np.random.default_rng(int(snr_db))
+        n0 = 10.0 ** (-snr_db / 10.0)
+        y = received_tf(frame, sample_channel(STATS, D, rng), n0=n0, rng=rng)
+        pairs = tuple((l, signed_doppler(kc, D.n)) for kc in range(D.n) for l in range(D.m))
+        d = build_dictionary(frame.pilot_only_tf, pairs, IDEAL, D)
+        cfg = LassoConfig()
+        ref, converged = fista_reference(vec(y), d.matrix, cfg.lam, cfg.tol, cfg.max_iter)
+        assert converged
+        np.testing.assert_array_equal(solve_lasso(vec(y), d, cfg), ref)
 
     def test_zero_dictionary_rejected(self):
         d = Dictionary(matrix=np.zeros((6, 2)), pairs=((0, 0), (1, 0)))
