@@ -276,8 +276,8 @@ def solve_lasso(y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig) -> np.n
         beta_next = (1.0 + math.sqrt(1.0 + 4.0 * beta * beta)) / 2.0
         z = h_new + ((beta - 1.0) / beta_next) * (h_new - h)
         beta = beta_next
-        step = h_new - h
-        delta = math.sqrt(step.real.dot(step.real) + step.imag.dot(step.imag))
+        moved = h_new - h
+        delta = math.sqrt(moved.real.dot(moved.real) + moved.imag.dot(moved.imag))
         denom = math.sqrt(h.real.dot(h.real) + h.imag.dot(h.imag))
         h = h_new
         change = delta / denom if denom > 0 else (0.0 if delta == 0 else math.inf)

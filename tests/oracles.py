@@ -140,10 +140,11 @@ def fista_reference(
     tol: float,
     max_iter: int,
 ) -> tuple[np.ndarray, bool]:
-    """FISTA for 0.5 ||y - D h||^2 + lam ||h||_1 as the package first wrote
-    it: the Gram and its exact largest eigenvalue formed per call, the
-    complex soft threshold inline, np.linalg.norm in the stopping rule.
-    Returns the last iterate and whether the relative change met ``tol``."""
+    """FISTA for 0.5 ||y - D h||^2 + lam ||h||_1 written plainly: the Gram
+    and its exact largest eigenvalue formed per call, the complex soft
+    threshold inline, np.linalg.norm in the stopping rule (relative change of
+    the iterate below ``tol``). Returns the last iterate and whether it
+    stopped before ``max_iter``."""
     gram = d.conj().T @ d
     dty = d.conj().T @ y
     eps = 1.0 / float(np.linalg.eigvalsh(gram)[-1])
