@@ -1,11 +1,11 @@
 """Doubly selective channel generation and its time and TF matrix forms.
 
 A channel realization is a sum of P discrete paths, each with a complex gain,
-a delay of ``delay_int + delay_frac`` samples, and a Doppler shift of
-``doppler_int + doppler_frac`` cycles per frame of M*N payload samples. The
-time-domain matrix G acts on the CP-extended transmit vector; the effective
-TF matrix H_TF is the unitary DFT / CP sandwich of G and is the ground truth
-that every estimator is scored against.
+an integer delay of ``delay_int`` samples, and an integer Doppler shift of
+``doppler_int`` cycles per frame of M*N payload samples. The time-domain
+matrix G acts on the CP-extended transmit vector, and each path adds one tap
+to it. The effective TF matrix H_TF is the unitary DFT / CP sandwich of G and
+is the ground truth that every estimator is scored against.
 """
 
 from __future__ import annotations
@@ -48,36 +48,16 @@ class Pulse:
 
 @dataclass(frozen=True)
 class PathParams:
-    """One propagation path.
-
-    ``delay_int``/``doppler_int`` are integer grid indices; the ``_frac``
-    parts are sub-grid offsets in [-1/2, 1/2].
-    """
+    """One propagation path at integer delay ``delay_int`` (samples) and
+    integer Doppler ``doppler_int`` (cycles per M*N payload samples)."""
 
     gain: complex
     delay_int: int
     doppler_int: int = 0
-    delay_frac: float = 0.0
-    doppler_frac: float = 0.0
 
     def __post_init__(self) -> None:
         if self.delay_int < 0:
             raise ValueError(f"delay index must be non-negative, got {self.delay_int}")
-        if self.delay_int + self.delay_frac < 0:
-            raise ValueError("total delay must be non-negative")
-        for frac in (self.delay_frac, self.doppler_frac):
-            if not -0.5 <= frac <= 0.5:
-                raise ValueError(f"fractional offsets must lie in [-1/2, 1/2], got {frac}")
-
-    @property
-    def delay(self) -> float:
-        """Total delay in samples."""
-        return self.delay_int + self.delay_frac
-
-    @property
-    def doppler(self) -> float:
-        """Total Doppler in cycles per M*N payload samples."""
-        return self.doppler_int + self.doppler_frac
 
 
 @dataclass(frozen=True)
@@ -128,9 +108,9 @@ class ChannelRealization:
         if not self.paths:
             raise ValueError("a channel realization needs at least one path")
         for p in self.paths:
-            if abs(p.doppler) > self.dims.n / 2:
+            if abs(p.doppler_int) > self.dims.n / 2:
                 raise ValueError(
-                    f"Doppler {p.doppler} exceeds half the Doppler grid (N/2 = {self.dims.n / 2})"
+                    f"Doppler {p.doppler_int} exceeds half the Doppler grid (N/2 = {self.dims.n / 2})"
                 )
 
 
@@ -147,8 +127,11 @@ def sample_channel(
             f"cannot draw {stats.n_paths} distinct (delay, Doppler) pairs from a "
             f"region of {n_pairs}"
         )
-    if stats.k_max > dims.n / 2:
-        raise ValueError(f"k_max {stats.k_max} exceeds the Doppler grid (N/2 = {dims.n / 2})")
+    if 2 * stats.k_max >= dims.n:
+        # on even N, Doppler +N/2 and -N/2 are one DD column
+        raise ValueError(
+            f"k_max {stats.k_max} must stay below half the Doppler grid (N/2 = {dims.n / 2})"
+        )
     flat = rng.choice(n_pairs, size=stats.n_paths, replace=False)
     sigma = math.sqrt(stats.per_path_variance / 2.0)
     gains = sigma * (rng.standard_normal(stats.n_paths) + 1j * rng.standard_normal(stats.n_paths))
@@ -159,25 +142,17 @@ def sample_channel(
     return ChannelRealization(paths, dims)
 
 
-def pulse_af(tau: float, nu: float, pulse: Pulse, ts: float = 1.0) -> complex:
-    """Pulse ambiguity function A(tau, nu) = integral p(t) p*(t - tau) e^{-2j pi nu (t - tau)} dt.
+def pulse_af(nu: float, pulse: Pulse) -> complex:
+    """Pulse ambiguity function at zero lag, A(0, nu) = integral |p(t)|^2 e^{-2j pi nu t} dt,
+    with ``nu`` in cycles per sample.
 
-    ``tau`` is in seconds and ``nu`` in Hz; with the default ``ts = 1`` both
-    are in normalized sample units. The rectangular closed form carries the
-    signed tau, not |tau|, in its phase; for tau < 0 the overlap window starts
-    at t = 0 rather than t = tau, which shifts the phase center.
+    At integer delays the pulse enters G only through this value: 1 for the
+    ideal pulse, sinc(nu) e^{-j pi nu} for the unit-energy rectangular pulse
+    on one sample period.
     """
     if pulse.kind == "ideal":
-        return 1.0 + 0.0j if tau == 0 else 0.0 + 0.0j
-    at = abs(tau)
-    if at >= ts:
-        return 0.0 + 0.0j
-    overlap = ts - at
-    return (
-        (overlap / ts)
-        * np.sinc(nu * overlap)
-        * np.exp(-1j * np.pi * nu * (ts - tau))
-    )
+        return 1.0 + 0.0j
+    return np.sinc(nu) * np.exp(-1j * np.pi * nu)
 
 
 @lru_cache(maxsize=None)
@@ -195,42 +170,26 @@ def _payload_indices(d: Dims) -> np.ndarray:
     return phi
 
 
-def time_channel_matrix(
-    ch: ChannelRealization,
-    pulse: Pulse,
-    check_delay_spread: bool = True,
-) -> np.ndarray:
+def time_channel_matrix(ch: ChannelRealization, pulse: Pulse) -> np.ndarray:
     """Time-domain channel matrix G on the CP-extended frame.
 
-    G[m, n] = sum_p gain_p * exp(2j pi doppler_p * phi(n) / (M N)) *
-    conj(A(tau_p - (m - n), nu_p)) with phi the payload-sample clock; the
-    receive index is the row and the transmit index is the column. With
-    ``check_delay_spread`` the total delay of every path must fit inside the
-    CP; dictionary atoms beyond the CP disable the check.
+    Each path adds one tap on its delay's sub-diagonal:
+    G[n + l_p, n] += gain_p * exp(2j pi k_p phi(n) / (M N)) * conj(A(0, k_p / (M N)))
+    with phi the payload-sample clock; the receive index is the row and the
+    transmit index is the column. Delays beyond the CP are valid (dictionary
+    atoms reach them); ``effective_tf_channel`` then carries the ISI.
     """
     d = ch.dims
     t_len = d.frame_len
-    mn = d.grid_size
     phi = _payload_indices(d)
     g = np.zeros((t_len, t_len), dtype=complex)
     cols = np.arange(t_len)
     for p in ch.paths:
-        if pulse.kind == "ideal" and p.delay_frac != 0.0:
-            raise ValueError("the ideal pulse supports integer delays only")
-        if check_delay_spread and p.delay > d.cp_len:
-            raise ValueError(
-                f"path delay {p.delay} exceeds the CP length {d.cp_len}"
-            )
-        nu = p.doppler / mn
+        l = p.delay_int
+        nu = p.doppler_int / d.grid_size
         mod = p.gain * np.exp(2j * np.pi * nu * phi)
-        q_lo = max(math.ceil(p.delay - 1.0), 0)
-        q_hi = math.floor(p.delay + 1.0)
-        for q in range(q_lo, q_hi + 1):
-            a = pulse_af(p.delay - q, nu, pulse)
-            if a == 0:
-                continue
-            src = cols[: t_len - q] if q > 0 else cols
-            g[src + q, src] += np.conj(a) * mod[src]
+        src = cols[: t_len - l]
+        g[src + l, src] += np.conj(pulse_af(nu, pulse)) * mod[src]
     return g
 
 
@@ -281,7 +240,7 @@ def effective_tf_channel(g: np.ndarray, d: Dims) -> np.ndarray:
 def unit_path_tf_channel(d: Dims, pulse: Pulse, delay: int, doppler: int) -> np.ndarray:
     """Cached H_TF of a unit-gain single path at integer (delay, doppler)."""
     ch = ChannelRealization((PathParams(1.0 + 0.0j, delay, doppler),), d)
-    g = time_channel_matrix(ch, pulse, check_delay_spread=False)
+    g = time_channel_matrix(ch, pulse)
     h = effective_tf_channel(g, d)
     h.setflags(write=False)
     return h

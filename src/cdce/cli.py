@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from .config import ConfigError, load_config
-from .harness import NMSE_FLOOR_DB, emit, run_sweep, run_trial
+from .harness import emit, ratio_db, run_sweep, run_trial
 from .pilots import assemble_frame, pilot_dd_image, discrete_af
 
 __all__ = ["main"]
@@ -46,11 +45,7 @@ def _cmd_single(args: argparse.Namespace) -> int:
         raise ValueError(f"trial must be non-negative, got {args.trial}")
     ratios = run_trial(cfg, args.snr_db, args.trial)
     for name in cfg.estimators:
-        ratio = ratios[name]
-        value = NMSE_FLOOR_DB if ratio == 0 else max(
-            10.0 * math.log10(ratio), NMSE_FLOOR_DB
-        )
-        print(f"{name}\t{value:.6f}")
+        print(f"{name}\t{ratio_db(ratios[name]):.6f}")
     return 0
 
 

@@ -93,24 +93,30 @@ def load_config(path: str, env: dict | None = None) -> SimConfig:
 
     dims_raw = _section(raw, "dims")
     _check_keys(dims_raw, _DIMS_KEYS, "section 'dims'")
-    dims = Dims(
-        m=_as_int(dims_raw.get("m", 8), "dims.m"),
-        n=_as_int(dims_raw.get("n", 14), "dims.n"),
-        cp_len=_as_int(dims_raw.get("cp_len", 2), "dims.cp_len"),
-    )
+    try:
+        dims = Dims(
+            m=_as_int(dims_raw.get("m", 8), "dims.m"),
+            n=_as_int(dims_raw.get("n", 14), "dims.n"),
+            cp_len=_as_int(dims_raw.get("cp_len", 2), "dims.cp_len"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid dims section in {path}: {exc}") from exc
 
     stats_raw = _section(raw, "stats")
     _check_keys(stats_raw, _STATS_KEYS, "section 'stats'")
     gain_variance = stats_raw.get("gain_variance")
-    stats = ChannelStats(
-        n_paths=_as_int(stats_raw.get("n_paths", 3), "stats.n_paths"),
-        l_max=_as_int(stats_raw.get("l_max", 2), "stats.l_max"),
-        k_max=_as_int(stats_raw.get("k_max", 3), "stats.k_max"),
-        gain_variance=(
-            None if gain_variance is None
-            else _as_float(gain_variance, "stats.gain_variance")
-        ),
-    )
+    try:
+        stats = ChannelStats(
+            n_paths=_as_int(stats_raw.get("n_paths", 3), "stats.n_paths"),
+            l_max=_as_int(stats_raw.get("l_max", 2), "stats.l_max"),
+            k_max=_as_int(stats_raw.get("k_max", 3), "stats.k_max"),
+            gain_variance=(
+                None if gain_variance is None
+                else _as_float(gain_variance, "stats.gain_variance")
+            ),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid stats section in {path}: {exc}") from exc
 
     mode = _as_str(raw.get("mode", "pilot_only"), "mode")
     if mode not in ("pilot_only", "with_data"):
@@ -138,7 +144,7 @@ def load_config(path: str, env: dict | None = None) -> SimConfig:
             placement=_as_str(frame_raw.get("placement", "lattice"), "frame.placement"),
         )
     except ValueError as exc:
-        raise ConfigError(f"invalid frame section: {exc}") from exc
+        raise ConfigError(f"invalid frame section in {path}: {exc}") from exc
 
     lasso_raw = _section(raw, "lasso")
     _check_keys(lasso_raw, _LASSO_KEYS, "section 'lasso'")
@@ -149,7 +155,7 @@ def load_config(path: str, env: dict | None = None) -> SimConfig:
             max_iter=_as_int(lasso_raw.get("max_iter", 1000), "lasso.max_iter"),
         )
     except ValueError as exc:
-        raise ConfigError(f"invalid lasso section: {exc}") from exc
+        raise ConfigError(f"invalid lasso section in {path}: {exc}") from exc
 
     snr_raw = raw.get("snr_grid_db", [0.0, 5.0, 10.0, 15.0, 20.0])
     if not isinstance(snr_raw, (list, tuple)) or not snr_raw:

@@ -25,6 +25,7 @@ __all__ = [
     "ESTIMATOR_NAMES",
     "SimConfig",
     "ResultRow",
+    "ratio_db",
     "nmse_db",
     "run_trial",
     "run_sweep",
@@ -95,15 +96,19 @@ class ResultRow:
     stderr_db: float
 
 
+def ratio_db(ratio: float) -> float:
+    """A non-negative power ratio in dB, floored at NMSE_FLOOR_DB."""
+    if ratio == 0:
+        return NMSE_FLOOR_DB
+    return max(10.0 * math.log10(ratio), NMSE_FLOOR_DB)
+
+
 def nmse_db(h_hat: np.ndarray, h_true: np.ndarray) -> float:
     """Normalized squared error in dB, floored at -200 dB."""
     denom = float(np.sum(np.abs(h_true) ** 2))
     if denom == 0:
         raise ValueError("the true channel is identically zero")
-    ratio = float(np.sum(np.abs(np.asarray(h_hat) - h_true) ** 2)) / denom
-    if ratio == 0:
-        return NMSE_FLOOR_DB
-    return max(10.0 * math.log10(ratio), NMSE_FLOOR_DB)
+    return ratio_db(float(np.sum(np.abs(np.asarray(h_hat) - h_true) ** 2)) / denom)
 
 
 def _snr_key(snr_db: float) -> int:
@@ -187,14 +192,11 @@ def run_sweep(cfg: SimConfig, cov: CovarianceModel | None = None) -> list[Result
                 stderr = (10.0 / math.log(10.0)) * se_lin / mean_lin
             else:
                 stderr = 0.0
-            value_db = NMSE_FLOOR_DB if mean_lin == 0 else max(
-                10.0 * math.log10(mean_lin), NMSE_FLOOR_DB
-            )
             rows.append(ResultRow(
                 estimator=name,
                 snr_db=float(snr_db),
                 trials=cfg.trials,
-                nmse_db=value_db,
+                nmse_db=ratio_db(mean_lin),
                 stderr_db=stderr,
             ))
     rows.sort(key=lambda r: (r.estimator, r.snr_db))

@@ -73,6 +73,42 @@ def rect_af_quadrature(tau: float, nu: float, ts: float = 1.0) -> complex:
     return re + 1j * im
 
 
+def time_channel_oracle(
+    paths: list[tuple[complex, int, int]],
+    m: int,
+    n: int,
+    cp_len: int,
+    pulse_kind: str,
+) -> np.ndarray:
+    """Time-domain channel matrix on the CP-extended frame, entry by entry:
+    G[r, c] = sum_p g_p exp(2j pi k_p phi(c) / MN) conj(A(l_p - (r - c), k_p / MN))
+    for paths (g_p, l_p, k_p). phi(c) is the payload sample that CP-extended
+    sample c carries; A is a Kronecker delta in the lag for the ideal pulse
+    and the ambiguity quadrature for the rectangular one."""
+    span = m + cp_len
+    t_len = span * n
+    mn = m * n
+    phi = []
+    for c in range(t_len):
+        block, offset = divmod(c, span)
+        phi.append(block * m + (offset - cp_len) % m)
+    g = np.zeros((t_len, t_len), dtype=complex)
+    for r in range(t_len):
+        for c in range(t_len):
+            acc = 0.0 + 0.0j
+            for gain, l, k in paths:
+                tau = l - (r - c)
+                nu = k / mn
+                if pulse_kind == "ideal":
+                    af = 1.0 if tau == 0 else 0.0
+                else:
+                    af = rect_af_quadrature(tau, nu)
+                if af != 0:
+                    acc += gain * cmath.exp(2j * math.pi * k * phi[c] / mn) * af.conjugate()
+            g[r, c] = acc
+    return g
+
+
 def add_cp_matrix(m: int, cp_len: int) -> np.ndarray:
     eye = np.eye(m)
     return np.vstack([eye[m - cp_len:], eye]) if cp_len else eye

@@ -325,7 +325,7 @@ def test_criterion_8_transform_and_property_suite():
         failures.append("AF self-correlation peak not maximal")
 
     d4 = Dims(4, 4, 2)
-    stats4 = ChannelStats(n_paths=2, l_max=2, k_max=2)
+    stats4 = ChannelStats(n_paths=2, l_max=2, k_max=1)
     cov = fit_covariance(stats4, d4, 50, np.random.default_rng(80))
     frame4 = assemble_frame(FrameSpec(dims=d4), None)
     ch4 = sample_channel(stats4, d4, np.random.default_rng(81))

@@ -87,6 +87,10 @@ class TestLoadConfig:
             ("trials: many", "integer"),
             ("trials: true", "integer"),
             ("dims: {m: 8.5}", "integer"),
+            ("dims: {m: 0}", "invalid dims"),
+            ("dims: {cp_len: 9}", "invalid dims"),
+            ("stats: {n_paths: 0}", "invalid stats"),
+            ("stats: {gain_variance: -1}", "invalid stats"),
             ("frame: {pilot_power: strong}", "number"),
             ("mode: blind", "mode"),
             ("snr_grid_db: []", "non-empty"),
