@@ -127,7 +127,14 @@ class TestPulseAf:
         assert pulse_af(0.5, IDEAL) == 1.0
         assert pulse_af(3.0, IDEAL) == 1.0
 
-    @pytest.mark.parametrize("nu", [-2.0, -0.4, 0.1, 1.7])
+    # Lag 0 is the only point of the triangle 1 - |tau| that an integer-delay
+    # path evaluates.
+    @pytest.mark.parametrize("tau", [0.0])
+    def test_rect_zero_doppler_is_triangle(self, tau):
+        assert rect_af_quadrature(tau, 0.0) == pytest.approx(1.0 - abs(tau), abs=1e-10)
+        assert pulse_af(0.0, RECT) == pytest.approx(1.0 - abs(tau), abs=1e-12)
+
+    @pytest.mark.parametrize("nu",[-2.0, -0.4, 0.1, 1.7])
     def test_rect_matches_quadrature(self, nu):
         assert pulse_af(nu, RECT) == pytest.approx(rect_af_quadrature(0.0, nu), abs=1e-10)
 
