@@ -215,6 +215,28 @@ def apply_channel(
     return r
 
 
+_SANDWICH = "ij,ajbk,kl->aibl"
+
+
+@lru_cache(maxsize=None)
+def _sandwich_factors(d: Dims) -> tuple[np.ndarray, np.ndarray, list]:
+    """Per-block factors F_M R_CP and A_CP F_M^H of H_TF, and the contraction
+    path that ``np.einsum(..., optimize=True)`` would search for on every call."""
+    span = d.m + d.cp_len
+    fm = dft_matrix(d.m)
+    eye = np.eye(d.m)
+    r_cp = np.hstack([np.zeros((d.m, d.cp_len)), eye])
+    a_cp = np.vstack([eye[d.m - d.cp_len:], eye]) if d.cp_len else eye
+    c = fm @ r_cp
+    b = a_cp @ fm.conj().T
+    c.setflags(write=False)
+    b.setflags(write=False)
+    # the path depends only on the operand shapes
+    blocks = np.empty((d.n, span, d.n, span), dtype=complex)
+    path, _ = np.einsum_path(_SANDWICH, c, blocks, b, optimize=True)
+    return c, b, path
+
+
 def effective_tf_channel(g: np.ndarray, d: Dims) -> np.ndarray:
     """Effective TF channel H_TF = (I_N kron F_M R_CP) G (I_N kron A_CP F_M^H).
 
@@ -225,14 +247,9 @@ def effective_tf_channel(g: np.ndarray, d: Dims) -> np.ndarray:
         raise ValueError(
             f"channel matrix must be {d.frame_len} x {d.frame_len}, got {g.shape}"
         )
-    fm = dft_matrix(d.m)
-    eye = np.eye(d.m)
-    r_cp = np.hstack([np.zeros((d.m, d.cp_len)), eye])
-    a_cp = np.vstack([eye[d.m - d.cp_len:], eye]) if d.cp_len else eye
-    c = fm @ r_cp
-    b = a_cp @ fm.conj().T
+    c, b, path = _sandwich_factors(d)
     blocks = g.reshape(d.n, span, d.n, span)
-    h = np.einsum("ij,ajbk,kl->aibl", c, blocks, b, optimize=True)
+    h = np.einsum(_SANDWICH, c, blocks, b, optimize=path)
     return np.ascontiguousarray(h.reshape(d.grid_size, d.grid_size))
 
 

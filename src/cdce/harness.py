@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it with cdce, not in the first trial
 
 from .baselines import CovarianceModel, fit_covariance, fs_lmmse, st_lmmse, st_ls, tf_lasso
 from .channel import ChannelStats, Pulse, effective_tf_channel, sample_channel, time_channel_matrix, apply_channel
@@ -37,6 +38,14 @@ ESTIMATOR_NAMES = ("cdce", "fs_lmmse", "st_ls", "st_lmmse", "tf_lasso")
 NMSE_FLOOR_DB = -200.0
 
 _COV_SEED_TAG = 0x636F76
+
+# glibc serves each block above its mmap threshold (128 KiB at start) with a
+# fresh mapping and unmaps it on free, so every trial would fault its larger
+# temporaries (G, H_TF, the einsum intermediates) in page by page. Freeing one
+# mapped block raises the mmap threshold to that block's size and the heap's
+# trim threshold to twice it, which keeps the temporaries on the heap from
+# trial to trial. Other allocators are unaffected by this one 4 MiB allocation.
+np.empty(4 << 20, dtype=np.uint8)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .grids import Dims, tf_to_dd, twisted_convolution
 
@@ -105,7 +104,13 @@ def make_pilot_sequence(kind: str, length: int, param: int | None = None) -> np.
         row = length // 2 if param is None else param
         if not 0 <= row < length:
             raise ValueError(f"Walsh row must lie in [0, {length}), got {row}")
-        return hadamard(length).astype(complex)[row]
+        # Sylvester-Hadamard row: H[row, j] = (-1)^popcount(row & j), with the
+        # parity folded bit by bit (np.bitwise_count needs numpy 2)
+        bits = row & np.arange(length)
+        parity = np.zeros(length, dtype=int)
+        for shift in range(length.bit_length()):
+            parity ^= (bits >> shift) & 1
+        return (1 - 2 * parity).astype(complex)
     if kind == "zadoff_chu":
         root = 1 if param is None else param
         if math.gcd(root, length) != 1:

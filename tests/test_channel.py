@@ -14,7 +14,7 @@ from cdce.channel import (
     time_channel_matrix,
     unit_path_tf_channel,
 )
-from cdce.grids import Dims, remove_cp, tf_to_dd, tf_to_time, time_to_tf, unvec, vec
+from cdce.grids import Dims, dft_matrix, remove_cp, tf_to_dd, tf_to_time, time_to_tf, unvec, vec
 
 from oracles import dense_effective_tf_oracle, rect_af_quadrature, time_channel_oracle
 
@@ -214,8 +214,8 @@ class TestApplyChannel:
 
     def test_noise_variance_matches_n0(self):
         rng = np.random.default_rng(2)
-        s = np.zeros(10000, dtype=complex)
-        out = apply_channel(s, np.eye(10000), 0.25, rng)
+        s = np.zeros(100, dtype=complex)
+        out = np.concatenate([apply_channel(s, np.eye(100), 0.25, rng) for _ in range(100)])
         assert np.mean(np.abs(out) ** 2) == pytest.approx(0.25, rel=0.03)
 
     def test_negative_noise_rejected(self):
@@ -267,6 +267,21 @@ class TestEffectiveTfChannel:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             effective_tf_channel(np.eye(10), D)
+
+    @pytest.mark.parametrize("d", [Dims(8, 14, 2), Dims(4, 4, 0), Dims(6, 5, 3)], ids=str)
+    def test_cached_path_matches_fresh_einsum(self, d):
+        rng = np.random.default_rng(d.frame_len)
+        g = rng.standard_normal((d.frame_len,) * 2) + 1j * rng.standard_normal((d.frame_len,) * 2)
+        span = d.m + d.cp_len
+        fm = dft_matrix(d.m)
+        eye = np.eye(d.m)
+        c = fm @ np.hstack([np.zeros((d.m, d.cp_len)), eye])
+        b = (np.vstack([eye[d.m - d.cp_len:], eye]) if d.cp_len else eye) @ fm.conj().T
+        fresh = np.einsum("ij,ajbk,kl->aibl", c, g.reshape(d.n, span, d.n, span), b, optimize=True)
+        for _ in range(2):
+            np.testing.assert_array_equal(
+                effective_tf_channel(g, d), fresh.reshape(d.grid_size, d.grid_size)
+            )
 
     def test_ici_exactly_when_doppler_nonzero(self):
         for k, expect_ici in ((0, False), (2, True)):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import hadamard
 
 from cdce.grids import Dims, tf_to_dd
 from cdce.pilots import (
@@ -40,6 +41,12 @@ class TestMakePilotSequence:
     def test_walsh_row_range(self):
         with pytest.raises(ValueError):
             make_pilot_sequence("walsh", 4, param=4)
+
+    @pytest.mark.parametrize("n", [2**k for k in range(9)])
+    def test_walsh_rows_match_sylvester_hadamard(self, n):
+        h = hadamard(n).astype(complex)
+        for r in range(n):
+            np.testing.assert_array_equal(make_pilot_sequence("walsh", n, r), h[r])
 
     def test_zadoff_chu_prime_length_has_flat_autocorrelation(self):
         z = make_pilot_sequence("zadoff_chu", 7, param=1)
