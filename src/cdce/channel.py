@@ -78,8 +78,10 @@ class ChannelStats:
             raise ValueError(f"need at least one path, got {self.n_paths}")
         if self.l_max < 0 or self.k_max < 0:
             raise ValueError("l_max and k_max must be non-negative")
-        if self.gain_variance is not None and self.gain_variance <= 0:
-            raise ValueError(f"gain variance must be positive, got {self.gain_variance}")
+        if self.gain_variance is not None and not (
+            math.isfinite(self.gain_variance) and self.gain_variance > 0
+        ):
+            raise ValueError(f"gain variance must be finite and positive, got {self.gain_variance}")
 
     @property
     def per_path_variance(self) -> float:

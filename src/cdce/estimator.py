@@ -93,10 +93,10 @@ class LassoConfig:
     max_iter: int = 1000
 
     def __post_init__(self) -> None:
-        if self.lam < 0:
-            raise ValueError(f"lambda must be non-negative, got {self.lam}")
-        if self.tol <= 0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be finite and non-negative, got {self.lam}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
 
@@ -224,13 +224,21 @@ def reconstruct(
 
 
 def soft_threshold(x: np.ndarray, gamma: float) -> np.ndarray:
-    """Complex soft threshold: shrink magnitudes by gamma, zero below it."""
+    """Complex soft threshold: shrink magnitudes by gamma, zero at or below it.
+
+    Every entry is scaled by 1 - gamma / max(|x|, gamma). Above gamma that is
+    the shrink factor itself; at or below it gamma / gamma is exactly 1, so
+    the scale is an exact 0 (0 * x may be a signed zero; a NaN entry stays
+    NaN). A zero gamma returns a copy of x.
+    """
     x = np.asarray(x, dtype=complex)
-    mag = np.abs(x)
-    out = np.zeros_like(x)
-    above = mag > gamma
-    out[above] = (1.0 - gamma / mag[above]) * x[above]
-    return out
+    if gamma == 0:
+        return x.copy()
+    scale = np.abs(x)
+    np.maximum(scale, gamma, out=scale)
+    np.divide(gamma, scale, out=scale)
+    np.subtract(1.0, scale, out=scale)
+    return np.multiply(scale, x)
 
 
 def solve_ls(y: np.ndarray, dictionary: Dictionary) -> np.ndarray:
@@ -257,7 +265,11 @@ def solve_lasso(y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig) -> np.n
     relative change of the iterate. Using up ``max_iter`` without meeting
     ``tol`` emits a RuntimeWarning and returns the last iterate. The Gram and
     the step come with the dictionary; both norms of the stopping rule are
-    numpy's own formula, sqrt(re.re + im.im).
+    numpy's own formula, sqrt(re.re + im.im). The work vectors are allocated
+    once per solve and updated in place with the operands in the order of
+    the plain formula (with fused multiply-add, a complex product is not
+    bitwise commutative), and the iterate change feeds both the momentum and
+    the stopping rule, so every iterate equals the plain loop's.
     """
     d = dictionary.matrix
     gram = dictionary.gram
@@ -269,15 +281,24 @@ def solve_lasso(y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig) -> np.n
     gamma = cfg.lam * eps
     h = np.zeros(d.shape[1], dtype=complex)
     z = h.copy()
+    v = np.empty_like(h)
+    moved = np.empty_like(h)
+    moved_re, moved_im = moved.real, moved.imag
     beta = 1.0
     for _ in range(cfg.max_iter):
-        g = dty - gram @ z
-        h_new = soft_threshold(z + eps * g, gamma)
+        # v = z + eps * (dty - gram @ z)
+        np.matmul(gram, z, out=v)
+        np.subtract(dty, v, out=v)
+        np.multiply(eps, v, out=v)
+        np.add(z, v, out=v)
+        h_new = soft_threshold(v, gamma)
         beta_next = (1.0 + math.sqrt(1.0 + 4.0 * beta * beta)) / 2.0
-        z = h_new + ((beta - 1.0) / beta_next) * (h_new - h)
+        # z = h_new + ((beta - 1) / beta_next) * (h_new - h)
+        np.subtract(h_new, h, out=moved)
+        np.multiply((beta - 1.0) / beta_next, moved, out=z)
+        np.add(h_new, z, out=z)
         beta = beta_next
-        moved = h_new - h
-        delta = math.sqrt(moved.real.dot(moved.real) + moved.imag.dot(moved.imag))
+        delta = math.sqrt(moved_re.dot(moved_re) + moved_im.dot(moved_im))
         denom = math.sqrt(h.real.dot(h.real) + h.imag.dot(h.imag))
         h = h_new
         change = delta / denom if denom > 0 else (0.0 if delta == 0 else math.inf)

@@ -65,6 +65,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must not be empty")
+        for snr_db in self.snr_grid_db:
+            _check_snr(snr_db)
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
         if self.mode not in ("pilot_only", "with_data"):
@@ -120,8 +122,14 @@ def nmse_db(h_hat: np.ndarray, h_true: np.ndarray) -> float:
     return ratio_db(float(np.sum(np.abs(np.asarray(h_hat) - h_true) ** 2)) / denom)
 
 
+def _check_snr(snr_db: float) -> None:
+    """A finite SNR in dB, or +inf for a noiseless channel."""
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError(f"SNR must be finite in dB or +inf (noiseless), got {snr_db}")
+
+
 def _snr_key(snr_db: float) -> int:
-    if math.isinf(snr_db):
+    if snr_db == math.inf:
         return 2**62
     return int(round(snr_db * 1e6)) % 2**63
 
@@ -147,13 +155,14 @@ def run_trial(
     estimator against the same received frame."""
     if trial_index < 0:
         raise ValueError(f"trial_index must be non-negative, got {trial_index}")
+    _check_snr(snr_db)
     channel_rng, frame_rng, noise_rng = _trial_rngs(cfg, snr_db, trial_index)
     if cov is None and "fs_lmmse" in cfg.estimators:
         cov = fit_config_covariance(cfg)
     ch = sample_channel(cfg.stats, cfg.dims, channel_rng)
     g = time_channel_matrix(ch, cfg.pulse)
     frame = assemble_frame(cfg.frame, frame_rng)
-    n0 = 0.0 if math.isinf(snr_db) else 10.0 ** (-snr_db / 10.0)
+    n0 = 0.0 if snr_db == math.inf else 10.0 ** (-snr_db / 10.0)
     s = tf_to_time(frame.tf, cfg.dims, with_cp=True)
     r = apply_channel(s, g, n0, noise_rng)
     y_tf = time_to_tf(remove_cp(r, cfg.dims), cfg.dims)

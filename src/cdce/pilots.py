@@ -63,8 +63,8 @@ class FrameSpec:
             raise ValueError(f"data mode must be one of {_DATA_MODES}")
         if self.placement not in _PLACEMENTS:
             raise ValueError(f"placement must be one of {_PLACEMENTS}")
-        if self.pilot_power <= 0:
-            raise ValueError(f"pilot power must be positive, got {self.pilot_power}")
+        if not (math.isfinite(self.pilot_power) and self.pilot_power > 0):
+            raise ValueError(f"pilot power must be finite and positive, got {self.pilot_power}")
         if self.lattice.freq_offset >= self.dims.m or self.lattice.time_offset >= self.dims.n:
             raise ValueError("lattice offsets leave no pilot positions")
         # the sequence is built per frame; an impossible length or parameter fails here

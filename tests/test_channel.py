@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,6 +63,8 @@ class TestTypes:
             dict(l_max=-1),
             dict(k_max=-1),
             dict(gain_variance=0.0),
+            dict(gain_variance=math.nan),
+            dict(gain_variance=math.inf),
         ],
     )
     def test_invalid_stats(self, kwargs):

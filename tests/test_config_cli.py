@@ -108,11 +108,21 @@ class TestLoadConfig:
             ("stats: {n_paths: 22}", "distinct paths"),
             ("frame: {sequence: walsh}", "power-of-two"),
             ("frame: {sequence: zadoff_chu, sequence_param: 2}", "coprime"),
+            ("lasso: {lambda: .nan}", "invalid lasso"),
+            ("lasso: {tol: .nan}", "invalid lasso"),
+            ("frame: {pilot_power: .nan}", "invalid frame"),
+            ("frame: {pilot_power: .inf}", "invalid frame"),
+            ("stats: {gain_variance: .nan}", "invalid stats"),
+            ("snr_grid_db: [.nan]", "invalid config"),
+            ("snr_grid_db: [10, -.inf]", "invalid config"),
         ],
     )
     def test_bad_configs_rejected(self, tmp_path, text, fragment):
-        with pytest.raises(ConfigError, match=fragment):
-            load_config(write_config(tmp_path, text))
+        path = write_config(tmp_path, text)
+        with pytest.raises(ConfigError, match=fragment) as caught:
+            load_config(path)
+        if fragment.startswith("invalid"):
+            assert path in str(caught.value)
 
     def test_sequence_key_maps_to_kind(self, tmp_path):
         # Walsh rows need a power-of-two pilot count: 4 x 16 here
@@ -147,6 +157,17 @@ class TestCliSingle:
         path = write_config(tmp_path, SMALL)
         assert main(["single", "--config", path, "--snr-db", "0", "--trial", "-1"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("snr", ["-inf", "nan"])
+    def test_snr_below_every_finite_value_is_an_error(self, tmp_path, capsys, snr):
+        path = write_config(tmp_path, SMALL)
+        assert main(["single", "--config", path, f"--snr-db={snr}", "--trial", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "SNR" in err
+
+    def test_positive_infinite_snr_is_noiseless(self, tmp_path, capsys):
+        path = write_config(tmp_path, SMALL)
+        assert main(["single", "--config", path, "--snr-db=inf", "--trial", "0"]) == 0
 
 
 class TestCliSweep:

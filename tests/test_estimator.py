@@ -347,6 +347,36 @@ class TestSoftThreshold:
     def test_zero_stays_zero(self):
         np.testing.assert_array_equal(soft_threshold(np.zeros(3, dtype=complex), 1.0), np.zeros(3))
 
+    @staticmethod
+    def masked(x, gamma):
+        """The threshold written with a mask: shrink the entries above gamma,
+        leave zeros elsewhere."""
+        mag = np.abs(x)
+        out = np.zeros_like(x)
+        above = mag > gamma
+        out[above] = (1.0 - gamma / mag[above]) * x[above]
+        return out
+
+    def test_matches_masked_formula(self):
+        rng = np.random.default_rng(20)
+        for trial in range(200):
+            gamma = (0.0, 5.0, float(rng.exponential()), float(rng.exponential(1e-3)))[trial % 4]
+            scale = 10.0 ** rng.integers(-4, 2)
+            x = scale * (rng.standard_normal(100) + 1j * rng.standard_normal(100))
+            x[rng.random(100) < 0.1] = 0.0
+            # entries of magnitude exactly gamma, on both axes and (3, 4, 5) off them
+            x[:4] = (gamma, -gamma, 1j * gamma, -1j * gamma)
+            if gamma == 5.0:
+                x[4:8] = (3 + 4j, -3 + 4j, 3 - 4j, -4 - 3j)
+            assert np.all(np.abs(x[:4]) == gamma)
+            np.testing.assert_array_equal(soft_threshold(x, gamma), self.masked(x, gamma))
+
+    def test_zero_gamma_returns_a_copy(self):
+        x = np.array([1.5 - 2j, 0j, -1e-300 + 0j])
+        out = soft_threshold(x, 0.0)
+        np.testing.assert_array_equal(out, x)
+        assert not np.shares_memory(out, x)
+
 
 def random_lasso_instance(seed, rows=40, cols=12, sparsity=3, noise=0.0):
     rng = np.random.default_rng(seed)
@@ -392,6 +422,20 @@ class TestSolveLs:
         d = Dictionary(matrix=m, pairs=((0, 0), (1, 0)))
         with pytest.raises(ValueError, match="condition"):
             solve_ls(m @ np.array([1.0, 1.0]), d)
+
+
+class TestLassoConfig:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(lam=-0.5), dict(lam=math.nan), dict(lam=math.inf),
+            dict(tol=0.0), dict(tol=math.nan), dict(tol=math.inf),
+            dict(max_iter=0),
+        ],
+    )
+    def test_invalid_settings_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            LassoConfig(**kwargs)
 
 
 class TestSolveLasso:
@@ -470,6 +514,43 @@ class TestSolveLasso:
         ref, converged = fista_reference(vec(y), d.matrix, cfg.lam, cfg.tol, cfg.max_iter)
         assert converged
         np.testing.assert_array_equal(solve_lasso(vec(y), d, cfg), ref)
+
+    def test_zero_lambda_matches_fista_oracle(self):
+        for seed in range(5):
+            y, d, _ = random_lasso_instance(seed, noise=0.05)
+            ref, converged = fista_reference(y, d.matrix, 0.0, 1e-6, 5000)
+            assert converged
+            np.testing.assert_array_equal(
+                solve_lasso(y, d, LassoConfig(lam=0.0, tol=1e-6, max_iter=5000)), ref
+            )
+
+    def test_thresholds_once_per_iteration_through_the_module(self, monkeypatch):
+        # the benchmark counts FISTA iterations by wrapping this name
+        calls = []
+
+        def counting(x, gamma):
+            calls.append(gamma)
+            return soft_threshold(x, gamma)
+
+        monkeypatch.setattr(estimator, "soft_threshold", counting)
+        y, d, _ = random_lasso_instance(3)
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            solve_lasso(y, d, LassoConfig(lam=0.05, tol=1e-30, max_iter=7))
+        assert len(calls) == 7
+
+    def test_solves_on_a_cached_dictionary_return_independent_arrays(self, frame):
+        pairs = tuple((l, signed_doppler(kc, D.n)) for kc in range(D.n) for l in range(D.m))
+        d = build_dictionary(frame.pilot_only_tf, pairs, IDEAL, D)
+        assert build_dictionary(frame.pilot_only_tf, pairs, IDEAL, D) is d
+        rng = np.random.default_rng(4)
+        ys = [vec(received_tf(frame, sample_channel(STATS, D, rng), n0=0.1, rng=rng)) for _ in range(2)]
+        first = solve_lasso(ys[0], d, LassoConfig())
+        kept = first.copy()
+        second = solve_lasso(ys[1], d, LassoConfig())
+        assert first.tobytes() == kept.tobytes()
+        assert not np.array_equal(first, second)
+        for other in (second, d.matrix, d.gram):
+            assert not np.shares_memory(first, other)
 
     def test_zero_dictionary_rejected(self):
         d = Dictionary(matrix=np.zeros((6, 2)), pairs=((0, 0), (1, 0)))

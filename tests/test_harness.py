@@ -70,6 +70,8 @@ class TestSimConfig:
         "overrides",
         [
             {"snr_grid_db": ()},
+            {"snr_grid_db": (10.0, math.nan)},
+            {"snr_grid_db": (-math.inf,)},
             {"trials": 0},
             {"mode": "blind"},
             {"estimators": ()},
@@ -120,6 +122,17 @@ class TestRunTrial:
     def test_negative_trial_index_rejected(self):
         with pytest.raises(ValueError, match="trial_index"):
             run_trial(make_config(), 10.0, -1)
+
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+    def test_snr_that_is_not_finite_or_noiseless_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="SNR"):
+            run_trial(make_config(), snr_db, 0)
+
+    def test_positive_infinite_snr_is_noiseless(self):
+        # CDCE recovers a noiseless channel to rounding; any noise shows
+        cfg = make_config(estimators=("cdce",))
+        assert run_trial(cfg, math.inf, 0)["cdce"] < 1e-20
+        assert run_trial(cfg, 60.0, 0)["cdce"] > 1e-20
 
     def test_ratios_are_positive_floats(self):
         out = run_trial(make_config(estimators=("st_ls", "st_lmmse")), 0.0, 0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -92,6 +94,11 @@ class TestFrameSpec:
     def test_nonpositive_power_rejected(self):
         with pytest.raises(ValueError):
             FrameSpec(dims=D, pilot_power=0.0)
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf])
+    def test_non_finite_power_rejected(self, power):
+        with pytest.raises(ValueError, match="finite"):
+            FrameSpec(dims=D, pilot_power=power)
 
     def test_bad_enums_rejected(self):
         with pytest.raises(ValueError):
