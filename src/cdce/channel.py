@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import Dims, dft_matrix, unvec
+from .grids import Dims, dft_matrix
 
 __all__ = [
     "Pulse",
@@ -257,9 +257,21 @@ def effective_tf_channel(g: np.ndarray, d: Dims) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def unit_path_tf_channel(d: Dims, pulse: Pulse, delay: int, doppler: int) -> np.ndarray:
-    """Cached H_TF of a unit-gain single path at integer (delay, doppler)."""
+    """Cached H_TF of a unit-gain single path at integer (delay, doppler), as
+    its two symbol-block bands: a read-only (2, N, M, M) array whose [0, n] is
+    the diagonal block of symbol n and [1, n] the block through which symbol
+    n - 1 leaks into symbol n ([1, 0] is zero). A received payload sample
+    depends on transmit samples at most ``delay`` earlier, so below one
+    CP-extended symbol of delay every other block is exactly zero; longer
+    delays are rejected."""
+    span = d.m + d.cp_len
+    if delay >= span:
+        raise ValueError(f"delay {delay} must stay below m + cp_len = {span}")
     ch = ChannelRealization((PathParams(1.0 + 0.0j, delay, doppler),), d)
-    g = time_channel_matrix(ch, pulse)
-    h = effective_tf_channel(g, d)
-    h.setflags(write=False)
-    return h
+    h = effective_tf_channel(time_channel_matrix(ch, pulse), d).reshape(d.n, d.m, d.n, d.m)
+    n = np.arange(d.n)
+    bands = np.zeros((2, d.n, d.m, d.m), dtype=complex)
+    bands[0] = h[n, :, n, :]
+    bands[1, 1:] = h[n[1:], :, n[:-1], :]
+    bands.setflags(write=False)
+    return bands

@@ -1,10 +1,10 @@
 """Config file loading.
 
-Configs are YAML mappings that mirror SimConfig one to one: nested sections
-for the grid, the channel statistics, the frame layout, and the sparse
-solver, plus top-level sweep controls. Unknown keys anywhere are an error so
-typos cannot silently fall back to defaults. The environment variable
-CDCE_BASE_SEED, when set, overrides the seed from the file.
+Configs are YAML mappings that mirror SimConfig, with ``mode`` setting the
+frame's data fill: nested sections for the grid, the channel statistics, the
+frame layout and the sparse solver, plus top-level sweep controls. Unknown
+keys anywhere are an error so typos cannot silently fall back to defaults.
+CDCE_BASE_SEED in the environment, when set, overrides the file's seed.
 """
 
 from __future__ import annotations
@@ -185,7 +185,6 @@ def load_config(path: str, env: dict | None = None) -> SimConfig:
             frame=frame,
             snr_grid_db=snr_grid,
             trials=_as_int(raw.get("trials", 500), "trials"),
-            mode=mode,
             estimators=estimators,
             lasso=lasso,
             cov_samples=_as_int(raw.get("cov_samples", 1000), "cov_samples"),

@@ -17,7 +17,7 @@ import math
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -55,11 +55,10 @@ _dictionaries: OrderedDict = OrderedDict()
 
 @dataclass(frozen=True)
 class CoarseEstimate:
-    """Surviving (delay, Doppler) pairs with their correlation scores,
-    sorted by descending magnitude."""
+    """Surviving (delay, Doppler) pairs, sorted by descending magnitude of
+    their correlation scores."""
 
     pairs: tuple[tuple[int, int], ...]
-    scores: tuple[complex, ...]
 
     @property
     def p_hat(self) -> int:
@@ -141,14 +140,10 @@ def threshold_select(v_dd: np.ndarray, stats: ChannelStats, gamma: float) -> Coa
     n_dim = v_dd.shape[1]
     kept = []
     for l, k in stats.region_pairs:
-        score = complex(v_dd[l, doppler_col(k, n_dim)])
-        if abs(score) >= gamma:
-            kept.append(((l, k), score))
-    kept.sort(key=lambda item: (-abs(item[1]), item[0]))
-    return CoarseEstimate(
-        pairs=tuple(pair for pair, _ in kept),
-        scores=tuple(score for _, score in kept),
-    )
+        score = abs(complex(v_dd[l, doppler_col(k, n_dim)]))
+        if score >= gamma:
+            kept.append((-score, (l, k)))
+    return CoarseEstimate(pairs=tuple(pair for _, pair in sorted(kept)))
 
 
 def build_dictionary(
@@ -158,7 +153,9 @@ def build_dictionary(
     d: Dims,
 ) -> Dictionary:
     """Columns are the vectorized TF responses of unit-gain single paths at
-    the (delay, Doppler) pairs, driven by the pilot-only frame.
+    the (delay, Doppler) pairs, driven by the pilot-only frame: per symbol,
+    the atom's diagonal block times that symbol plus its sub-diagonal block
+    times the previous one.
 
     The result is memoised on (dims, pulse, pairs, pilot-only frame bytes) in
     a least-recently-used cache of DICTIONARY_CACHE_SIZE entries, so a frame
@@ -174,23 +171,16 @@ def build_dictionary(
     if dictionary is not None:
         _dictionaries.move_to_end(key)
         return dictionary
-    matrix = np.column_stack([unit_path_tf_channel(d, pulse, l, k) @ x for l, k in pairs])
+    bands = np.stack([unit_path_tf_channel(d, pulse, l, k) for l, k in pairs])
+    symbols = x.reshape(d.n, d.m, 1)
+    columns = np.matmul(bands[:, 0], symbols)
+    columns[:, 1:] += np.matmul(bands[:, 1, 1:], symbols[:-1])
+    matrix = np.ascontiguousarray(columns.reshape(len(pairs), d.grid_size).T)
     matrix.setflags(write=False)
     dictionary = _dictionaries[key] = Dictionary(matrix=matrix, pairs=pairs)
     if len(_dictionaries) > DICTIONARY_CACHE_SIZE:
         _dictionaries.popitem(last=False)
     return dictionary
-
-
-@lru_cache(maxsize=None)
-def _block_support(d: Dims, sub_blocks: int) -> np.ndarray:
-    """The diagonal symbol blocks and the first ``sub_blocks`` sub-diagonal
-    ones of an MN x MN matrix, as row-major indices into the matrix viewed as
-    MN * N row pieces of m entries."""
-    lag = (np.arange(d.grid_size) // d.m)[:, None] - np.arange(d.n)[None, :]
-    index = np.flatnonzero((lag >= 0) & (lag <= sub_blocks))
-    index.setflags(write=False)
-    return index
 
 
 def reconstruct(
@@ -202,25 +192,19 @@ def reconstruct(
     """Effective TF channel sum_i h_i H_TF(pairs[i]) of path gains h on the
     unit-path atoms; zero gains are skipped.
 
-    A received payload sample depends on transmit samples at most ``l``
-    earlier, so an atom of delay l is exactly zero outside the diagonal
-    symbol blocks and the first ceil((l - cp_len) / (m + cp_len)) sub-diagonal
-    ones (one for the whole grid, none for the search region). The sum runs
-    over that support, gathered in row pieces one symbol block wide, term by
-    term in the order given, and is scattered into the MN x MN result once:
-    every entry equals the dense sum's.
+    The sum runs over the atoms' two symbol-block bands, term by term in the
+    order given, and is scattered into the MN x MN result once: outside the
+    bands every atom is exactly zero, so every entry equals the dense sum's.
     """
-    mn = d.grid_size
-    l_max = max((l for l, _ in pairs), default=0)
-    sub_blocks = min(max(-(-(l_max - d.cp_len) // (d.m + d.cp_len)), 0), d.n - 1)
-    support = _block_support(d, sub_blocks)
-    acc = np.zeros((support.size, d.m), dtype=complex)
+    acc = np.zeros((2, d.n, d.m, d.m), dtype=complex)
     for gain, (l, k) in zip(np.asarray(h).tolist(), pairs):
         if gain != 0:
-            acc += gain * unit_path_tf_channel(d, pulse, l, k).reshape(-1, d.m).take(support, axis=0)
-    h_tf = np.zeros((mn * d.n, d.m), dtype=complex)
-    h_tf[support] = acc
-    return h_tf.reshape(mn, mn)
+            acc += gain * unit_path_tf_channel(d, pulse, l, k)
+    n = np.arange(d.n)
+    h_tf = np.zeros((d.n, d.m, d.n, d.m), dtype=complex)
+    h_tf[n, :, n, :] = acc[0]
+    h_tf[n[1:], :, n[:-1], :] = acc[1, 1:]
+    return h_tf.reshape(d.grid_size, d.grid_size)
 
 
 def soft_threshold(x: np.ndarray, gamma: float) -> np.ndarray:

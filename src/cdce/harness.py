@@ -55,7 +55,6 @@ class SimConfig:
     frame: FrameSpec
     snr_grid_db: tuple[float, ...]
     trials: int = 500
-    mode: str = "pilot_only"
     estimators: tuple[str, ...] = ESTIMATOR_NAMES
     lasso: LassoConfig = field(default_factory=LassoConfig)
     cov_samples: int = 1000
@@ -69,8 +68,6 @@ class SimConfig:
             _check_snr(snr_db)
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
-        if self.mode not in ("pilot_only", "with_data"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if not self.estimators:
             raise ValueError("estimators must not be empty")
         unknown = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
@@ -92,10 +89,11 @@ class SimConfig:
             raise ValueError(
                 f"cannot draw {stats.n_paths} distinct paths from a region of {stats.region_size} bins"
             )
-        if self.mode == "pilot_only" and self.frame.data_mode != "none":
-            raise ValueError("pilot_only mode requires a frame without data")
-        if self.mode == "with_data" and self.frame.data_mode == "none":
-            raise ValueError("with_data mode requires a frame with data symbols")
+
+    @property
+    def mode(self) -> str:
+        """``pilot_only`` for a frame without data, else ``with_data``."""
+        return "pilot_only" if self.frame.data_mode == "none" else "with_data"
 
 
 @dataclass(frozen=True)
@@ -122,10 +120,17 @@ def nmse_db(h_hat: np.ndarray, h_true: np.ndarray) -> float:
     return ratio_db(float(np.sum(np.abs(np.asarray(h_hat) - h_true) ** 2)) / denom)
 
 
-def _check_snr(snr_db: float) -> None:
-    """A finite SNR in dB, or +inf for a noiseless channel."""
+def _check_snr(snr_db: float) -> float:
+    """The per-sample noise variance of a finite SNR in dB, or 0 at +inf
+    (noiseless). Rejects any other value, and a finite one too large in
+    magnitude to form its seed key or its noise variance."""
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"SNR must be finite in dB or +inf (noiseless), got {snr_db}")
+    try:
+        _snr_key(snr_db)
+        return 0.0 if snr_db == math.inf else 10.0 ** (-snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"SNR {snr_db} dB is too large in magnitude to simulate") from None
 
 
 def _snr_key(snr_db: float) -> int:
@@ -155,14 +160,13 @@ def run_trial(
     estimator against the same received frame."""
     if trial_index < 0:
         raise ValueError(f"trial_index must be non-negative, got {trial_index}")
-    _check_snr(snr_db)
+    n0 = _check_snr(snr_db)
     channel_rng, frame_rng, noise_rng = _trial_rngs(cfg, snr_db, trial_index)
     if cov is None and "fs_lmmse" in cfg.estimators:
         cov = fit_config_covariance(cfg)
     ch = sample_channel(cfg.stats, cfg.dims, channel_rng)
     g = time_channel_matrix(ch, cfg.pulse)
     frame = assemble_frame(cfg.frame, frame_rng)
-    n0 = 0.0 if snr_db == math.inf else 10.0 ** (-snr_db / 10.0)
     s = tf_to_time(frame.tf, cfg.dims, with_cp=True)
     r = apply_channel(s, g, n0, noise_rng)
     y_tf = time_to_tf(remove_cp(r, cfg.dims), cfg.dims)

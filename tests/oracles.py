@@ -3,7 +3,10 @@
 Everything here is written the slow, obvious way: explicit scalar loops,
 dense Kronecker products, numerical quadrature, and plain (non-accelerated)
 iterative solvers. None of it imports the implementation being tested beyond
-basic array plumbing.
+basic array plumbing, except ``dense_atom``: it builds the dense MN x MN
+atom by its definition from the package's time-domain and effective-channel
+builders (themselves pinned to the oracles here), to check the band store
+bit for bit.
 """
 
 import cmath
@@ -11,6 +14,15 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from cdce.channel import (
+    ChannelRealization,
+    PathParams,
+    Pulse,
+    effective_tf_channel,
+    time_channel_matrix,
+)
+from cdce.grids import Dims
 
 
 def unitary_dft(n: int) -> np.ndarray:
@@ -204,6 +216,12 @@ def fista_reference(
         if change < tol:
             return h, True
     return h, False
+
+
+def dense_atom(d: Dims, pulse: Pulse, l: int, k: int) -> np.ndarray:
+    """The dense MN x MN H_TF of a unit-gain single path at (l, k)."""
+    ch = ChannelRealization((PathParams(1.0 + 0.0j, l, k),), d)
+    return effective_tf_channel(time_channel_matrix(ch, pulse), d)
 
 
 def dense_reconstruct_oracle(h: np.ndarray, atoms: list[np.ndarray]) -> np.ndarray:

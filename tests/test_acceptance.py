@@ -22,7 +22,6 @@ from cdce.channel import (
     effective_tf_channel,
     sample_channel,
     time_channel_matrix,
-    unit_path_tf_channel,
 )
 from cdce.estimator import (
     LassoConfig,
@@ -56,7 +55,7 @@ from cdce.pilots import (
     pilot_dd_image,
 )
 
-from oracles import dense_fs_lmmse_oracle, ista_reference, lasso_certificate_gap
+from oracles import dense_atom, dense_fs_lmmse_oracle, ista_reference, lasso_certificate_gap
 
 pytestmark = pytest.mark.slow
 
@@ -84,7 +83,6 @@ def sweep_config(mode):
         frame=frame,
         snr_grid_db=SNR_GRID,
         trials=TRIALS,
-        mode=mode,
     )
 
 
@@ -123,7 +121,7 @@ def ls_noise_gain(pairs):
     the pilot responses of the atoms and G_F their Frobenius Gram. Times N0
     and E[1 / sum |g_p|^2] it is the NMSE of the unregularized fit."""
     x = vec(assemble_frame(FrameSpec(dims=D)).pilot_only_tf)
-    atoms = [unit_path_tf_channel(D, IDEAL, l, k) for l, k in pairs]
+    atoms = [dense_atom(D, IDEAL, l, k) for l, k in pairs]
     a = np.column_stack([t @ x for t in atoms])
     t = np.column_stack([t.ravel() for t in atoms])
     amp = np.linalg.solve(a.conj().T @ a, t.conj().T @ t)
@@ -331,7 +329,7 @@ def test_criterion_8_transform_and_property_suite():
     ch4 = sample_channel(stats4, d4, np.random.default_rng(81))
     y4 = received_tf(frame4, ch4, n0=0.3, rng=np.random.default_rng(82))
     fact = fs_lmmse(y4, frame4, cov, 0.3)
-    atoms = np.column_stack([vec(unit_path_tf_channel(d4, cov.pulse, l, k)) for l, k in cov.pairs])
+    atoms = np.column_stack([vec(dense_atom(d4, cov.pulse, l, k)) for l, k in cov.pairs])
     dense = dense_fs_lmmse_oracle(
         vec(y4), vec(frame4.pilot_only_tf), atoms @ cov.mean, atoms @ cov.factor, 0.3
     )

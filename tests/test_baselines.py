@@ -20,13 +20,12 @@ from cdce.channel import (
     effective_tf_channel,
     sample_channel,
     time_channel_matrix,
-    unit_path_tf_channel,
 )
 from cdce.estimator import LassoConfig, reconstruct
 from cdce.grids import Dims, remove_cp, tf_to_time, time_to_tf, unvec, vec
 from cdce.pilots import Frame, FrameSpec, Lattice, assemble_frame
 
-from oracles import dense_fs_lmmse_oracle
+from oracles import dense_atom, dense_fs_lmmse_oracle
 
 D = Dims(8, 14, 2)
 IDEAL = Pulse("ideal")
@@ -43,7 +42,7 @@ def lifted(cov, d):
     """Mean and factor of vec(H_TF): the path-gain model mapped through the
     vectorized unit-path atoms."""
     atoms = np.column_stack(
-        [vec(unit_path_tf_channel(d, cov.pulse, l, k)) for l, k in cov.pairs]
+        [vec(dense_atom(d, cov.pulse, l, k)) for l, k in cov.pairs]
     )
     return atoms @ cov.mean, atoms @ cov.factor
 

@@ -16,9 +16,20 @@ from cdce.channel import (
     time_channel_matrix,
     unit_path_tf_channel,
 )
-from cdce.grids import Dims, dft_matrix, remove_cp, tf_to_dd, tf_to_time, time_to_tf, unvec, vec
+from cdce.estimator import reconstruct
+from cdce.grids import (
+    Dims,
+    dft_matrix,
+    remove_cp,
+    signed_doppler,
+    tf_to_dd,
+    tf_to_time,
+    time_to_tf,
+    unvec,
+    vec,
+)
 
-from oracles import dense_effective_tf_oracle, rect_af_quadrature, time_channel_oracle
+from oracles import dense_atom, dense_effective_tf_oracle, rect_af_quadrature, time_channel_oracle
 
 D = Dims(8, 14, 2)
 IDEAL = Pulse("ideal")
@@ -316,8 +327,36 @@ class TestEffectiveTfChannel:
 
 
 class TestUnitPathCache:
+    @pytest.mark.parametrize("kind", ["ideal", "rectangular"])
+    @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
+    def test_bands_are_the_dense_atom_bit_for_bit(self, shape, kind):
+        d, pulse = Dims(*shape), Pulse(kind)
+        m = d.m
+        for l in range(d.m + d.cp_len):
+            for kc in range(d.n):
+                k = signed_doppler(kc, d.n)
+                bands = unit_path_tf_channel(d, pulse, l, k)
+                dense = dense_atom(d, pulse, l, k)
+                assert bands.shape == (2, d.n, m, m)
+                assert not bands[1, 0].any()
+                for r in range(d.n):
+                    for c in range(d.n):
+                        block = dense[r * m:(r + 1) * m, c * m:(c + 1) * m]
+                        if r == c:
+                            np.testing.assert_array_equal(bands[0, r], block)
+                        elif r == c + 1:
+                            np.testing.assert_array_equal(bands[1, r], block)
+                        else:
+                            assert not block.any(), f"({l}, {k}) block ({r}, {c})"
+
+    @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
+    def test_delay_of_one_symbol_rejected(self, shape):
+        d = Dims(*shape)
+        with pytest.raises(ValueError, match="delay"):
+            unit_path_tf_channel(d, IDEAL, d.m + d.cp_len, 0)
+
     def test_matches_explicit_construction(self):
-        h_tf = unit_path_tf_channel(D, IDEAL, 2, -3)
+        h_tf = reconstruct(np.ones(1), ((2, -3),), IDEAL, D)
         direct = effective_tf_channel(
             time_channel_matrix(single_path(1.0, 2, -3), IDEAL), D
         )
@@ -329,5 +368,5 @@ class TestUnitPathCache:
             h_tf[0, 0] = 0
 
     def test_delay_spread_unchecked_for_dictionary_use(self):
-        h_tf = unit_path_tf_channel(D, IDEAL, 5, 0)
+        h_tf = reconstruct(np.ones(1), ((5, 0),), IDEAL, D)
         assert h_tf.shape == (D.grid_size, D.grid_size)

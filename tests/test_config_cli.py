@@ -115,6 +115,8 @@ class TestLoadConfig:
             ("stats: {gain_variance: .nan}", "invalid stats"),
             ("snr_grid_db: [.nan]", "invalid config"),
             ("snr_grid_db: [10, -.inf]", "invalid config"),
+            ("snr_grid_db: [1.0e+303]", "invalid config"),
+            ("snr_grid_db: [-4000]", "invalid config"),
         ],
     )
     def test_bad_configs_rejected(self, tmp_path, text, fragment):
@@ -160,6 +162,14 @@ class TestCliSingle:
 
     @pytest.mark.parametrize("snr", ["-inf", "nan"])
     def test_snr_below_every_finite_value_is_an_error(self, tmp_path, capsys, snr):
+        path = write_config(tmp_path, SMALL)
+        assert main(["single", "--config", path, f"--snr-db={snr}", "--trial", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "SNR" in err
+
+    @pytest.mark.parametrize("snr", ["1e303", "-1e303", "-4000"])
+    def test_snr_too_large_in_magnitude_is_an_error(self, tmp_path, capsys, snr):
+        # its seed key or its noise variance would overflow
         path = write_config(tmp_path, SMALL)
         assert main(["single", "--config", path, f"--snr-db={snr}", "--trial", "0"]) == 1
         err = capsys.readouterr().err

@@ -15,7 +15,6 @@ from cdce.channel import (
     effective_tf_channel,
     sample_channel,
     time_channel_matrix,
-    unit_path_tf_channel,
 )
 from cdce.estimator import (
     Dictionary,
@@ -36,6 +35,7 @@ from cdce.grids import Dims, _twist_tables, remove_cp, tf_to_dd, tf_to_time, tim
 from cdce.pilots import Frame, FrameSpec, Lattice, assemble_frame
 
 from oracles import (
+    dense_atom,
     dense_reconstruct_oracle,
     fista_reference,
     ista_reference,
@@ -288,6 +288,19 @@ class TestBuildDictionary:
         d = build_dictionary(frame.pilot_only_tf, ((2, -3),), IDEAL, D)
         np.testing.assert_allclose(vec(y), gain * d.matrix[:, 0], atol=1e-10)
 
+    @pytest.mark.parametrize("kind", ["ideal", "rectangular"])
+    @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
+    def test_columns_match_dense_atom_products(self, shape, kind):
+        # the band products sum only the non-zero terms of the dense ones
+        d, pulse = Dims(*shape), Pulse(kind)
+        pairs = tuple((l, signed_doppler(kc, d.n)) for kc in range(d.n) for l in range(d.m))
+        rng = np.random.default_rng(d.grid_size)
+        x_tf = rng.standard_normal((d.m, d.n)) + 1j * rng.standard_normal((d.m, d.n))
+        matrix = build_dictionary(x_tf, pairs, pulse, d).matrix
+        for j, (l, k) in enumerate(pairs):
+            dense = dense_atom(d, pulse, l, k) @ vec(x_tf)
+            assert np.linalg.norm(matrix[:, j] - dense) <= 1e-14 * np.linalg.norm(dense)
+
     def test_empty_coarse_rejected(self, frame):
         with pytest.raises(ValueError, match="empty"):
             build_dictionary(frame.pilot_only_tf, (), IDEAL, D)
@@ -323,7 +336,7 @@ class TestReconstruct:
     def test_whole_grid_matches_dense_oracle(self, shape, kind):
         d, pulse = Dims(*shape), Pulse(kind)
         pairs = tuple((l, signed_doppler(kc, d.n)) for kc in range(d.n) for l in range(d.m))
-        atoms = [unit_path_tf_channel(d, pulse, l, k) for l, k in pairs]
+        atoms = [dense_atom(d, pulse, l, k) for l, k in pairs]
         rng = np.random.default_rng(d.grid_size)
         h = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
         h[rng.random(len(pairs)) < 0.3] = 0.0
@@ -646,5 +659,5 @@ class TestCdceEstimate:
         est = cdce_estimate(y, frame, STATS, n0=1e-4)
         rebuilt = np.zeros((D.grid_size, D.grid_size), dtype=complex)
         for g, pair in zip(est.h_hat, est.pairs):
-            rebuilt += g * unit_path_tf_channel(D, IDEAL, *pair)
+            rebuilt += g * dense_atom(D, IDEAL, *pair)
         np.testing.assert_allclose(est.h_tf_hat, rebuilt, atol=1e-12)
