@@ -1,21 +1,26 @@
 #!/usr/bin/env python3
-"""Compare the per-trial NMSE and the trial throughput of the working tree's
-cdce against another git revision's.
+"""Compare the per-trial NMSE, the cold set-up time and the trial throughput
+of the working tree's cdce against another git revision's.
 
     python3 scripts/compare_trials.py --base HEAD~1 --tag frame_cache
 
 The revision's src/ is extracted with `git archive` into a temporary
-directory. For each workload config, each of ROUNDS rounds runs `run_trial`
-on the same fixed keys (base_seed 7, every SNR point, trials 0-39) once per
-side, each side in its own process with one BLAS thread, alternating which
-side goes first.
-Each process fits the covariance and runs one warm-up trial before it times
-the trials, so the figures are throughput with the caches filled. Every
-trial's NMSE of every configured estimator must be bit-identical between the
-sides and across rounds; otherwise the script exits 1 and writes nothing.
-It then writes BENCH_<tag>.json at the repo root: trials per second of both
-sides (median and quartiles over the rounds, and every run), the git
-revisions, and the numpy and Python versions.
+directory. For each workload config, each of ROUNDS rounds runs one process
+per side, each with one BLAS thread, alternating which side goes first.
+A process times its cold set-up (config load, covariance fit when an
+estimator needs it, one warm-up trial) and then `run_trial` on the same
+fixed keys (base_seed 7, every SNR point, trials 0-39), so the trial figures
+are throughput with the caches filled. The host's speed drifts on a shared
+machine, so each process samples it with bench/calibration.py's kernel
+before and after the set-up and every 0.3 s or so of the trials
+(calibration.SAMPLE_EVERY_S), and divides each stretch by its slowness as
+bench/run.py does.
+Every trial's NMSE of every configured estimator must be bit-identical
+between the sides and across rounds; otherwise the script exits 1 and
+writes nothing. It then writes BENCH_<tag>.json at the repo root: per side,
+normalized set-up seconds and trials per second (median and quartiles over
+the rounds), every run's raw and normalized figures, the git revisions, and
+the numpy and Python versions.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCH_DIR = os.path.join(ROOT, "bench")
 
 # workload name -> config, relative to the repo root
 WORKLOADS = {
@@ -48,30 +54,47 @@ ROUNDS = 10
 
 
 def worker(src: str, config: str) -> None:
-    """Time run_trial over every key of the config's SNR grid with the cdce
-    package under `src`; print the NMSE of each trial and the rate as JSON."""
+    """Time a cold set-up and then run_trial over every key of the config's
+    SNR grid with the cdce package under `src`, sampling the host's speed
+    around both; print the NMSE of each trial and the timings as JSON."""
     sys.path.insert(0, src)
+    sys.path.append(BENCH_DIR)
     import numpy as np
     import cdce
+    from calibration import Calibration, Segments, segment_slowness
     from cdce import config as cdce_config, harness
 
     expected = os.path.join(src, "cdce", "__init__.py")
     if os.path.realpath(cdce.__file__) != os.path.realpath(expected):
         raise SystemExit(f"error: imported cdce from {cdce.__file__}, expected {expected}")
-    cfg = dataclasses.replace(cdce_config.load_config(config, env={}), base_seed=BASE_SEED, trials=TRIALS_PER_SNR)
-    cov = harness.fit_config_covariance(cfg) if "fs_lmmse" in cfg.estimators else None
-    harness.run_trial(cfg, cfg.snr_grid_db[0], 0, cov)
-    nmse = []
-    t0 = time.perf_counter()
-    for snr_db in cfg.snr_grid_db:
-        for t in range(TRIALS_PER_SNR):
-            result = harness.run_trial(cfg, snr_db, t, cov)
-            nmse.append({name: value.hex() for name, value in result.items()})
-    seconds = time.perf_counter() - t0
+    with Calibration(dict(os.environ)) as cal:
+        before = cal.slowness()
+        t0 = time.perf_counter()
+        cfg = dataclasses.replace(cdce_config.load_config(config, env={}),
+                                  base_seed=BASE_SEED, trials=TRIALS_PER_SNR)
+        cov = harness.fit_config_covariance(cfg) if "fs_lmmse" in cfg.estimators else None
+        harness.run_trial(cfg, cfg.snr_grid_db[0], 0, cov)
+        setup_s = time.perf_counter() - t0
+        setup_slowness = segment_slowness(before, cal.slowness(), setup_s)
+        nmse = []
+        trials = Segments(cal)
+        trials.start()
+        for snr_db in cfg.snr_grid_db:
+            for t in range(TRIALS_PER_SNR):
+                result = harness.run_trial(cfg, snr_db, t, cov)
+                nmse.append({name: value.hex() for name, value in result.items()})
+                trials.tick()
+        trials.finish()
     json.dump({
         "trials": len(nmse),
-        "seconds": seconds,
-        "trials_per_s": len(nmse) / seconds,
+        "setup_s": setup_s,
+        "setup_slowness": setup_slowness,
+        "setup_s_normalized": setup_s / setup_slowness,
+        "trials_s": trials.seconds,
+        "trials_s_normalized": trials.normalized,
+        "trials_per_s": len(nmse) / trials.seconds,
+        "trials_per_s_normalized": len(nmse) / trials.normalized,
+        "host_slowness": cal.median_slowness(),
         "estimators": list(cfg.estimators),
         "numpy": np.__version__,
         "nmse": nmse,
@@ -101,9 +124,9 @@ def extract_src(rev: str, dest: str) -> str:
     return os.path.join(dest, "src")
 
 
-def summary(rates: list[float]) -> dict:
-    q1, med, q3 = statistics.quantiles(rates, n=4, method="inclusive")
-    return {"median": med, "q1": q1, "q3": q3, "runs": rates}
+def summary(values: list[float]) -> dict:
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
 
 
 def main(argv=None) -> int:
@@ -137,7 +160,7 @@ def main(argv=None) -> int:
         sides = {"base": extract_src(base_rev, tmp), "head": head_src}
         for name in WORKLOADS:
             config = os.path.join(ROOT, WORKLOADS[name])
-            rates = {"base": [], "head": []}
+            runs = {"base": [], "head": []}
             reference = None
             for r in range(ROUNDS):
                 order = ("base", "head") if r % 2 == 0 else ("head", "base")
@@ -150,18 +173,30 @@ def main(argv=None) -> int:
                         diff = next(i for i, (a, b) in enumerate(zip(run["nmse"], reference["nmse"])) if a != b)
                         raise SystemExit(f"error: {name}: {side} round {r} trial {diff} NMSE "
                                          f"{run['nmse'][diff]} differs from {reference['nmse'][diff]}")
-                    rates[side].append(run["trials_per_s"])
-                print(f"{name} round {r}: base {rates['base'][-1]:.1f}, head {rates['head'][-1]:.1f} trials/s",
-                      file=sys.stderr)
-            base, head = summary(rates["base"]), summary(rates["head"])
+                    runs[side].append({key: value for key, value in run.items() if key not in ("nmse", "numpy")})
+                base, head = runs["base"][-1], runs["head"][-1]
+                print(f"{name} round {r} (normalized): set-up base {base['setup_s_normalized']:.4f} s, "
+                      f"head {head['setup_s_normalized']:.4f} s; base {base['trials_per_s_normalized']:.1f}, "
+                      f"head {head['trials_per_s_normalized']:.1f} trials/s", file=sys.stderr)
+
+            def figures(key):
+                return [summary([run[key] for run in runs[side]]) for side in ("base", "head")]
+
+            rate_base, rate_head = figures("trials_per_s_normalized")
+            setup_base, setup_head = figures("setup_s_normalized")
+            pairs = list(zip(runs["base"], runs["head"]))
             report["workloads"][name] = {
                 "config": WORKLOADS[name],
                 "estimators": reference["estimators"],
                 "trials": reference["trials"],
                 "nmse_identical": True,
-                "trials_per_s": {"base": base, "head": head},
-                "speedup_median": head["median"] / base["median"],
-                "head_wins": sum(h > b for b, h in zip(rates["base"], rates["head"])),
+                "setup_s": {"base": setup_base, "head": setup_head},
+                "setup_ratio_median": setup_head["median"] / setup_base["median"],
+                "setup_head_wins": sum(h["setup_s_normalized"] < b["setup_s_normalized"] for b, h in pairs),
+                "trials_per_s": {"base": rate_base, "head": rate_head},
+                "speedup_median": rate_head["median"] / rate_base["median"],
+                "head_wins": sum(h["trials_per_s_normalized"] > b["trials_per_s_normalized"] for b, h in pairs),
+                "runs": runs,
             }
     path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
     with open(path, "w") as fh:

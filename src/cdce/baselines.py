@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelStats, Pulse, sample_channel
-from .estimator import LassoConfig, build_dictionary, reconstruct, signed_doppler, solve_lasso
+from .channel import ChannelStats, Pulse, draw_paths
+from .estimator import LassoConfig, cached_dictionary, reconstruct, signed_doppler, solve_lasso
 from .grids import Dims, vec
 from .pilots import Frame
 
@@ -66,11 +66,12 @@ def st_ls(y_tf: np.ndarray, frame: Frame) -> np.ndarray:
     return np.diag(vec(full))
 
 
-def st_lmmse(y_tf: np.ndarray, frame: Frame, snr: float) -> np.ndarray:
-    """Single-tap LMMSE: the ST-LS estimate shrunk by SNR / (SNR + 1)."""
+def st_lmmse(st_ls_estimate: np.ndarray, snr: float) -> np.ndarray:
+    """Single-tap LMMSE: the ``st_ls`` estimate of the same received grid
+    shrunk by SNR / (SNR + 1)."""
     if snr <= 0:
         raise ValueError(f"snr must be positive, got {snr}")
-    return st_ls(y_tf, frame) / (1.0 + 1.0 / snr)
+    return st_ls_estimate / (1.0 + 1.0 / snr)
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,9 @@ def fit_covariance(
     pulse: Pulse = Pulse("ideal"),
 ) -> CovarianceModel:
     """Monte Carlo estimate of the mean and covariance factor of the region
-    path-gain vector: each sampled path's gain lands in its bin's entry.
+    path-gain vector: each sampled path's gain lands in its bin's entry. The
+    samples are the channels ``sample_channel`` would draw from ``rng``, the
+    same rng calls in the same order, scattered straight into the samples.
 
     The factor keeps only singular directions above a 1e-12 relative cutoff;
     for the integer-grid path ensemble the rank equals the region size.
@@ -110,11 +113,10 @@ def fit_covariance(
     if k_samples < 2:
         raise ValueError(f"need at least 2 samples, got {k_samples}")
     pairs = stats.region_pairs
-    index = {pair: i for i, pair in enumerate(pairs)}
     samples = np.zeros((len(pairs), k_samples), dtype=complex)
     for j in range(k_samples):
-        for p in sample_channel(stats, d, rng).paths:
-            samples[index[(p.delay_int, p.doppler_int)], j] += p.gain
+        flat, gains = draw_paths(stats, d, rng)
+        samples[flat, j] = gains
     mean = samples.mean(axis=1)
     centered = (samples - mean[:, None]) / np.sqrt(k_samples)
     u, sv, _ = np.linalg.svd(centered, full_matrices=False)
@@ -144,7 +146,7 @@ def fs_lmmse(y_tf: np.ndarray, frame: Frame, cov: CovarianceModel, n0: float) ->
     d = frame.dims
     if cov.rank == 0:
         return reconstruct(cov.mean, cov.pairs, cov.pulse, d)
-    atoms = build_dictionary(frame.pilot_only_tf, cov.pairs, cov.pulse, d).matrix
+    atoms = cached_dictionary(frame.pilot_only_tf, cov.pairs, cov.pulse, d).matrix
     b = atoms @ cov.factor
     resid = vec(y_tf) - atoms @ cov.mean
     if n0 == 0:
@@ -165,5 +167,5 @@ def tf_lasso(
     search region extended to the whole grid in place of coarse detection."""
     d = frame.dims
     pairs = tuple((l, signed_doppler(kc, d.n)) for kc in range(d.n) for l in range(d.m))
-    h = solve_lasso(vec(y_tf), build_dictionary(frame.pilot_only_tf, pairs, pulse, d), cfg)
+    h = solve_lasso(vec(y_tf), cached_dictionary(frame.pilot_only_tf, pairs, pulse, d), cfg)
     return reconstruct(h, pairs, pulse, d)

@@ -11,6 +11,7 @@ is the ground truth that every estimator is scored against.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,11 +24,13 @@ __all__ = [
     "PathParams",
     "ChannelStats",
     "ChannelRealization",
+    "draw_paths",
     "sample_channel",
     "pulse_af",
     "time_channel_matrix",
     "apply_channel",
     "effective_tf_channel",
+    "unit_path_atoms",
     "unit_path_tf_channel",
 ]
 
@@ -116,13 +119,14 @@ class ChannelRealization:
                 )
 
 
-def sample_channel(
+def draw_paths(
     stats: ChannelStats,
     dims: Dims,
     rng: np.random.Generator,
-) -> ChannelRealization:
-    """Draw a random channel: distinct integer (delay, Doppler) pairs uniform
-    over [0, l_max] x [-k_max, k_max], i.i.d. complex Gaussian gains."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one random channel's paths as flat indices into
+    ``stats.region_pairs`` and complex gains: distinct (delay, Doppler) bins
+    uniform over [0, l_max] x [-k_max, k_max], i.i.d. complex Gaussian gains."""
     n_pairs = stats.region_size
     if stats.n_paths > n_pairs:
         raise ValueError(
@@ -137,6 +141,16 @@ def sample_channel(
     flat = rng.choice(n_pairs, size=stats.n_paths, replace=False)
     sigma = math.sqrt(stats.per_path_variance / 2.0)
     gains = sigma * (rng.standard_normal(stats.n_paths) + 1j * rng.standard_normal(stats.n_paths))
+    return flat, gains
+
+
+def sample_channel(
+    stats: ChannelStats,
+    dims: Dims,
+    rng: np.random.Generator,
+) -> ChannelRealization:
+    """Draw a random channel (see ``draw_paths``) as a realization."""
+    flat, gains = draw_paths(stats, dims, rng)
     pairs = stats.region_pairs
     paths = tuple(
         PathParams(complex(gain), *pairs[int(idx)]) for idx, gain in zip(flat, gains)
@@ -172,6 +186,14 @@ def _payload_indices(d: Dims) -> np.ndarray:
     return phi
 
 
+def _path_taps(d: Dims, pulse: Pulse, gain: complex, delay: int, doppler: int) -> np.ndarray:
+    """The taps G[n + delay, n] of one path, for every transmit sample
+    n < frame_len - delay."""
+    nu = doppler / d.grid_size
+    mod = gain * np.exp(2j * np.pi * nu * _payload_indices(d))
+    return np.conj(pulse_af(nu, pulse)) * mod[: d.frame_len - delay]
+
+
 def time_channel_matrix(ch: ChannelRealization, pulse: Pulse) -> np.ndarray:
     """Time-domain channel matrix G on the CP-extended frame.
 
@@ -183,15 +205,11 @@ def time_channel_matrix(ch: ChannelRealization, pulse: Pulse) -> np.ndarray:
     """
     d = ch.dims
     t_len = d.frame_len
-    phi = _payload_indices(d)
     g = np.zeros((t_len, t_len), dtype=complex)
     cols = np.arange(t_len)
     for p in ch.paths:
-        l = p.delay_int
-        nu = p.doppler_int / d.grid_size
-        mod = p.gain * np.exp(2j * np.pi * nu * phi)
-        src = cols[: t_len - l]
-        g[src + l, src] += np.conj(pulse_af(nu, pulse)) * mod[src]
+        src = cols[: t_len - p.delay_int]
+        g[src + p.delay_int, src] += _path_taps(d, pulse, p.gain, p.delay_int, p.doppler_int)
     return g
 
 
@@ -255,23 +273,90 @@ def effective_tf_channel(g: np.ndarray, d: Dims) -> np.ndarray:
     return np.ascontiguousarray(h.reshape(d.grid_size, d.grid_size))
 
 
+# Atoms built per batch: each batch contracts a (B, 2, N, M + cp_len, M + cp_len)
+# band stack of G, so the bound keeps a miss of a whole-grid dictionary from
+# holding all its bands of G at once.
+ATOM_BATCH = 16
+
+_BAND_SANDWICH = "ij,pcajk,kl->pcail"
+
+# Unit-path atoms built so far, by (dims, pulse) and then (delay, doppler),
+# and the lookups that found or missed one, counted as functools.lru_cache
+# counts them.
+_atoms: dict[tuple, dict[tuple[int, int], np.ndarray]] = {}
+_atom_lookups = {"hits": 0, "misses": 0}
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
 @lru_cache(maxsize=None)
-def unit_path_tf_channel(d: Dims, pulse: Pulse, delay: int, doppler: int) -> np.ndarray:
-    """Cached H_TF of a unit-gain single path at integer (delay, doppler), as
-    its two symbol-block bands: a read-only (2, N, M, M) array whose [0, n] is
-    the diagonal block of symbol n and [1, n] the block through which symbol
-    n - 1 leaks into symbol n ([1, 0] is zero). A received payload sample
-    depends on transmit samples at most ``delay`` earlier, so below one
-    CP-extended symbol of delay every other block is exactly zero; longer
-    delays are rejected."""
+def _band_index(d: Dims, delay: int) -> tuple[np.ndarray, ...]:
+    """Where each tap G[n + delay, n] lands in the two symbol-block bands of G:
+    (band, receive block, row in block, column in block), band 0 the
+    diagonal block and band 1 the block below it."""
     span = d.m + d.cp_len
-    if delay >= span:
-        raise ValueError(f"delay {delay} must stay below m + cp_len = {span}")
-    ch = ChannelRealization((PathParams(1.0 + 0.0j, delay, doppler),), d)
-    h = effective_tf_channel(time_channel_matrix(ch, pulse), d).reshape(d.n, d.m, d.n, d.m)
-    n = np.arange(d.n)
-    bands = np.zeros((2, d.n, d.m, d.m), dtype=complex)
-    bands[0] = h[n, :, n, :]
-    bands[1, 1:] = h[n[1:], :, n[:-1], :]
+    src = np.arange(d.frame_len - delay)
+    block, row = np.divmod(src + delay, span)
+    index = (block - src // span, block, row, src % span)
+    for part in index:
+        part.setflags(write=False)
+    return index
+
+
+def _build_atoms(d: Dims, pulse: Pulse, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """Bands of the unit-path atoms at ``pairs``, a read-only (P, 2, N, M, M)
+    array. Each path's taps are written into the two symbol-block bands of
+    G, and one einsum contracts only those block pairs with the sandwich
+    factors, in the order of ``effective_tf_channel``'s path: every entry is
+    bit-identical to the dense H_TF's block."""
+    span = d.m + d.cp_len
+    bands = np.empty((len(pairs), 2, d.n, d.m, d.m), dtype=complex)
+    g_bands = np.zeros((len(pairs), 2, d.n, span, span), dtype=complex)
+    for p, (delay, doppler) in enumerate(pairs):
+        band, block, row, col = _band_index(d, delay)
+        g_bands[p, band, block, row, col] = _path_taps(d, pulse, 1.0 + 0.0j, delay, doppler)
+    c, b, path = _sandwich_factors(d)
+    np.einsum(_BAND_SANDWICH, c, g_bands, b, optimize=path, out=bands)
     bands.setflags(write=False)
     return bands
+
+
+def unit_path_atoms(d: Dims, pulse: Pulse, pairs) -> list[np.ndarray]:
+    """The atoms of the (delay, doppler) pairs, in order, from the atom cache.
+
+    Atoms not yet cached are built ATOM_BATCH at a time and cached. Each
+    atom is a unit-gain single path's H_TF as its two symbol-block bands: a
+    read-only (2, N, M, M) array whose [0, n] is the diagonal block of
+    symbol n and [1, n] the block through which symbol n - 1 leaks into
+    symbol n ([1, 0] is zero). A received payload sample depends on transmit
+    samples at most ``delay`` earlier, so below one CP-extended symbol of
+    delay every other block is exactly zero; longer delays are rejected.
+    """
+    span = d.m + d.cp_len
+    store = _atoms.setdefault((d, pulse), {})
+    keys = [(delay, doppler) for delay, doppler in pairs]
+    missing = [key for key in dict.fromkeys(keys) if key not in store]
+    for delay, doppler in missing:
+        if not 0 <= delay < span:
+            raise ValueError(f"delay {delay} must be non-negative and below m + cp_len = {span}")
+        if abs(doppler) > d.n / 2:
+            raise ValueError(f"Doppler {doppler} exceeds half the Doppler grid (N/2 = {d.n / 2})")
+    for start in range(0, len(missing), ATOM_BATCH):
+        batch = missing[start:start + ATOM_BATCH]
+        store.update(zip(batch, _build_atoms(d, pulse, batch)))
+    _atom_lookups["misses"] += len(missing)
+    _atom_lookups["hits"] += len(keys) - len(missing)
+    return [store[key] for key in keys]
+
+
+def unit_path_tf_channel(d: Dims, pulse: Pulse, delay: int, doppler: int) -> np.ndarray:
+    """The cached atom of a unit-gain single path at integer (delay,
+    doppler); see ``unit_path_atoms``."""
+    return unit_path_atoms(d, pulse, ((delay, doppler),))[0]
+
+
+def _atom_cache_info() -> CacheInfo:
+    size = sum(len(store) for store in _atoms.values())
+    return CacheInfo(_atom_lookups["hits"], _atom_lookups["misses"], None, size)
+
+
+unit_path_tf_channel.cache_info = _atom_cache_info

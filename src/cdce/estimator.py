@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelStats, Pulse, unit_path_tf_channel
+from .channel import ChannelStats, Pulse, unit_path_atoms
 from .grids import Dims, doppler_col, signed_doppler, tf_to_dd, twisted_convolution, vec
 from .pilots import Frame
 
@@ -36,6 +36,7 @@ __all__ = [
     "default_gamma",
     "threshold_select",
     "build_dictionary",
+    "cached_dictionary",
     "reconstruct",
     "soft_threshold",
     "solve_ls",
@@ -45,10 +46,11 @@ __all__ = [
 
 LS_CONDITION_LIMIT = 1e6
 
-# Dictionaries kept by build_dictionary, most recently used last. A lattice
-# trial asks for two fixed ones (the full grid and the search region) and one
-# per detected support; a random-pilot frame is never seen twice, so the
-# bound keeps its misses from growing the cache.
+# Dictionaries kept by cached_dictionary, most recently used last. A lattice
+# trial asks it for two fixed ones (tf_lasso's full grid and fs_lmmse's search
+# region); a random-pilot frame is never seen twice, so the bound keeps its
+# misses from growing the cache. CDCE's per-trial supports almost never
+# repeat, so cdce_estimate builds its dictionary afresh.
 DICTIONARY_CACHE_SIZE = 8
 _dictionaries: OrderedDict = OrderedDict()
 
@@ -155,29 +157,40 @@ def build_dictionary(
     """Columns are the vectorized TF responses of unit-gain single paths at
     the (delay, Doppler) pairs, driven by the pilot-only frame: per symbol,
     the atom's diagonal block times that symbol plus its sub-diagonal block
-    times the previous one.
+    times the previous one. The matrix is read-only.
 
-    The result is memoised on (dims, pulse, pairs, pilot-only frame bytes) in
-    a least-recently-used cache of DICTIONARY_CACHE_SIZE entries, so a frame
-    that repeats across trials builds its dictionary, Gram and step once. The
-    cached matrix is read-only.
+    Built afresh on every call; ``cached_dictionary`` memoises the
+    dictionaries that repeat across trials.
     """
     if not pairs:
         raise ValueError("cannot build a dictionary from an empty set of pairs")
-    x = vec(pilot_only_tf)
     pairs = tuple(pairs)
-    key = (d, pulse, pairs, x.dtype.str, x.tobytes())
-    dictionary = _dictionaries.get(key)
-    if dictionary is not None:
-        _dictionaries.move_to_end(key)
-        return dictionary
-    bands = np.stack([unit_path_tf_channel(d, pulse, l, k) for l, k in pairs])
-    symbols = x.reshape(d.n, d.m, 1)
+    bands = np.stack(unit_path_atoms(d, pulse, pairs))
+    symbols = vec(pilot_only_tf).reshape(d.n, d.m, 1)
     columns = np.matmul(bands[:, 0], symbols)
     columns[:, 1:] += np.matmul(bands[:, 1, 1:], symbols[:-1])
     matrix = np.ascontiguousarray(columns.reshape(len(pairs), d.grid_size).T)
     matrix.setflags(write=False)
-    dictionary = _dictionaries[key] = Dictionary(matrix=matrix, pairs=pairs)
+    return Dictionary(matrix=matrix, pairs=pairs)
+
+
+def cached_dictionary(
+    pilot_only_tf: np.ndarray,
+    pairs: tuple[tuple[int, int], ...],
+    pulse: Pulse,
+    d: Dims,
+) -> Dictionary:
+    """``build_dictionary``, memoised on (dims, pulse, pairs, pilot-only frame
+    bytes) in a least-recently-used cache of DICTIONARY_CACHE_SIZE entries,
+    so a frame that repeats across trials builds its dictionary, Gram and
+    step once."""
+    x = vec(pilot_only_tf)
+    key = (d, pulse, tuple(pairs), x.dtype.str, x.tobytes())
+    dictionary = _dictionaries.get(key)
+    if dictionary is not None:
+        _dictionaries.move_to_end(key)
+        return dictionary
+    dictionary = _dictionaries[key] = build_dictionary(pilot_only_tf, pairs, pulse, d)
     if len(_dictionaries) > DICTIONARY_CACHE_SIZE:
         _dictionaries.popitem(last=False)
     return dictionary
@@ -196,10 +209,11 @@ def reconstruct(
     order given, and is scattered into the MN x MN result once: outside the
     bands every atom is exactly zero, so every entry equals the dense sum's.
     """
+    kept = [(gain, pair) for gain, pair in zip(np.asarray(h).tolist(), pairs) if gain != 0]
+    atoms = unit_path_atoms(d, pulse, [pair for _, pair in kept])
     acc = np.zeros((2, d.n, d.m, d.m), dtype=complex)
-    for gain, (l, k) in zip(np.asarray(h).tolist(), pairs):
-        if gain != 0:
-            acc += gain * unit_path_tf_channel(d, pulse, l, k)
+    for (gain, _), atom in zip(kept, atoms):
+        acc += gain * atom
     n = np.arange(d.n)
     h_tf = np.zeros((d.n, d.m, d.n, d.m), dtype=complex)
     h_tf[n, :, n, :] = acc[0]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -38,6 +39,11 @@ ESTIMATOR_NAMES = ("cdce", "fs_lmmse", "st_ls", "st_lmmse", "tf_lasso")
 NMSE_FLOOR_DB = -200.0
 
 _COV_SEED_TAG = 0x636F76
+
+# The largest noise variance simulated: noise of this variance squares to at
+# most the largest float, so every NMSE stays finite. MIN_SNR_DB is its SNR.
+MAX_N0 = math.sqrt(sys.float_info.max)
+MIN_SNR_DB = -10.0 * math.log10(MAX_N0)
 
 # glibc serves each block above its mmap threshold (128 KiB at start) with a
 # fresh mapping and unmaps it on free, so every trial would fault its larger
@@ -122,15 +128,20 @@ def nmse_db(h_hat: np.ndarray, h_true: np.ndarray) -> float:
 
 def _check_snr(snr_db: float) -> float:
     """The per-sample noise variance of a finite SNR in dB, or 0 at +inf
-    (noiseless). Rejects any other value, and a finite one too large in
-    magnitude to form its seed key or its noise variance."""
+    (noiseless). Rejects any other value, a finite one too large in
+    magnitude to form its seed key, and one below MIN_SNR_DB."""
     if math.isnan(snr_db) or snr_db == -math.inf:
         raise ValueError(f"SNR must be finite in dB or +inf (noiseless), got {snr_db}")
+    if snr_db < MIN_SNR_DB:
+        raise ValueError(
+            f"SNR {snr_db} dB is below {MIN_SNR_DB:.2f} dB: its noise variance would "
+            f"exceed {MAX_N0:.3g} and overflow the squared errors of an NMSE"
+        )
     try:
         _snr_key(snr_db)
-        return 0.0 if snr_db == math.inf else 10.0 ** (-snr_db / 10.0)
     except OverflowError:
         raise ValueError(f"SNR {snr_db} dB is too large in magnitude to simulate") from None
+    return 0.0 if snr_db == math.inf else 10.0 ** (-snr_db / 10.0)
 
 
 def _snr_key(snr_db: float) -> int:
@@ -173,6 +184,7 @@ def run_trial(
     h_true = effective_tf_channel(g, cfg.dims)
     denom = float(np.sum(np.abs(h_true) ** 2))
     out: dict[str, float] = {}
+    st_ls_hat = None
     for name in cfg.estimators:
         if name == "cdce":
             h_hat = cdce_estimate(
@@ -181,13 +193,18 @@ def run_trial(
             ).h_tf_hat
         elif name == "fs_lmmse":
             h_hat = fs_lmmse(y_tf, frame, cov, n0)
-        elif name == "st_ls":
-            h_hat = st_ls(y_tf, frame)
-        elif name == "st_lmmse":
-            h_hat = st_lmmse(y_tf, frame, math.inf if n0 == 0 else 1.0 / n0)
+        elif name in ("st_ls", "st_lmmse"):
+            # ST-LMMSE scales the ST-LS estimate, which is interpolated once
+            if st_ls_hat is None:
+                st_ls_hat = st_ls(y_tf, frame)
+            if name == "st_ls":
+                h_hat = st_ls_hat
+            else:
+                h_hat = st_lmmse(st_ls_hat, math.inf if n0 == 0 else 1.0 / n0)
         else:
             h_hat = tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse)
         out[name] = float(np.sum(np.abs(h_hat - h_true) ** 2)) / denom
+        del h_hat  # free the MN x MN estimate before the next estimator runs
     return out
 
 

@@ -6,7 +6,9 @@ iterative solvers. None of it imports the implementation being tested beyond
 basic array plumbing, except ``dense_atom``: it builds the dense MN x MN
 atom by its definition from the package's time-domain and effective-channel
 builders (themselves pinned to the oracles here), to check the band store
-bit for bit.
+bit for bit; and ``fit_covariance_reference``, which draws its ensemble
+through the package's ``sample_channel`` one realization at a time, to check
+the covariance fit's direct draws bit for bit.
 """
 
 import cmath
@@ -17,9 +19,11 @@ from scipy.integrate import quad
 
 from cdce.channel import (
     ChannelRealization,
+    ChannelStats,
     PathParams,
     Pulse,
     effective_tf_channel,
+    sample_channel,
     time_channel_matrix,
 )
 from cdce.grids import Dims
@@ -246,3 +250,28 @@ def lasso_certificate_gap(y: np.ndarray, d: np.ndarray, lam: float, h: np.ndarra
         else:
             worst = max(worst, abs(gi - lam * hi / abs(hi)) / lam)
     return worst
+
+
+def fit_covariance_reference(
+    stats: ChannelStats, d: Dims, k_samples: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and factor of the region path-gain vector, from k_samples
+    realizations of ``sample_channel``: each path's gain is added to its
+    bin's entry, then the centred samples are factored by an SVD that keeps
+    the directions above a 1e-12 relative cutoff (none when every sample is
+    the same channel)."""
+    pairs = stats.region_pairs
+    index = {pair: i for i, pair in enumerate(pairs)}
+    samples = np.zeros((len(pairs), k_samples), dtype=complex)
+    for j in range(k_samples):
+        for p in sample_channel(stats, d, rng).paths:
+            samples[index[(p.delay_int, p.doppler_int)], j] += p.gain
+    mean = samples.mean(axis=1)
+    centered = (samples - mean[:, None]) / np.sqrt(k_samples)
+    u, sv, _ = np.linalg.svd(centered, full_matrices=False)
+    scale = np.linalg.norm(samples) / np.sqrt(k_samples)
+    if sv.size and sv[0] > max(scale, 1.0) * 1e-12:
+        r = int(np.sum(sv > sv[0] * 1e-12))
+    else:
+        r = 0
+    return mean, u[:, :r] * sv[:r]

@@ -25,7 +25,7 @@ from cdce.estimator import LassoConfig, reconstruct
 from cdce.grids import Dims, remove_cp, tf_to_time, time_to_tf, unvec, vec
 from cdce.pilots import Frame, FrameSpec, Lattice, assemble_frame
 
-from oracles import dense_atom, dense_fs_lmmse_oracle
+from oracles import dense_atom, dense_fs_lmmse_oracle, fit_covariance_reference
 
 D = Dims(8, 14, 2)
 IDEAL = Pulse("ideal")
@@ -106,20 +106,20 @@ class TestStLmmse:
         rng = np.random.default_rng(1)
         y = rng.standard_normal((D.m, D.n)) + 1j * rng.standard_normal((D.m, D.n))
         np.testing.assert_allclose(
-            st_lmmse(y, frame, 1.0), st_ls(y, frame) / 2.0, atol=1e-14
+            st_lmmse(st_ls(y, frame), 1.0), st_ls(y, frame) / 2.0, atol=1e-14
         )
 
     def test_high_snr_approaches_ls(self, frame):
         rng = np.random.default_rng(2)
         y = rng.standard_normal((D.m, D.n)) + 1j * rng.standard_normal((D.m, D.n))
         np.testing.assert_allclose(
-            st_lmmse(y, frame, 1e12), st_ls(y, frame), rtol=1e-9
+            st_lmmse(st_ls(y, frame), 1e12), st_ls(y, frame), rtol=1e-9
         )
 
     @pytest.mark.parametrize("snr", [0.0, -1.0])
     def test_nonpositive_snr_rejected(self, frame, snr):
         with pytest.raises(ValueError, match="snr"):
-            st_lmmse(frame.pilot_only_tf, frame, snr)
+            st_lmmse(st_ls(frame.pilot_only_tf, frame), snr)
 
 
 class TestFitCovariance:
@@ -152,6 +152,16 @@ class TestFitCovariance:
             atol=1e-10 * np.linalg.norm(scatter) ** 2 * np.linalg.norm(probe),
         )
 
+    @pytest.mark.parametrize("pulse", [IDEAL, Pulse("rectangular")], ids=lambda p: p.kind)
+    @pytest.mark.parametrize("seed", [0, 5, 0x636F76])
+    def test_matches_the_sample_channel_loop_bit_for_bit(self, seed, pulse):
+        for stats, k in ((ChannelStats(), 200), (ChannelStats(n_paths=5, l_max=1, k_max=2), 30)):
+            cov = fit_covariance(stats, D, k, np.random.default_rng(seed), pulse=pulse)
+            mean, factor = fit_covariance_reference(stats, D, k, np.random.default_rng(seed))
+            np.testing.assert_array_equal(cov.mean, mean)
+            np.testing.assert_array_equal(cov.factor, factor)
+            assert cov.pulse == pulse
+
     def test_rank_saturates_at_region_size(self):
         stats = ChannelStats()
         cov = fit_covariance(stats, D, 100, np.random.default_rng(3))
@@ -162,7 +172,10 @@ class TestFitCovariance:
         fixed = ChannelRealization(
             paths=(PathParams(gain=1.0, delay_int=1, doppler_int=0),), dims=D
         )
-        monkeypatch.setattr(baselines, "sample_channel", lambda *a, **k: fixed)
+        flat = np.array([ChannelStats().region_pairs.index((1, 0))])
+        monkeypatch.setattr(
+            baselines, "draw_paths", lambda *a, **k: (flat, np.array([1.0 + 0.0j]))
+        )
         cov = fit_covariance(ChannelStats(), D, 5, np.random.default_rng(0))
         assert cov.rank == 0
         np.testing.assert_allclose(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cdce.channel as channel
 from cdce.channel import (
     ChannelRealization,
     ChannelStats,
@@ -14,6 +15,7 @@ from cdce.channel import (
     pulse_af,
     sample_channel,
     time_channel_matrix,
+    unit_path_atoms,
     unit_path_tf_channel,
 )
 from cdce.estimator import reconstruct
@@ -348,6 +350,50 @@ class TestUnitPathCache:
                             np.testing.assert_array_equal(bands[1, r], block)
                         else:
                             assert not block.any(), f"({l}, {k}) block ({r}, {c})"
+
+    @pytest.mark.parametrize("kind", ["ideal", "rectangular"])
+    @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
+    def test_batched_fill_is_the_dense_atom_bit_for_bit(self, shape, kind, monkeypatch):
+        # all atoms in one call, and the search region, then the tf_lasso
+        # grid, then the rest: each atom is built once, in bounded batches
+        d, pulse = Dims(*shape), Pulse(kind)
+        m = d.m
+        every = [(l, signed_doppler(kc, d.n)) for kc in range(d.n) for l in range(d.m + d.cp_len)]
+        region = ChannelStats(l_max=d.cp_len, k_max=(d.n - 1) // 2).region_pairs
+        grid = [(l, k) for l, k in every if l < d.m]
+        batches = []
+
+        def spy(d_, pulse_, pairs, _build=channel._build_atoms):
+            batches.append(len(pairs))
+            return _build(d_, pulse_, pairs)
+
+        monkeypatch.setattr(channel, "_build_atoms", spy)
+        for calls in ([every], [region, grid, every]):
+            monkeypatch.setattr(channel, "_atoms", {})
+            batches.clear()
+            for pairs in calls:
+                unit_path_atoms(d, pulse, pairs)
+            assert sum(batches) == len(every)
+            assert max(batches) <= channel.ATOM_BATCH
+            for (l, k), bands in zip(every, unit_path_atoms(d, pulse, every)):
+                dense = dense_atom(d, pulse, l, k)
+                assert not bands.flags.writeable
+                assert not bands[1, 0].any()
+                for r in range(d.n):
+                    rows = slice(r * m, (r + 1) * m)
+                    np.testing.assert_array_equal(bands[0, r], dense[rows, rows])
+                    if r:
+                        np.testing.assert_array_equal(bands[1, r], dense[rows, rows.start - m:rows.start])
+            assert sum(batches) == len(every)
+
+    def test_lookups_are_counted_like_lru_cache(self, monkeypatch):
+        monkeypatch.setattr(channel, "_atoms", {})
+        before = unit_path_tf_channel.cache_info()
+        unit_path_atoms(D, IDEAL, [(0, 1), (2, -3), (0, 1)])
+        unit_path_tf_channel(D, IDEAL, 2, -3)
+        after = unit_path_tf_channel.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 2)
+        assert after.currsize == 2
 
     @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
     def test_delay_of_one_symbol_rejected(self, shape):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,8 @@ class TestLoadConfig:
             ("snr_grid_db: [10, -.inf]", "invalid config"),
             ("snr_grid_db: [1.0e+303]", "invalid config"),
             ("snr_grid_db: [-4000]", "invalid config"),
+            ("snr_grid_db: [-3082]", "invalid config"),
+            ("snr_grid_db: [10, -1541.3]", "invalid config"),
         ],
     )
     def test_bad_configs_rejected(self, tmp_path, text, fragment):
@@ -174,6 +177,22 @@ class TestCliSingle:
         assert main(["single", "--config", path, f"--snr-db={snr}", "--trial", "0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "SNR" in err
+
+    @pytest.mark.parametrize("snr", ["-3082", "-1541.3"])
+    def test_snr_below_the_lowest_simulated_is_an_error(self, tmp_path, capsys, snr):
+        # its noise variance would overflow the squared errors of an NMSE
+        path = write_config(tmp_path, SMALL)
+        assert main(["single", "--config", path, f"--snr-db={snr}", "--trial", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "SNR" in err and "-1541.27" in err
+
+    def test_lowest_simulated_snr_prints_finite_nmse(self, tmp_path, capsys):
+        path = write_config(tmp_path, SMALL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["single", "--config", path, "--snr-db=-1541.2", "--trial", "0"]) == 0
+        for line in capsys.readouterr().out.strip().splitlines():
+            assert math.isfinite(float(line.split("\t")[1]))
 
     def test_positive_infinite_snr_is_noiseless(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL)

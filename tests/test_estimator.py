@@ -20,6 +20,7 @@ from cdce.estimator import (
     Dictionary,
     LassoConfig,
     build_dictionary,
+    cached_dictionary,
     cdce_estimate,
     default_gamma,
     doppler_col,
@@ -309,25 +310,48 @@ class TestBuildDictionary:
 class TestDictionaryCache:
     def test_repeated_frame_returns_the_cached_dictionary(self, frame):
         pairs = STATS.region_pairs
-        first = build_dictionary(frame.pilot_only_tf, pairs, IDEAL, D)
-        assert build_dictionary(frame.pilot_only_tf.copy(), pairs, IDEAL, D) is first
-        other = build_dictionary(2.0 * frame.pilot_only_tf, pairs, IDEAL, D)
+        first = cached_dictionary(frame.pilot_only_tf, pairs, IDEAL, D)
+        assert cached_dictionary(frame.pilot_only_tf.copy(), pairs, IDEAL, D) is first
+        other = cached_dictionary(2.0 * frame.pilot_only_tf, pairs, IDEAL, D)
         np.testing.assert_array_equal(other.matrix, 2.0 * first.matrix)
+        np.testing.assert_array_equal(
+            first.matrix, build_dictionary(frame.pilot_only_tf, pairs, IDEAL, D).matrix
+        )
 
     def test_cached_matrix_and_gram_are_read_only(self, frame):
-        d = build_dictionary(frame.pilot_only_tf, STATS.region_pairs, IDEAL, D)
-        with pytest.raises(ValueError):
-            d.matrix[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            d.gram[0, 0] = 1.0
+        for build in (build_dictionary, cached_dictionary):
+            d = build(frame.pilot_only_tf, STATS.region_pairs, IDEAL, D)
+            with pytest.raises(ValueError):
+                d.matrix[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                d.gram[0, 0] = 1.0
 
     def test_random_pilot_frames_stay_within_the_bound(self):
         spec = FrameSpec(dims=D, sequence_kind="zadoff_chu", placement="uniform_random")
         rng = np.random.default_rng(50)
         for _ in range(50):
-            build_dictionary(assemble_frame(spec, rng).pilot_only_tf, STATS.region_pairs, IDEAL, D)
+            cached_dictionary(assemble_frame(spec, rng).pilot_only_tf, STATS.region_pairs, IDEAL, D)
             assert len(estimator._dictionaries) <= estimator.DICTIONARY_CACHE_SIZE
         assert len(estimator._dictionaries) == estimator.DICTIONARY_CACHE_SIZE
+
+    def test_cdce_builds_its_support_dictionary_afresh(self, frame, monkeypatch):
+        # per-trial supports almost never repeat, so they are not memoised;
+        # the call goes through the module, where a tracer would wrap it
+        built = []
+
+        def spy(*args, _build=estimator.build_dictionary):
+            built.append(_build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(estimator, "build_dictionary", spy)
+        estimator._dictionaries.clear()
+        y = received_tf(frame, make_channel([(0.9, 1, 1), (0.5, 2, -2)]))
+        for _ in range(2):
+            cdce_estimate(y, frame, STATS, n0=1e-4)
+        assert len(built) == 2 and built[0] is not built[1]
+        assert built[0].pairs == built[1].pairs
+        np.testing.assert_array_equal(built[0].matrix, built[1].matrix)
+        assert not estimator._dictionaries
 
 
 class TestReconstruct:
@@ -553,8 +577,8 @@ class TestSolveLasso:
 
     def test_solves_on_a_cached_dictionary_return_independent_arrays(self, frame):
         pairs = tuple((l, signed_doppler(kc, D.n)) for kc in range(D.n) for l in range(D.m))
-        d = build_dictionary(frame.pilot_only_tf, pairs, IDEAL, D)
-        assert build_dictionary(frame.pilot_only_tf, pairs, IDEAL, D) is d
+        d = cached_dictionary(frame.pilot_only_tf, pairs, IDEAL, D)
+        assert cached_dictionary(frame.pilot_only_tf, pairs, IDEAL, D) is d
         rng = np.random.default_rng(4)
         ys = [vec(received_tf(frame, sample_channel(STATS, D, rng), n0=0.1, rng=rng)) for _ in range(2)]
         first = solve_lasso(ys[0], d, LassoConfig())

@@ -1,15 +1,26 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from cdce.channel import ChannelStats, Pulse
+import cdce.harness as harness
+from cdce.baselines import st_ls
+from cdce.channel import (
+    ChannelStats,
+    Pulse,
+    apply_channel,
+    effective_tf_channel,
+    sample_channel,
+    time_channel_matrix,
+)
 from cdce.estimator import LassoConfig
-from cdce.grids import Dims
+from cdce.grids import Dims, remove_cp, tf_to_time, time_to_tf
 from cdce.harness import (
     ESTIMATOR_NAMES,
+    MIN_SNR_DB,
     ResultRow,
     SimConfig,
     emit,
@@ -18,7 +29,7 @@ from cdce.harness import (
     run_sweep,
     run_trial,
 )
-from cdce.pilots import FrameSpec
+from cdce.pilots import FrameSpec, assemble_frame
 
 D = Dims(8, 14, 2)
 
@@ -75,6 +86,8 @@ class TestSimConfig:
             {"snr_grid_db": (10.0, 1e303)},
             {"snr_grid_db": (-1e303,)},
             {"snr_grid_db": (-4000.0,)},
+            {"snr_grid_db": (-3082.0,)},
+            {"snr_grid_db": (10.0, -1541.3)},
             {"trials": 0},
             {"estimators": ()},
             {"estimators": ("st_ls", "kalman")},
@@ -104,6 +117,24 @@ class TestRunTrial:
         solo = run_trial(make_config(estimators=("st_ls",)), 5.0, 2)
         assert solo["st_ls"] == full["st_ls"]
 
+    def test_st_lmmse_scales_the_trials_st_ls_estimate(self):
+        ratios = [
+            run_trial(make_config(estimators=names), 5.0, 2)["st_lmmse"]
+            for names in (("st_lmmse",), ("st_ls", "st_lmmse"), ("st_lmmse", "st_ls"))
+        ]
+        assert ratios[0] == ratios[1] == ratios[2]
+        cfg = make_config()
+        n0 = harness._check_snr(5.0)
+        channel_rng, frame_rng, noise_rng = harness._trial_rngs(cfg, 5.0, 2)
+        g = time_channel_matrix(sample_channel(cfg.stats, D, channel_rng), cfg.pulse)
+        frame = assemble_frame(cfg.frame, frame_rng)
+        r = apply_channel(tf_to_time(frame.tf, D, with_cp=True), g, n0, noise_rng)
+        y = time_to_tf(remove_cp(r, D), D)
+        h_true = effective_tf_channel(g, D)
+        h_hat = st_ls(y, frame) / (1.0 + n0)
+        want = np.sum(np.abs(h_hat - h_true) ** 2) / np.sum(np.abs(h_true) ** 2)
+        assert ratios[0] == pytest.approx(want, rel=1e-12)
+
     def test_trials_distinct_across_indices_and_snrs(self):
         cfg = make_config()
         r0 = run_trial(cfg, 10.0, 0)["st_ls"]
@@ -125,6 +156,17 @@ class TestRunTrial:
     def test_snr_that_is_not_finite_or_noiseless_rejected(self, snr_db):
         with pytest.raises(ValueError, match="SNR"):
             run_trial(make_config(), snr_db, 0)
+
+    @pytest.mark.parametrize("data_mode", ["none", "qpsk"])
+    def test_every_nmse_finite_at_the_lowest_simulated_snr(self, data_mode):
+        cfg = make_config(frame=FrameSpec(dims=D, data_mode=data_mode), estimators=ESTIMATOR_NAMES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = run_trial(cfg, MIN_SNR_DB, 0)
+        assert set(out) == set(cfg.estimators)
+        assert all(math.isfinite(value) for value in out.values())
+        with pytest.raises(ValueError, match="SNR"):
+            run_trial(cfg, math.nextafter(MIN_SNR_DB, -math.inf), 0)
 
     def test_positive_infinite_snr_is_noiseless(self):
         # CDCE recovers a noiseless channel to rounding; any noise shows
