@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Compare the per-trial NMSE, the cold set-up time and the trial throughput
-of the working tree's cdce against another git revision's.
+"""Compare the per-trial NMSE, the sweep rows, the cold set-up time and the
+trial throughput of the working tree's cdce against another git revision's.
 
     python3 scripts/compare_trials.py --base HEAD~1 --tag frame_cache
 
@@ -8,19 +8,23 @@ The revision's src/ is extracted with `git archive` into a temporary
 directory. For each workload config, each of ROUNDS rounds runs one process
 per side, each with one BLAS thread, alternating which side goes first.
 A process times its cold set-up (config load, covariance fit when an
-estimator needs it, one warm-up trial) and then `run_trial` on the same
-fixed keys (base_seed 7, every SNR point, trials 0-39), so the trial figures
-are throughput with the caches filled. The host's speed drifts on a shared
+estimator needs it, one warm-up trial), then `run_trial` on fixed keys
+(base_seed 7, every SNR point, the workload's trials per SNR point from
+WORKLOADS), then `run_sweep` over the same keys, so the trial figures are
+throughput with the caches filled. The host's speed drifts on a shared
 machine, so each process samples it with bench/calibration.py's kernel
-before and after the set-up and every 0.3 s or so of the trials
-(calibration.SAMPLE_EVERY_S), and divides each stretch by its slowness as
-bench/run.py does.
-Every trial's NMSE of every configured estimator must be bit-identical
-between the sides and across rounds; otherwise the script exits 1 and
-writes nothing. It then writes BENCH_<tag>.json at the repo root: per side,
-normalized set-up seconds and trials per second (median and quartiles over
-the rounds), every run's raw and normalized figures, the git revisions, and
-the numpy and Python versions.
+before and after the set-up and every 0.3 s or so of the trials and of the
+sweep (calibration.SAMPLE_EVERY_S), and divides each stretch by its
+slowness as bench/run.py does.
+Every trial's NMSE of every configured estimator, and every sweep row's
+nmse_db and stderr_db, must be bit-identical between the sides and across
+rounds, and each process's sweep rows must be the linear mean of its own
+`run_trial` results; otherwise the script exits 1 and writes nothing. It
+then writes BENCH_<tag>.json at the repo root: per side, normalized set-up
+seconds, trials per second of the `run_trial` calls and of the sweep
+(median and quartiles over the rounds, with the median speed-up and the
+rounds the working tree won), every run's raw and normalized figures, the
+git revisions, and the numpy and Python versions.
 """
 
 from __future__ import annotations
@@ -41,71 +45,94 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_DIR = os.path.join(ROOT, "bench")
 
-# workload name -> config, relative to the repo root
+# workload name -> (config relative to the repo root, trials per SNR point).
+# A random_pilots trial takes about a fifth of a lattice trial, so it runs
+# five times the trials: at 40 per SNR point its throughput, on unchanged
+# code, spread from 365 to 469 trials/s across rounds.
 WORKLOADS = {
-    "random_pilots": "bench/configs/random_pilots.yaml",
-    "pilot_lattice": "configs/pilot_only.yaml",
-    "data_lattice": "configs/with_data.yaml",
+    "random_pilots": ("bench/configs/random_pilots.yaml", 200),
+    "pilot_lattice": ("configs/pilot_only.yaml", 40),
+    "data_lattice": ("configs/with_data.yaml", 40),
 }
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BASE_SEED = 7
-TRIALS_PER_SNR = 40
 ROUNDS = 10
 
 
-def worker(src: str, config: str) -> None:
-    """Time a cold set-up and then run_trial over every key of the config's
-    SNR grid with the cdce package under `src`, sampling the host's speed
-    around both; print the NMSE of each trial and the timings as JSON."""
+def worker(src: str, config: str, trials_per_snr: str) -> None:
+    """Time a cold set-up, then run_trial over every key of the config's SNR
+    grid, then run_sweep over the same keys, with the cdce package under
+    `src`, sampling the host's speed around all three; check that the sweep
+    rows are the linear mean of the trials, and print the NMSE of each trial,
+    the sweep rows and the timings as JSON."""
     sys.path.insert(0, src)
     sys.path.append(BENCH_DIR)
     import numpy as np
     import cdce
     from calibration import Calibration, Segments, segment_slowness
     from cdce import config as cdce_config, harness
+    from run import ticking
 
     expected = os.path.join(src, "cdce", "__init__.py")
     if os.path.realpath(cdce.__file__) != os.path.realpath(expected):
         raise SystemExit(f"error: imported cdce from {cdce.__file__}, expected {expected}")
+    per_snr = int(trials_per_snr)
     with Calibration(dict(os.environ)) as cal:
         before = cal.slowness()
         t0 = time.perf_counter()
         cfg = dataclasses.replace(cdce_config.load_config(config, env={}),
-                                  base_seed=BASE_SEED, trials=TRIALS_PER_SNR)
+                                  base_seed=BASE_SEED, trials=per_snr)
         cov = harness.fit_config_covariance(cfg) if "fs_lmmse" in cfg.estimators else None
         harness.run_trial(cfg, cfg.snr_grid_db[0], 0, cov)
         setup_s = time.perf_counter() - t0
         setup_slowness = segment_slowness(before, cal.slowness(), setup_s)
-        nmse = []
+        results = []
         trials = Segments(cal)
         trials.start()
         for snr_db in cfg.snr_grid_db:
-            for t in range(TRIALS_PER_SNR):
-                result = harness.run_trial(cfg, snr_db, t, cov)
-                nmse.append({name: value.hex() for name, value in result.items()})
+            for t in range(per_snr):
+                results.append(harness.run_trial(cfg, snr_db, t, cov))
                 trials.tick()
         trials.finish()
+
+        sweep = Segments(cal)
+        with ticking(harness, sweep):
+            sweep.start()
+            rows = harness.run_sweep(cfg, cov)
+            sweep.finish()
+    for row in rows:
+        i = cfg.snr_grid_db.index(row.snr_db)
+        mean = float(np.array([r[row.estimator] for r in results[i * per_snr:(i + 1) * per_snr]]).mean())
+        if row.nmse_db != harness.ratio_db(mean):
+            raise SystemExit(f"error: sweep row {row.estimator} at {row.snr_db} dB gives {row.nmse_db!r} dB, "
+                             f"the mean of its run_trial results {harness.ratio_db(mean)!r} dB")
+    n = len(results)
     json.dump({
-        "trials": len(nmse),
+        "trials": n,
         "setup_s": setup_s,
         "setup_slowness": setup_slowness,
         "setup_s_normalized": setup_s / setup_slowness,
         "trials_s": trials.seconds,
         "trials_s_normalized": trials.normalized,
-        "trials_per_s": len(nmse) / trials.seconds,
-        "trials_per_s_normalized": len(nmse) / trials.normalized,
+        "trials_per_s": n / trials.seconds,
+        "trials_per_s_normalized": n / trials.normalized,
+        "sweep_s": sweep.seconds,
+        "sweep_s_normalized": sweep.normalized,
+        "sweep_trials_per_s": n / sweep.seconds,
+        "sweep_trials_per_s_normalized": n / sweep.normalized,
         "host_slowness": cal.median_slowness(),
         "estimators": list(cfg.estimators),
         "numpy": np.__version__,
-        "nmse": nmse,
+        "nmse": [{name: value.hex() for name, value in result.items()} for result in results],
+        "sweep_rows": [[row.estimator, row.snr_db, row.nmse_db.hex(), row.stderr_db.hex()] for row in rows],
     }, sys.stdout)
 
 
-def run_side(src: str, config: str) -> dict:
+def run_side(src: str, config: str, trials_per_snr: int) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "CDCE_BASE_SEED"}
     env.update({var: "1" for var in BLAS_VARS})
     env["PYTHONPATH"] = src
-    cmd = [sys.executable, os.path.abspath(__file__), "--worker", src, config]
+    cmd = [sys.executable, os.path.abspath(__file__), "--worker", src, config, str(trials_per_snr)]
     out = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, check=False)
     if out.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} exited {out.returncode}:\n{out.stderr}")
@@ -133,7 +160,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--base", help="git revision to compare the working tree against")
     p.add_argument("--tag", help="writes BENCH_<tag>.json at the repo root")
-    p.add_argument("--worker", nargs=2, metavar=("SRC", "CONFIG"), help=argparse.SUPPRESS)
+    p.add_argument("--worker", nargs=3, metavar=("SRC", "CONFIG", "TRIALS"), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker:
         worker(*args.worker)
@@ -152,20 +179,19 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "blas_threads": 1,
         "base_seed": BASE_SEED,
-        "trials_per_snr": TRIALS_PER_SNR,
         "rounds": ROUNDS,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"base": extract_src(base_rev, tmp), "head": head_src}
-        for name in WORKLOADS:
-            config = os.path.join(ROOT, WORKLOADS[name])
+        for name, (config_rel, per_snr) in WORKLOADS.items():
+            config = os.path.join(ROOT, config_rel)
             runs = {"base": [], "head": []}
             reference = None
             for r in range(ROUNDS):
                 order = ("base", "head") if r % 2 == 0 else ("head", "base")
                 for side in order:
-                    run = run_side(sides[side], config)
+                    run = run_side(sides[side], config, per_snr)
                     report.setdefault("numpy", run["numpy"])
                     if reference is None:
                         reference = run
@@ -173,29 +199,44 @@ def main(argv=None) -> int:
                         diff = next(i for i, (a, b) in enumerate(zip(run["nmse"], reference["nmse"])) if a != b)
                         raise SystemExit(f"error: {name}: {side} round {r} trial {diff} NMSE "
                                          f"{run['nmse'][diff]} differs from {reference['nmse'][diff]}")
-                    runs[side].append({key: value for key, value in run.items() if key not in ("nmse", "numpy")})
+                    elif run["sweep_rows"] != reference["sweep_rows"]:
+                        diff = next(a for a, b in zip(run["sweep_rows"], reference["sweep_rows"]) if a != b)
+                        raise SystemExit(f"error: {name}: {side} round {r} sweep row {diff} differs "
+                                         f"from the first run's")
+                    runs[side].append({key: value for key, value in run.items()
+                                       if key not in ("nmse", "sweep_rows", "numpy")})
                 base, head = runs["base"][-1], runs["head"][-1]
                 print(f"{name} round {r} (normalized): set-up base {base['setup_s_normalized']:.4f} s, "
-                      f"head {head['setup_s_normalized']:.4f} s; base {base['trials_per_s_normalized']:.1f}, "
-                      f"head {head['trials_per_s_normalized']:.1f} trials/s", file=sys.stderr)
+                      f"head {head['setup_s_normalized']:.4f} s; run_trial base "
+                      f"{base['trials_per_s_normalized']:.1f}, head {head['trials_per_s_normalized']:.1f} "
+                      f"trials/s; sweep base {base['sweep_trials_per_s_normalized']:.1f}, "
+                      f"head {head['sweep_trials_per_s_normalized']:.1f} trials/s", file=sys.stderr)
 
             def figures(key):
                 return [summary([run[key] for run in runs[side]]) for side in ("base", "head")]
 
             rate_base, rate_head = figures("trials_per_s_normalized")
+            sweep_base, sweep_head = figures("sweep_trials_per_s_normalized")
             setup_base, setup_head = figures("setup_s_normalized")
             pairs = list(zip(runs["base"], runs["head"]))
             report["workloads"][name] = {
-                "config": WORKLOADS[name],
+                "config": config_rel,
+                "trials_per_snr": per_snr,
                 "estimators": reference["estimators"],
                 "trials": reference["trials"],
                 "nmse_identical": True,
+                "sweep_rows_identical": True,
+                "sweep_rows": reference["sweep_rows"],
                 "setup_s": {"base": setup_base, "head": setup_head},
                 "setup_ratio_median": setup_head["median"] / setup_base["median"],
                 "setup_head_wins": sum(h["setup_s_normalized"] < b["setup_s_normalized"] for b, h in pairs),
                 "trials_per_s": {"base": rate_base, "head": rate_head},
                 "speedup_median": rate_head["median"] / rate_base["median"],
                 "head_wins": sum(h["trials_per_s_normalized"] > b["trials_per_s_normalized"] for b, h in pairs),
+                "sweep_trials_per_s": {"base": sweep_base, "head": sweep_head},
+                "sweep_speedup_median": sweep_head["median"] / sweep_base["median"],
+                "sweep_head_wins": sum(h["sweep_trials_per_s_normalized"] > b["sweep_trials_per_s_normalized"]
+                                       for b, h in pairs),
                 "runs": runs,
             }
     path = os.path.join(ROOT, f"BENCH_{args.tag}.json")

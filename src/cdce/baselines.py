@@ -6,7 +6,9 @@ CDCE and share its dictionary builder and reconstruction."""
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,8 +23,14 @@ __all__ = [
     "CovarianceModel",
     "fit_covariance",
     "fs_lmmse",
+    "full_grid_pairs",
     "tf_lasso",
+    "tf_lasso_solved_ahead",
 ]
+
+# tf_lasso solutions solved ahead by tf_lasso_solved_ahead, keyed by the exact
+# inputs of each problem (_lasso_key); empty outside its block.
+_solved: dict = {}
 
 
 def _interpolate_grid(values: np.ndarray, frame: Frame) -> np.ndarray:
@@ -157,6 +165,21 @@ def fs_lmmse(y_tf: np.ndarray, frame: Frame, cov: CovarianceModel, n0: float) ->
     return reconstruct(cov.mean + cov.factor @ z, cov.pairs, cov.pulse, d)
 
 
+@lru_cache(maxsize=None)
+def full_grid_pairs(d: Dims) -> tuple[tuple[int, int], ...]:
+    """tf_lasso's support: every (delay, signed Doppler) bin of the grid,
+    delay fastest."""
+    return tuple((l, signed_doppler(kc, d.n)) for kc in range(d.n) for l in range(d.m))
+
+
+def _lasso_key(y: np.ndarray, frame: Frame, cfg: LassoConfig, pulse: Pulse) -> tuple:
+    """The exact inputs of a tf_lasso problem: the received vector's bytes,
+    the full-grid dictionary's (dims, pulse, pilot-only frame bytes) and the
+    solver settings."""
+    x = vec(frame.pilot_only_tf)
+    return (frame.dims, pulse, x.dtype.str, x.tobytes(), cfg, y.dtype.str, y.tobytes())
+
+
 def tf_lasso(
     y_tf: np.ndarray,
     frame: Frame,
@@ -164,8 +187,37 @@ def tf_lasso(
     pulse: Pulse = Pulse("ideal"),
 ) -> np.ndarray:
     """Sparse recovery over the full M x N delay-Doppler dictionary, the
-    search region extended to the whole grid in place of coarse detection."""
+    search region extended to the whole grid in place of coarse detection.
+
+    Inside ``tf_lasso_solved_ahead`` a problem solved ahead with exactly
+    these inputs is taken from its store; anything else is solved here."""
     d = frame.dims
-    pairs = tuple((l, signed_doppler(kc, d.n)) for kc in range(d.n) for l in range(d.m))
-    h = solve_lasso(vec(y_tf), cached_dictionary(frame.pilot_only_tf, pairs, pulse, d), cfg)
+    pairs = full_grid_pairs(d)
+    y = vec(y_tf)
+    h = _solved.get(_lasso_key(y, frame, cfg, pulse)) if _solved else None
+    if h is None:
+        h = solve_lasso(y, cached_dictionary(frame.pilot_only_tf, pairs, pulse, d), cfg)
     return reconstruct(h, pairs, pulse, d)
+
+
+@contextlib.contextmanager
+def tf_lasso_solved_ahead(
+    y_tfs: list[np.ndarray],
+    frame: Frame,
+    cfg: LassoConfig,
+    pulse: Pulse,
+):
+    """Solve the tf_lasso problems of the received grids ``y_tfs`` against
+    ``frame``'s pilots in one batched ``solve_lasso`` call, each solution
+    bit-identical to the one tf_lasso would compute. Inside the block,
+    tf_lasso takes a solution when its inputs match exactly; the store is
+    emptied when the block exits, also on an exception."""
+    try:
+        d = frame.dims
+        ys = np.stack([vec(y_tf) for y_tf in y_tfs])
+        dictionary = cached_dictionary(frame.pilot_only_tf, full_grid_pairs(d), pulse, d)
+        for y, h in zip(ys, solve_lasso(ys, dictionary, cfg)):
+            _solved[_lasso_key(y, frame, cfg, pulse)] = h
+        yield
+    finally:
+        _solved.clear()

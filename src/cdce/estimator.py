@@ -262,21 +262,49 @@ def solve_lasso(y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig) -> np.n
     lambda times the step, Nesterov momentum from beta_0 = 1, stopping on the
     relative change of the iterate. Using up ``max_iter`` without meeting
     ``tol`` emits a RuntimeWarning and returns the last iterate. The Gram and
-    the step come with the dictionary; both norms of the stopping rule are
-    numpy's own formula, sqrt(re.re + im.im). The work vectors are allocated
-    once per solve and updated in place with the operands in the order of
-    the plain formula (with fused multiply-add, a complex product is not
-    bitwise commutative), and the iterate change feeds both the momentum and
-    the stopping rule, so every iterate equals the plain loop's.
+    the step come with the dictionary.
+
+    A 1-D ``y`` runs the single-vector loop. A (K, rows) stack of received
+    vectors runs one loop over all K rows and returns a (K, cols) array whose
+    every row is bit-identical to that row's own solve, with one
+    RuntimeWarning per row that uses up ``max_iter``. The shape picks the
+    loop because the row loop, run on a single row, is slower per solve.
     """
-    d = dictionary.matrix
-    gram = dictionary.gram
-    dty = d.conj().T @ y
     norm_sq = dictionary.norm_sq
     if norm_sq <= 0:
         raise ValueError("degenerate dictionary with zero spectral norm")
     eps = 1.0 / norm_sq
     gamma = cfg.lam * eps
+    if np.ndim(y) == 2:
+        h, stalled = _fista_rows(np.asarray(y), dictionary, cfg, eps, gamma)
+    else:
+        h, stalled = _fista_vector(y, dictionary, cfg, eps, gamma)
+    for change in stalled:
+        warnings.warn(
+            f"FISTA did not converge: lam={cfg.lam:g}, max_iter={cfg.max_iter} used up "
+            f"with last relative change {change:.3e} (tol {cfg.tol:g})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return h
+
+
+def _fista_vector(
+    y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig, eps: float, gamma: float
+) -> tuple[np.ndarray, list[float]]:
+    """The FISTA loop on one received vector: the last iterate, and its last
+    relative change if it used up ``max_iter`` (else nothing).
+
+    Both norms of the stopping rule are numpy's own formula,
+    sqrt(re.re + im.im). The work vectors are allocated once per solve and
+    updated in place with the operands in the order of the plain formula
+    (with fused multiply-add, a complex product is not bitwise commutative),
+    and the iterate change feeds both the momentum and the stopping rule, so
+    every iterate equals the plain loop's.
+    """
+    d = dictionary.matrix
+    gram = dictionary.gram
+    dty = d.conj().T @ y
     h = np.zeros(d.shape[1], dtype=complex)
     z = h.copy()
     v = np.empty_like(h)
@@ -301,15 +329,71 @@ def solve_lasso(y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig) -> np.n
         h = h_new
         change = delta / denom if denom > 0 else (0.0 if delta == 0 else math.inf)
         if change < cfg.tol:
+            return h, []
+    return h, [change]
+
+
+def _sum_squares(x: np.ndarray) -> np.ndarray:
+    """x[k] . x[k] for each row of a 2-D float view: the matmul of a
+    (K, 1, P) by a (K, P, 1) stack calls, per row, the ddot of 1-D ``.dot``."""
+    return np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
+
+
+def _fista_rows(
+    y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig, eps: float, gamma: float
+) -> tuple[np.ndarray, list[float]]:
+    """``_fista_vector`` on every row of y at once: the last iterates, and
+    the last relative change of each row that used up ``max_iter``.
+
+    Each numpy call of the single-vector loop becomes one call over the live
+    rows that runs the same kernel per row: the matrix-vector products are
+    matmuls of stacked (P, 1) columns, one gemv per row; the element-wise
+    steps act entry by entry; the norms are per-row ddots. Every live row is
+    at the same iteration, so beta is shared. A row that meets ``tol`` is
+    stored and leaves the live rows, so each stops at its own iteration. An
+    iterate's norm is computed once, as it is made, and serves as the next
+    iteration's denominator.
+    """
+    d = dictionary.matrix
+    gram = dictionary.gram
+    dty = np.matmul(d.conj().T, y[:, :, None])[:, :, 0]
+    out = np.empty(dty.shape, dtype=complex)
+    live = np.arange(len(y))
+    h = np.zeros(dty.shape, dtype=complex)
+    z = h.copy()
+    v = np.empty_like(h)
+    moved = np.empty_like(h)
+    denom = np.zeros(len(y))
+    change = np.full(len(y), math.inf)
+    beta = 1.0
+    for _ in range(cfg.max_iter):
+        # v = z + eps * (dty - gram @ z)
+        np.matmul(gram, z[:, :, None], out=v[:, :, None])
+        np.subtract(dty, v, out=v)
+        np.multiply(eps, v, out=v)
+        np.add(z, v, out=v)
+        h_new = soft_threshold(v, gamma)
+        beta_next = (1.0 + math.sqrt(1.0 + 4.0 * beta * beta)) / 2.0
+        # z = h_new + ((beta - 1) / beta_next) * (h_new - h)
+        np.subtract(h_new, h, out=moved)
+        np.multiply((beta - 1.0) / beta_next, moved, out=z)
+        np.add(h_new, z, out=z)
+        beta = beta_next
+        delta = np.sqrt(_sum_squares(moved.real) + _sum_squares(moved.imag))
+        change = np.divide(delta, denom, out=np.where(delta == 0, 0.0, math.inf), where=denom > 0)
+        h = h_new
+        denom = np.sqrt(_sum_squares(h.real) + _sum_squares(h.imag))
+        done = change < cfg.tol
+        if done.any():
+            out[live[done]] = h[done]
+            keep = ~done
+            live, h, z, dty, denom, change = (a[keep] for a in (live, h, z, dty, denom, change))
+            v = np.empty_like(h)
+            moved = np.empty_like(h)
+        if not live.size:
             break
-    else:
-        warnings.warn(
-            f"FISTA did not converge: lam={cfg.lam:g}, max_iter={cfg.max_iter} used up "
-            f"with last relative change {change:.3e} (tol {cfg.tol:g})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return h
+    out[live] = h
+    return out, change.tolist()
 
 
 def cdce_estimate(

@@ -617,6 +617,110 @@ class TestSolveLasso:
                 assert h[j] == 0.0, f"spurious pair {pair} kept weight {h[j]}"
 
 
+def lasso_rows(seed, k=6, rows=40, cols=12, sparsity=3, noise=0.05):
+    """k noisy received vectors of different sparse gains on one random
+    dictionary, the second of them all zero."""
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    d /= np.linalg.norm(d, axis=0)
+    h = np.zeros((k, cols), dtype=complex)
+    for gains in h:
+        support = rng.choice(cols, size=sparsity, replace=False)
+        gains[support] = rng.standard_normal(sparsity) + 1j * rng.standard_normal(sparsity)
+    y = h @ d.T + noise * (rng.standard_normal((k, rows)) + 1j * rng.standard_normal((k, rows)))
+    y[1] = 0
+    return y, Dictionary(matrix=d, pairs=tuple((j, 0) for j in range(cols)))
+
+
+def counted_iterations(monkeypatch, solve):
+    """The soft_threshold calls, one per FISTA iteration, that solve() makes."""
+    calls = []
+
+    def counting(x, gamma):
+        calls.append(gamma)
+        return soft_threshold(x, gamma)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(estimator, "soft_threshold", counting)
+        solve()
+    return len(calls)
+
+
+class TestSolveLassoRows:
+    # max_iter 45 at lam 0.05 and 70 at lam 0 stop some rows of a batch and
+    # exhaust others
+    @pytest.mark.parametrize(
+        "lam,tol,max_iter",
+        [(0.05, 1e-6, 5000), (0.02, 1e-12, 50000), (0.0, 1e-6, 5000), (0.05, 1e-6, 45), (0.0, 1e-6, 70)],
+    )
+    def test_every_row_matches_fista_oracle(self, monkeypatch, lam, tol, max_iter):
+        cfg = LassoConfig(lam=lam, tol=tol, max_iter=max_iter)
+        mixed = False
+        for seed in range(4):
+            y, d = lasso_rows(seed)
+            refs = [fista_reference(row, d.matrix, lam, tol, max_iter) for row in y]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                iters = [counted_iterations(monkeypatch, lambda: solve_lasso(row, d, cfg)) for row in y]
+                caught.clear()
+                batch = []
+                batch_iters = counted_iterations(monkeypatch, lambda: batch.append(solve_lasso(y, d, cfg)))
+            (h,) = batch
+            assert len(set(iters)) > 2, "rows must stop at different iterations"
+            assert iters[1] == 1  # the zero row
+            assert batch_iters == max(iters)
+            stalled = sum(not converged for _, converged in refs)
+            mixed |= 0 < stalled < len(y)
+            assert [w.category for w in caught] == [RuntimeWarning] * stalled
+            assert all("did not converge" in str(w.message) for w in caught)
+            assert h.shape == (len(y), d.matrix.shape[1])
+            for row, (ref, _) in zip(h, refs):
+                np.testing.assert_array_equal(row, ref)
+        assert mixed == (max_iter < 100)
+
+    def test_change_is_relative_to_the_previous_iterate(self, monkeypatch):
+        # from h = 0 the first change is infinite, so even a tolerance above 1
+        # takes two iterations; over the new iterate it would read 1 and stop
+        y, d = lasso_rows(2)
+        cfg = LassoConfig(lam=0.05, tol=2.0, max_iter=100)
+        batch = []
+        assert counted_iterations(monkeypatch, lambda: batch.append(solve_lasso(y, d, cfg))) == 2
+        for row, h in zip(y, batch[0]):
+            ref, _ = fista_reference(row, d.matrix, cfg.lam, cfg.tol, cfg.max_iter)
+            np.testing.assert_array_equal(h, ref)
+            assert counted_iterations(monkeypatch, lambda: solve_lasso(row, d, cfg)) == (2 if row.any() else 1)
+
+    def test_a_row_does_not_depend_on_its_batch(self):
+        y, d = lasso_rows(5, k=8)
+        cfg = LassoConfig(lam=0.02, tol=1e-9, max_iter=5000)
+        whole = solve_lasso(y, d, cfg)
+        for rows in ([3], [7, 0], [2, 5, 1, 6], list(range(8))[::-1]):
+            part = solve_lasso(y[rows], d, cfg)
+            for j, row in enumerate(rows):
+                assert part[j].tobytes() == whole[row].tobytes()
+        for row in range(len(y)):
+            assert solve_lasso(y[row], d, cfg).tobytes() == whole[row].tobytes()
+
+    def test_rows_match_on_a_lattice_full_grid_frame(self, frame):
+        pairs = tuple((l, signed_doppler(kc, D.n)) for kc in range(D.n) for l in range(D.m))
+        d = build_dictionary(frame.pilot_only_tf, pairs, IDEAL, D)
+        rng = np.random.default_rng(8)
+        y = np.stack([
+            vec(received_tf(frame, sample_channel(STATS, D, rng), n0=n0, rng=rng))
+            for n0 in (1.0, 0.3, 0.1, 0.03, 0.01)
+        ])
+        cfg = LassoConfig()
+        for row, h in zip(y, solve_lasso(y, d, cfg)):
+            ref, converged = fista_reference(row, d.matrix, cfg.lam, cfg.tol, cfg.max_iter)
+            assert converged
+            np.testing.assert_array_equal(h, ref)
+
+    def test_empty_stack_gives_no_rows(self):
+        _, d = lasso_rows(0)
+        h = solve_lasso(np.zeros((0, d.matrix.shape[0]), dtype=complex), d, LassoConfig())
+        assert h.shape == (0, d.matrix.shape[1])
+
+
 class TestCdceEstimate:
     def test_noiseless_single_path_reconstruction(self, frame):
         gain = 0.7 + 0.2j

@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+import cdce.baselines as baselines
+import cdce.estimator as estimator
 import cdce.harness as harness
 from cdce.baselines import st_ls
 from cdce.channel import (
@@ -227,6 +229,119 @@ class TestRunSweep:
         large = run_sweep(make_config(trials=20, snr_grid_db=(10.0,)))[0]
         spread = 3 * (small.stderr_db + large.stderr_db)
         assert abs(small.nmse_db - large.nmse_db) <= max(spread, 0.5)
+
+
+def lasso_sweep_config(data_mode="none", **overrides):
+    """A lattice sweep with tf_lasso over two SNR points."""
+    params = dict(
+        frame=FrameSpec(dims=D, data_mode=data_mode),
+        snr_grid_db=(5.0, 15.0),
+        trials=4,
+        estimators=("cdce", "tf_lasso"),
+    )
+    params.update(overrides)
+    return make_config(**params)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The shape of y in every solve_lasso call that tf_lasso and the sweep make."""
+    shapes = []
+    solve_lasso = baselines.solve_lasso
+
+    def recording(y, dictionary, lasso):
+        shapes.append(np.shape(y))
+        return solve_lasso(y, dictionary, lasso)
+
+    monkeypatch.setattr(baselines, "solve_lasso", recording)
+    return shapes
+
+
+class TestBatchedLassoSweep:
+    @pytest.mark.parametrize("data_mode", ["none", "qpsk"])
+    def test_rows_are_the_linear_mean_of_run_trial(self, monkeypatch, solves, data_mode):
+        # each SNR point holds two full batches and a partial one
+        monkeypatch.setattr(harness, "LASSO_BATCH", 5)
+        cfg = lasso_sweep_config(data_mode, trials=13)
+        with warnings.catch_warnings(record=True) as swept:
+            warnings.simplefilter("always")
+            rows = run_sweep(cfg)
+        assert solves == [(5, 112), (5, 112), (3, 112)] * len(cfg.snr_grid_db)
+        solves.clear()
+        with warnings.catch_warnings(record=True) as single:
+            warnings.simplefilter("always")
+            ratios = {
+                snr_db: [run_trial(cfg, snr_db, t) for t in range(cfg.trials)]
+                for snr_db in cfg.snr_grid_db
+            }
+        # run_trial outside a sweep solves each problem on its own
+        assert solves == [(112,)] * (cfg.trials * len(cfg.snr_grid_db))
+        assert sorted(str(w.message) for w in swept) == sorted(str(w.message) for w in single)
+        for row in rows:
+            values = np.array([result[row.estimator] for result in ratios[row.snr_db]])
+            mean = float(values.mean())
+            se_lin = float(values.std(ddof=1)) / math.sqrt(cfg.trials)
+            stderr = (10.0 / math.log(10.0)) * se_lin / mean
+            assert row.nmse_db.hex() == harness.ratio_db(mean).hex()
+            assert row.stderr_db.hex() == stderr.hex()
+
+    def test_random_pilot_sweep_solves_trial_by_trial(self, solves):
+        spec = FrameSpec(dims=D, sequence_kind="zadoff_chu", placement="uniform_random")
+        cfg = lasso_sweep_config(frame=spec, trials=3, snr_grid_db=(10.0,))
+        with warnings.catch_warnings():
+            # a full-grid fit on random pilots may use up max_iter; only the calls matter here
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run_sweep(cfg)
+        assert solves == [(112,)] * 3
+
+    def test_store_is_empty_after_the_sweep(self, monkeypatch):
+        seen = []
+        tf_lasso = harness.tf_lasso
+
+        def watching(*args, **kwargs):
+            seen.append(len(baselines._solved))
+            return tf_lasso(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "tf_lasso", watching)
+        run_sweep(lasso_sweep_config(trials=harness.LASSO_BATCH + 1, snr_grid_db=(10.0,),
+                                     estimators=("tf_lasso",)))
+        assert seen == [harness.LASSO_BATCH] * harness.LASSO_BATCH + [1]
+        assert baselines._solved == {}
+
+    def test_store_is_empty_after_a_trial_raises(self, monkeypatch):
+        def failing(*args, **kwargs):
+            assert baselines._solved
+            raise RuntimeError("estimator failed")
+
+        monkeypatch.setattr(harness, "cdce_estimate", failing)
+        with pytest.raises(RuntimeError, match="estimator failed"):
+            run_sweep(lasso_sweep_config(trials=5, snr_grid_db=(10.0,)))
+        assert baselines._solved == {}
+
+    def test_tf_lasso_outside_a_sweep_solves(self, monkeypatch):
+        cfg = lasso_sweep_config(trials=4, snr_grid_db=(10.0,))
+        run_sweep(cfg)
+        calls = []
+        soft_threshold = estimator.soft_threshold
+        monkeypatch.setattr(estimator, "soft_threshold",
+                            lambda x, gamma: calls.append(gamma) or soft_threshold(x, gamma))
+        _, frame, y_tf = harness._received(cfg, 10.0, 0, harness._check_snr(10.0))
+        solved = baselines.tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse)
+        assert len(calls) > 0
+        # the same problem solved ahead gives the same estimate without iterating
+        with baselines.tf_lasso_solved_ahead([y_tf], frame, cfg.lasso, cfg.pulse):
+            calls.clear()
+            taken = baselines.tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse)
+            assert calls == []
+            # any other input misses the store and is solved
+            baselines.tf_lasso(y_tf, frame, LassoConfig(lam=0.02), cfg.pulse)
+            assert len(calls) > 0
+        assert taken.tobytes() == solved.tobytes()
+
+    def test_full_grid_pairs_are_built_once_per_dims(self):
+        pairs = baselines.full_grid_pairs(D)
+        assert baselines.full_grid_pairs(Dims(8, 14, 2)) is pairs
+        assert len(pairs) == len(set(pairs)) == D.grid_size
 
 
 class TestEmit:
