@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Time tf_lasso's two FISTA loops per solve on one lattice frame.
+
+    python3 scripts/time_fista_loops.py --config configs/pilot_only.yaml --snr 10
+
+Simulates the received vectors of trials 0 .. SOLVES-1 at one SNR point with
+the config's keyed transmit chain, then solves their tf_lasso problems in
+alternating rounds, three ways: one by one with a 1-D vector (the
+single-vector loop), one by one as a (1, MN) stack (the row loop on one row),
+and in chunks of harness.LASSO_BATCH rows (the row loop as run_sweep runs
+it). Every way must give the same bytes. Prints, per way, the median and
+quartiles over the rounds of the milliseconds per solve. BLAS runs on one
+thread unless the environment sets otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import time
+
+# before numpy loads BLAS
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
+import numpy as np
+
+from cdce import harness
+from cdce.baselines import tf_lasso_gains
+from cdce.config import load_config
+from cdce.grids import vec
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--config", default="configs/pilot_only.yaml")
+    p.add_argument("--snr", type=float, default=10.0, help="SNR point in dB")
+    p.add_argument("--solves", type=int, default=64, help="received vectors, trials 0 .. SOLVES-1")
+    p.add_argument("--rounds", type=int, default=15)
+    args = p.parse_args(argv)
+
+    cfg = load_config(args.config)
+    if cfg.frame.placement != "lattice":
+        p.error("the loops share one dictionary only on a lattice frame")
+    n0 = harness._check_snr(args.snr)
+    received = [harness._received(cfg, args.snr, t, n0)[1:] for t in range(args.solves)]
+    frame = received[0][0]
+    ys = np.stack([vec(y_tf) for _, y_tf in received])
+    batch = harness.LASSO_BATCH
+
+    def solve(y):
+        return tf_lasso_gains(y, frame, cfg.lasso, cfg.pulse)
+
+    ways = {
+        "single-vector loop": lambda: np.stack([solve(y) for y in ys]),
+        "row loop, one row": lambda: np.concatenate([solve(ys[i:i + 1]) for i in range(len(ys))]),
+        f"row loop, {batch} rows": lambda: np.concatenate(
+            [solve(ys[i:i + batch]) for i in range(0, len(ys), batch)]
+        ),
+    }
+    want = ways["single-vector loop"]().tobytes()  # also fills the dictionary cache
+    ms = {name: [] for name in ways}
+    for r in range(args.rounds):
+        for name in list(ways) if r % 2 == 0 else list(reversed(ways)):
+            start = time.perf_counter()
+            gains = ways[name]()
+            ms[name].append((time.perf_counter() - start) * 1e3 / len(ys))
+            if gains.tobytes() != want:
+                raise SystemExit(f"error: the {name} gave other gains than the single-vector loop")
+    print(f"{args.config}, {args.snr:g} dB, {len(ys)} solves, {args.rounds} alternating rounds")
+    for name, values in ms.items():
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        print(f"  {name:22s} {med:7.3f} ms per solve  [quartiles {q1:.3f} - {q3:.3f}]")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -6,7 +6,6 @@ CDCE and share its dictionary builder and reconstruction."""
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -24,13 +23,9 @@ __all__ = [
     "fit_covariance",
     "fs_lmmse",
     "full_grid_pairs",
+    "tf_lasso_gains",
     "tf_lasso",
-    "tf_lasso_solved_ahead",
 ]
-
-# tf_lasso solutions solved ahead by tf_lasso_solved_ahead, keyed by the exact
-# inputs of each problem (_lasso_key); empty outside its block.
-_solved: dict = {}
 
 
 def _interpolate_grid(values: np.ndarray, frame: Frame) -> np.ndarray:
@@ -172,12 +167,18 @@ def full_grid_pairs(d: Dims) -> tuple[tuple[int, int], ...]:
     return tuple((l, signed_doppler(kc, d.n)) for kc in range(d.n) for l in range(d.m))
 
 
-def _lasso_key(y: np.ndarray, frame: Frame, cfg: LassoConfig, pulse: Pulse) -> tuple:
-    """The exact inputs of a tf_lasso problem: the received vector's bytes,
-    the full-grid dictionary's (dims, pulse, pilot-only frame bytes) and the
-    solver settings."""
-    x = vec(frame.pilot_only_tf)
-    return (frame.dims, pulse, x.dtype.str, x.tobytes(), cfg, y.dtype.str, y.tobytes())
+def tf_lasso_gains(
+    y: np.ndarray,
+    frame: Frame,
+    cfg: LassoConfig = LassoConfig(),
+    pulse: Pulse = Pulse("ideal"),
+) -> np.ndarray:
+    """tf_lasso's path gains on ``full_grid_pairs``: ``solve_lasso`` of the
+    received vector y against ``frame``'s full-grid dictionary. A (K, MN)
+    stack of received vectors on one frame is solved in one batched loop and
+    gives a (K, MN) array, each row bit-identical to that vector's own solve."""
+    d = frame.dims
+    return solve_lasso(y, cached_dictionary(frame.pilot_only_tf, full_grid_pairs(d), pulse, d), cfg)
 
 
 def tf_lasso(
@@ -185,39 +186,13 @@ def tf_lasso(
     frame: Frame,
     cfg: LassoConfig = LassoConfig(),
     pulse: Pulse = Pulse("ideal"),
+    gains: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sparse recovery over the full M x N delay-Doppler dictionary, the
     search region extended to the whole grid in place of coarse detection.
 
-    Inside ``tf_lasso_solved_ahead`` a problem solved ahead with exactly
-    these inputs is taken from its store; anything else is solved here."""
-    d = frame.dims
-    pairs = full_grid_pairs(d)
-    y = vec(y_tf)
-    h = _solved.get(_lasso_key(y, frame, cfg, pulse)) if _solved else None
-    if h is None:
-        h = solve_lasso(y, cached_dictionary(frame.pilot_only_tf, pairs, pulse, d), cfg)
-    return reconstruct(h, pairs, pulse, d)
-
-
-@contextlib.contextmanager
-def tf_lasso_solved_ahead(
-    y_tfs: list[np.ndarray],
-    frame: Frame,
-    cfg: LassoConfig,
-    pulse: Pulse,
-):
-    """Solve the tf_lasso problems of the received grids ``y_tfs`` against
-    ``frame``'s pilots in one batched ``solve_lasso`` call, each solution
-    bit-identical to the one tf_lasso would compute. Inside the block,
-    tf_lasso takes a solution when its inputs match exactly; the store is
-    emptied when the block exits, also on an exception."""
-    try:
-        d = frame.dims
-        ys = np.stack([vec(y_tf) for y_tf in y_tfs])
-        dictionary = cached_dictionary(frame.pilot_only_tf, full_grid_pairs(d), pulse, d)
-        for y, h in zip(ys, solve_lasso(ys, dictionary, cfg)):
-            _solved[_lasso_key(y, frame, cfg, pulse)] = h
-        yield
-    finally:
-        _solved.clear()
+    ``gains``, when given, are this problem's ``tf_lasso_gains``, solved by
+    the caller; only the reconstruction runs then."""
+    if gains is None:
+        gains = tf_lasso_gains(vec(y_tf), frame, cfg, pulse)
+    return reconstruct(gains, full_grid_pairs(frame.dims), pulse, frame.dims)

@@ -165,10 +165,11 @@ def build_dictionary(
     if not pairs:
         raise ValueError("cannot build a dictionary from an empty set of pairs")
     pairs = tuple(pairs)
-    bands = np.stack(unit_path_atoms(d, pulse, pairs))
     symbols = vec(pilot_only_tf).reshape(d.n, d.m, 1)
-    columns = np.matmul(bands[:, 0], symbols)
-    columns[:, 1:] += np.matmul(bands[:, 1, 1:], symbols[:-1])
+    columns = np.empty((len(pairs), d.n, d.m, 1), dtype=complex)
+    for column, atom in zip(columns, unit_path_atoms(d, pulse, pairs)):
+        np.matmul(atom[0], symbols, out=column)
+        column[1:] += np.matmul(atom[1, 1:], symbols[:-1])
     matrix = np.ascontiguousarray(columns.reshape(len(pairs), d.grid_size).T)
     matrix.setflags(write=False)
     return Dictionary(matrix=matrix, pairs=pairs)

@@ -8,7 +8,6 @@ across trials and converted to dB at the end.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import math
@@ -25,11 +24,11 @@ from .baselines import (
     st_lmmse,
     st_ls,
     tf_lasso,
-    tf_lasso_solved_ahead,
+    tf_lasso_gains,
 )
 from .channel import ChannelStats, Pulse, effective_tf_channel, sample_channel, time_channel_matrix, apply_channel
 from .estimator import LassoConfig, cdce_estimate
-from .grids import Dims, remove_cp, tf_to_time, time_to_tf
+from .grids import Dims, remove_cp, tf_to_time, time_to_tf, vec
 from .pilots import FrameSpec, assemble_frame
 
 __all__ = [
@@ -52,8 +51,7 @@ _COV_SEED_TAG = 0x636F76
 # Trials per batched tf_lasso solve in run_sweep. Per solve on the 8 x 14
 # lattice dictionary, the batched loop ran 2.5x as fast as one-by-one solves
 # at 16 rows, 3.2x at 32 and 3.9x at 64 (one BLAS thread, x86-64). A chunk
-# holds only its received grids, their solutions and store keys: a few KiB
-# per trial.
+# holds only its received vectors and their solutions: a few KiB per trial.
 LASSO_BATCH = 32
 
 # The largest noise variance simulated: noise of this variance squares to at
@@ -194,9 +192,13 @@ def run_trial(
     snr_db: float,
     trial_index: int,
     cov: CovarianceModel | None = None,
+    lasso_gains: np.ndarray | None = None,
 ) -> dict[str, float]:
     """One paired trial: returns the linear NMSE of every configured
-    estimator against the same received frame."""
+    estimator against the same received frame.
+
+    ``lasso_gains``, when given, must be this trial's ``tf_lasso_gains``;
+    tf_lasso then reconstructs them instead of solving."""
     if trial_index < 0:
         raise ValueError(f"trial_index must be non-negative, got {trial_index}")
     n0 = _check_snr(snr_db)
@@ -224,21 +226,22 @@ def run_trial(
             else:
                 h_hat = st_lmmse(st_ls_hat, math.inf if n0 == 0 else 1.0 / n0)
         else:
-            h_hat = tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse)
+            h_hat = tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse, gains=lasso_gains)
         out[name] = float(np.sum(np.abs(h_hat - h_true) ** 2)) / denom
         del h_hat  # free the MN x MN estimate before the next estimator runs
     return out
 
 
-def _solved_ahead(cfg: SimConfig, snr_db: float, trials: range):
-    """tf_lasso_solved_ahead over the received grids of ``trials``, against
-    the first trial's frame: on a lattice every frame has the same pilots."""
+def _solved_ahead(cfg: SimConfig, snr_db: float, trials: range) -> np.ndarray:
+    """The tf_lasso gains of ``trials``, row i for trials[i], from one
+    batched solve of their received vectors against the last trial's frame:
+    on a lattice every trial's frame has the same pilot-only grid."""
     n0 = _check_snr(snr_db)
-    y_tfs = []
+    ys = []
     for t in trials:
         _, frame, y_tf = _received(cfg, snr_db, t, n0)
-        y_tfs.append(y_tf)
-    return tf_lasso_solved_ahead(y_tfs, frame, cfg.lasso, cfg.pulse)
+        ys.append(vec(y_tf))
+    return tf_lasso_gains(np.stack(ys), frame, cfg.lasso, cfg.pulse)
 
 
 def run_sweep(cfg: SimConfig, cov: CovarianceModel | None = None) -> list[ResultRow]:
@@ -249,10 +252,11 @@ def run_sweep(cfg: SimConfig, cov: CovarianceModel | None = None) -> list[Result
 
     On a pilot lattice every trial's tf_lasso problem shares one dictionary,
     so each SNR point is cut into chunks of LASSO_BATCH trials: the chunk's
-    received grids are simulated ahead (the chain runs twice per trial) and
-    their tf_lasso problems solved in one batched call, which run_trial's
-    tf_lasso then finds (``tf_lasso_solved_ahead``). Every row equals, bit for
-    bit, the one a trial-by-trial sweep gives.
+    received grids are simulated ahead and their tf_lasso problems solved in
+    one batched call, and each trial's row of gains is passed to run_trial.
+    run_trial still runs the trial's whole transmit chain, so the chain runs
+    twice per trial. Every row equals, bit for bit, the one a trial-by-trial
+    sweep gives.
     """
     if cov is None and "fs_lmmse" in cfg.estimators:
         cov = fit_config_covariance(cfg)
@@ -263,11 +267,11 @@ def run_sweep(cfg: SimConfig, cov: CovarianceModel | None = None) -> list[Result
         ratios = {name: np.empty(cfg.trials) for name in cfg.estimators}
         for start in range(0, cfg.trials, chunk):
             trials = range(start, min(start + chunk, cfg.trials))
-            with _solved_ahead(cfg, snr_db, trials) if batched else contextlib.nullcontext():
-                for t in trials:
-                    result = run_trial(cfg, snr_db, t, cov=cov)
-                    for name, value in result.items():
-                        ratios[name][t] = value
+            gains = _solved_ahead(cfg, snr_db, trials) if batched else [None] * len(trials)
+            for t, h in zip(trials, gains):
+                result = run_trial(cfg, snr_db, t, cov=cov, lasso_gains=h)
+                for name, value in result.items():
+                    ratios[name][t] = value
         for name in cfg.estimators:
             samples = ratios[name]
             mean_lin = float(samples.mean())

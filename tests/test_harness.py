@@ -18,8 +18,7 @@ from cdce.channel import (
     sample_channel,
     time_channel_matrix,
 )
-from cdce.estimator import LassoConfig
-from cdce.grids import Dims, remove_cp, tf_to_time, time_to_tf
+from cdce.grids import Dims, remove_cp, tf_to_time, time_to_tf, vec
 from cdce.harness import (
     ESTIMATOR_NAMES,
     MIN_SNR_DB,
@@ -257,6 +256,16 @@ def solves(monkeypatch):
     return shapes
 
 
+@pytest.fixture
+def soft_thresholds(monkeypatch):
+    """The threshold of every soft_threshold call, one per FISTA iteration."""
+    calls = []
+    soft_threshold = estimator.soft_threshold
+    monkeypatch.setattr(estimator, "soft_threshold",
+                        lambda x, gamma: calls.append(gamma) or soft_threshold(x, gamma))
+    return calls
+
+
 class TestBatchedLassoSweep:
     @pytest.mark.parametrize("data_mode", ["none", "qpsk"])
     def test_rows_are_the_linear_mean_of_run_trial(self, monkeypatch, solves, data_mode):
@@ -294,49 +303,48 @@ class TestBatchedLassoSweep:
             run_sweep(cfg)
         assert solves == [(112,)] * 3
 
-    def test_store_is_empty_after_the_sweep(self, monkeypatch):
-        seen = []
-        tf_lasso = harness.tf_lasso
+    @pytest.mark.parametrize("data_mode", ["none", "qpsk"])
+    def test_run_trial_given_its_gains_only_reconstructs(self, soft_thresholds, data_mode):
+        cfg = lasso_sweep_config(data_mode, estimators=("cdce", "st_ls", "tf_lasso"))
+        for snr_db in cfg.snr_grid_db:
+            for t in range(cfg.trials):
+                _, frame, y_tf = harness._received(cfg, snr_db, t, harness._check_snr(snr_db))
+                gains = baselines.tf_lasso_gains(vec(y_tf), frame, cfg.lasso, cfg.pulse)
+                soft_thresholds.clear()
+                solved = run_trial(cfg, snr_db, t)
+                assert len(soft_thresholds) > 0
+                soft_thresholds.clear()
+                given = run_trial(cfg, snr_db, t, lasso_gains=gains)
+                assert soft_thresholds == []
+                assert {k: v.hex() for k, v in given.items()} == {k: v.hex() for k, v in solved.items()}
 
-        def watching(*args, **kwargs):
-            seen.append(len(baselines._solved))
-            return tf_lasso(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "tf_lasso", watching)
-        run_sweep(lasso_sweep_config(trials=harness.LASSO_BATCH + 1, snr_grid_db=(10.0,),
-                                     estimators=("tf_lasso",)))
-        assert seen == [harness.LASSO_BATCH] * harness.LASSO_BATCH + [1]
-        assert baselines._solved == {}
-
-    def test_store_is_empty_after_a_trial_raises(self, monkeypatch):
-        def failing(*args, **kwargs):
-            assert baselines._solved
-            raise RuntimeError("estimator failed")
-
-        monkeypatch.setattr(harness, "cdce_estimate", failing)
-        with pytest.raises(RuntimeError, match="estimator failed"):
-            run_sweep(lasso_sweep_config(trials=5, snr_grid_db=(10.0,)))
-        assert baselines._solved == {}
-
-    def test_tf_lasso_outside_a_sweep_solves(self, monkeypatch):
-        cfg = lasso_sweep_config(trials=4, snr_grid_db=(10.0,))
-        run_sweep(cfg)
-        calls = []
-        soft_threshold = estimator.soft_threshold
-        monkeypatch.setattr(estimator, "soft_threshold",
-                            lambda x, gamma: calls.append(gamma) or soft_threshold(x, gamma))
+    def test_tf_lasso_without_gains_solves(self, soft_thresholds):
+        cfg = lasso_sweep_config(trials=1, snr_grid_db=(10.0,))
         _, frame, y_tf = harness._received(cfg, 10.0, 0, harness._check_snr(10.0))
         solved = baselines.tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse)
-        assert len(calls) > 0
-        # the same problem solved ahead gives the same estimate without iterating
-        with baselines.tf_lasso_solved_ahead([y_tf], frame, cfg.lasso, cfg.pulse):
-            calls.clear()
-            taken = baselines.tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse)
-            assert calls == []
-            # any other input misses the store and is solved
-            baselines.tf_lasso(y_tf, frame, LassoConfig(lam=0.02), cfg.pulse)
-            assert len(calls) > 0
-        assert taken.tobytes() == solved.tobytes()
+        assert len(soft_thresholds) > 0
+        gains = baselines.tf_lasso_gains(vec(y_tf), frame, cfg.lasso, cfg.pulse)
+        soft_thresholds.clear()
+        given = baselines.tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse, gains=gains)
+        assert soft_thresholds == []
+        assert given.tobytes() == solved.tobytes()
+
+    @pytest.mark.parametrize("data_mode", ["none", "qpsk"])
+    @pytest.mark.parametrize("sequence_kind", ["all_ones", "walsh", "zadoff_chu"])
+    def test_lattice_trials_share_one_pilot_only_grid(self, sequence_kind, data_mode):
+        # a sweep chunk's tf_lasso problems are all solved against one trial's
+        # frame; 16 symbols give the lattice the 64 pilots a Walsh row needs
+        d = Dims(8, 16, 2)
+        spec = FrameSpec(dims=d, sequence_kind=sequence_kind, data_mode=data_mode)
+        cfg = lasso_sweep_config(dims=d, frame=spec)
+        frames = [
+            assemble_frame(spec, harness._trial_rngs(cfg, snr_db, t)[1])
+            for snr_db in cfg.snr_grid_db
+            for t in range(2 * harness.LASSO_BATCH + 1)
+        ]
+        assert len({frame.pilot_only_tf.tobytes() for frame in frames}) == 1
+        if data_mode == "qpsk":
+            assert len({frame.tf.tobytes() for frame in frames}) == len(frames)
 
     def test_full_grid_pairs_are_built_once_per_dims(self):
         pairs = baselines.full_grid_pairs(D)
