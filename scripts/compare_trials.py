@@ -3,6 +3,7 @@
 trial throughput of the working tree's cdce against another git revision's.
 
     python3 scripts/compare_trials.py --base HEAD~1 --tag frame_cache
+    python3 scripts/compare_trials.py --base HEAD~1 --tag band_trial --drift
 
 The revision's src/ is extracted with `git archive` into a temporary
 directory. For each workload config, each of ROUNDS rounds runs one process
@@ -25,6 +26,13 @@ seconds, trials per second of the `run_trial` calls and of the sweep
 (median and quartiles over the rounds, with the median speed-up and the
 rounds the working tree won), every run's raw and normalized figures, the
 git revisions, and the numpy and Python versions.
+
+With --drift the sides may differ, for a change that reorders a sum on
+purpose. Each side must still repeat itself bit for bit across rounds, and
+its sweep rows must still be the linear mean of its own trials. The report
+then gives, per workload and estimator, how many trials, sweep-row
+nmse_db values and stderr_db values moved between the sides and the largest
+|change| in dB of each, and the script exits 0.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -151,6 +160,38 @@ def extract_src(rev: str, dest: str) -> str:
     return os.path.join(dest, "src")
 
 
+def db(ratio: float) -> float:
+    return -200.0 if ratio == 0 else max(10.0 * math.log10(ratio), -200.0)
+
+
+def drift(base: dict, head: dict) -> dict:
+    """Per estimator: the trials and the sweep rows whose NMSE differs
+    between the two sides' runs and the largest |change| in dB, and the same
+    for the rows' standard errors."""
+    if base["estimators"] != head["estimators"] or len(base["nmse"]) != len(head["nmse"]):
+        raise SystemExit("error: the sides ran different estimators or trials")
+    out = {}
+    for name in head["estimators"]:
+        moved = [abs(db(float.fromhex(h[name])) - db(float.fromhex(b[name])))
+                 for b, h in zip(base["nmse"], head["nmse"]) if b[name] != h[name]]
+        rows = [(b, h) for b, h in zip(base["sweep_rows"], head["sweep_rows"]) if b[0] == name]
+        if any(b[:2] != h[:2] for b, h in rows):
+            raise SystemExit(f"error: the sides' sweep rows of {name} are not the same points")
+        row_moves = [abs(float.fromhex(h[2]) - float.fromhex(b[2])) for b, h in rows if b[2] != h[2]]
+        se_moves = [abs(float.fromhex(h[3]) - float.fromhex(b[3])) for b, h in rows if b[3] != h[3]]
+        out[name] = {
+            "trials": len(head["nmse"]),
+            "trials_moved": len(moved),
+            "trial_max_abs_delta_db": max(moved, default=0.0),
+            "sweep_rows": len(rows),
+            "sweep_rows_moved": len(row_moves),
+            "sweep_row_max_abs_delta_db": max(row_moves, default=0.0),
+            "stderr_moved": len(se_moves),
+            "stderr_max_abs_delta_db": max(se_moves, default=0.0),
+        }
+    return out
+
+
 def summary(values: list[float]) -> dict:
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3}
@@ -160,6 +201,9 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--base", help="git revision to compare the working tree against")
     p.add_argument("--tag", help="writes BENCH_<tag>.json at the repo root")
+    p.add_argument("--drift", action="store_true",
+                   help="report how far each estimator's NMSE moved between the sides instead of "
+                        "requiring them to be bit-identical")
     p.add_argument("--worker", nargs=3, metavar=("SRC", "CONFIG", "TRIALS"), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker:
@@ -180,6 +224,7 @@ def main(argv=None) -> int:
         "blas_threads": 1,
         "base_seed": BASE_SEED,
         "rounds": ROUNDS,
+        "drift_mode": args.drift,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
@@ -187,15 +232,15 @@ def main(argv=None) -> int:
         for name, (config_rel, per_snr) in WORKLOADS.items():
             config = os.path.join(ROOT, config_rel)
             runs = {"base": [], "head": []}
-            reference = None
+            # in drift mode each side is checked against its own first run
+            references = {}
             for r in range(ROUNDS):
                 order = ("base", "head") if r % 2 == 0 else ("head", "base")
                 for side in order:
                     run = run_side(sides[side], config, per_snr)
                     report.setdefault("numpy", run["numpy"])
-                    if reference is None:
-                        reference = run
-                    elif run["nmse"] != reference["nmse"]:
+                    reference = references.setdefault(side if args.drift else "both", run)
+                    if run["nmse"] != reference["nmse"]:
                         diff = next(i for i, (a, b) in enumerate(zip(run["nmse"], reference["nmse"])) if a != b)
                         raise SystemExit(f"error: {name}: {side} round {r} trial {diff} NMSE "
                                          f"{run['nmse'][diff]} differs from {reference['nmse'][diff]}")
@@ -219,14 +264,17 @@ def main(argv=None) -> int:
             sweep_base, sweep_head = figures("sweep_trials_per_s_normalized")
             setup_base, setup_head = figures("setup_s_normalized")
             pairs = list(zip(runs["base"], runs["head"]))
+            reference = references.get("head", reference)
+            moved = drift(references["base"], reference) if args.drift else None
             report["workloads"][name] = {
                 "config": config_rel,
                 "trials_per_snr": per_snr,
                 "estimators": reference["estimators"],
                 "trials": reference["trials"],
-                "nmse_identical": True,
-                "sweep_rows_identical": True,
+                "nmse_identical": not moved or not any(m["trials_moved"] for m in moved.values()),
+                "sweep_rows_identical": not moved or not any(m["sweep_rows_moved"] for m in moved.values()),
                 "sweep_rows": reference["sweep_rows"],
+                **({"drift": moved, "base_sweep_rows": references["base"]["sweep_rows"]} if moved else {}),
                 "setup_s": {"base": setup_base, "head": setup_head},
                 "setup_ratio_median": setup_head["median"] / setup_base["median"],
                 "setup_head_wins": sum(h["setup_s_normalized"] < b["setup_s_normalized"] for b, h in pairs),
@@ -239,6 +287,13 @@ def main(argv=None) -> int:
                                        for b, h in pairs),
                 "runs": runs,
             }
+            if moved:
+                for est, m in moved.items():
+                    print(f"{name} drift {est}: {m['trials_moved']} of {m['trials']} trials moved, "
+                          f"max {m['trial_max_abs_delta_db']:.3g} dB; {m['sweep_rows_moved']} of "
+                          f"{m['sweep_rows']} sweep rows moved, max {m['sweep_row_max_abs_delta_db']:.3g} dB; "
+                          f"{m['stderr_moved']} standard errors moved, max {m['stderr_max_abs_delta_db']:.3g} dB",
+                          file=sys.stderr)
     path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)

@@ -5,7 +5,7 @@ compares a two-stage delay-Doppler correlation estimator against single-tap
 interpolation, full-size LMMSE, and plain TF-domain sparse recovery.
 """
 
-from .grids import Dims, vec, unvec, dft_matrix, tf_to_dd, dd_to_tf, tf_to_time, time_to_tf, add_cp, remove_cp
+from .grids import Dims, vec, unvec, dft_matrix, tf_to_dd, tf_to_time, time_to_tf, add_cp, remove_cp
 from .channel import (
     Pulse,
     PathParams,

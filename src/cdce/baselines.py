@@ -11,8 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelStats, Pulse, draw_paths
-from .estimator import LassoConfig, cached_dictionary, reconstruct, signed_doppler, solve_lasso
+from .channel import ChannelStats, Pulse, draw_paths, full_grid_pairs
+from .estimator import LassoConfig, cached_dictionary, reconstruct, solve_lasso
 from .grids import Dims, vec
 from .pilots import Frame
 
@@ -28,36 +28,50 @@ __all__ = [
 ]
 
 
-def _interpolate_grid(values: np.ndarray, frame: Frame) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _interp_plans(shape: tuple[int, int], mask_bits: bytes) -> tuple[tuple[np.ndarray, ...], ...]:
+    """np.interp's plans for a pilot mask, along frequency in each symbol and
+    then along time across the pilot symbols: per line and position, the
+    sample lo at or before it and hi after it, the distance from lo, the
+    spacing, and whether the position lies strictly between two samples (else
+    np.interp returns lo, a hit or the nearest end). Lines without samples
+    are never read."""
+    mask = np.frombuffer(mask_bits, dtype=bool).reshape(shape)
+    plans = []
+    for has in (mask.T, mask.any(axis=0)[None]):
+        pos = np.arange(has.shape[1])
+        prev = np.maximum.accumulate(np.where(has, pos, -1), axis=1)
+        ahead = np.minimum.accumulate(np.where(has, pos, pos.size)[:, ::-1], axis=1)[:, ::-1]
+        inner = ~has & (prev >= 0) & (ahead < pos.size)
+        lo = np.minimum(np.where(prev >= 0, prev, ahead), pos.size - 1)
+        hi = np.where(inner, ahead, lo)
+        plans.append((lo, hi, (pos - lo)[..., None], np.where(inner, hi - lo, 1)[..., None], inner[..., None]))
+        for part in plans[-1]:
+            part.setflags(write=False)
+    return tuple(plans)
+
+
+def _interpolate_grid(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Fill a full M x N grid from samples on the pilot mask, interpolating
     along frequency first and then along time, linearly with constant end
-    extension, real and imaginary parts separately."""
-    d = frame.dims
-    mask = frame.pilot_mask
-    grid = np.zeros((d.m, d.n), dtype=complex)
-    pilot_cols = [n for n in range(d.n) if mask[:, n].any()]
-    for n in pilot_cols:
-        rows = np.flatnonzero(mask[:, n])
-        col = values[rows, n]
-        all_rows = np.arange(d.m)
-        grid[:, n] = (
-            np.interp(all_rows, rows, col.real)
-            + 1j * np.interp(all_rows, rows, col.imag)
-        )
-    all_cols = np.arange(d.n)
-    pc = np.asarray(pilot_cols)
-    for m in range(d.m):
-        row = grid[m, pc]
-        grid[m, :] = (
-            np.interp(all_cols, pc, row.real)
-            + 1j * np.interp(all_cols, pc, row.imag)
-        )
-    return grid
+    extension, real and imaginary parts separately, all lines at once: every
+    entry is np.interp's slope * (x - xp[j]) + fp[j], slope (fp[j+1] - fp[j])
+    / (xp[j+1] - xp[j])."""
+    m, n = mask.shape
+    grid = np.ascontiguousarray(values, dtype=complex).view(float).reshape(m, n, 2)
+    plans = _interp_plans(mask.shape, np.asarray(mask, dtype=bool).tobytes())
+    for (lo, hi, dx, gap, inner), lines in zip(plans, (np.arange(n)[:, None], np.arange(m)[:, None])):
+        # positions on axis 0, lines on axis 1; the result is transposed
+        a, b = grid[lo, lines], grid[hi, lines]
+        grid = np.where(inner, (b - a) / gap * dx + a, a)
+    return grid.view(complex)[..., 0]
 
 
 def st_ls(y_tf: np.ndarray, frame: Frame) -> np.ndarray:
     """Single-tap least squares: divide by the pilots on the lattice,
-    interpolate bilinearly, return the diagonal TF channel estimate."""
+    interpolate bilinearly, return the diagonal TF channel estimate as its
+    symbol-block bands (see ``reconstruct``), zero off the diagonal."""
+    d = frame.dims
     mask = frame.pilot_mask
     if not mask.any():
         raise ValueError("the frame carries no pilots")
@@ -65,8 +79,9 @@ def st_ls(y_tf: np.ndarray, frame: Frame) -> np.ndarray:
         raise ValueError("a pilot position holds a zero symbol, cannot divide")
     ratios = np.zeros_like(y_tf)
     ratios[mask] = y_tf[mask] / frame.pilot_only_tf[mask]
-    full = _interpolate_grid(ratios, frame)
-    return np.diag(vec(full))
+    bands = np.zeros((2, d.n, d.m, d.m), dtype=complex)
+    bands[0, :, np.arange(d.m), np.arange(d.m)] = _interpolate_grid(ratios, mask)
+    return bands
 
 
 def st_lmmse(st_ls_estimate: np.ndarray, snr: float) -> np.ndarray:
@@ -136,7 +151,7 @@ def fit_covariance(
 
 
 def fs_lmmse(y_tf: np.ndarray, frame: Frame, cov: CovarianceModel, n0: float) -> np.ndarray:
-    """Full-size LMMSE estimate of the effective TF channel matrix.
+    """Full-size LMMSE estimate of the effective TF channel's bands.
 
     With D the pilot-only responses of the region atoms and B = D U, the
     estimate is reconstruct(hbar + U z) with
@@ -158,13 +173,6 @@ def fs_lmmse(y_tf: np.ndarray, frame: Frame, cov: CovarianceModel, n0: float) ->
         bh = b.conj().T
         z = np.linalg.solve(bh @ b + n0 * np.eye(cov.rank), bh @ resid)
     return reconstruct(cov.mean + cov.factor @ z, cov.pairs, cov.pulse, d)
-
-
-@lru_cache(maxsize=None)
-def full_grid_pairs(d: Dims) -> tuple[tuple[int, int], ...]:
-    """tf_lasso's support: every (delay, signed Doppler) bin of the grid,
-    delay fastest."""
-    return tuple((l, signed_doppler(kc, d.n)) for kc in range(d.n) for l in range(d.m))
 
 
 def tf_lasso_gains(

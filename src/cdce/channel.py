@@ -5,7 +5,8 @@ an integer delay of ``delay_int`` samples, and an integer Doppler shift of
 ``doppler_int`` cycles per frame of M*N payload samples. The time-domain
 matrix G acts on the CP-extended transmit vector, and each path adds one tap
 to it. The effective TF matrix H_TF is the unitary DFT / CP sandwich of G and
-is the ground truth that every estimator is scored against.
+is the ground truth that every estimator is scored against, kept, as every
+estimate is, as its two symbol-block bands (see ``unit_path_atoms``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grids import Dims, dft_matrix
+from .grids import Dims, dft_matrix, signed_doppler
 
 __all__ = [
     "Pulse",
@@ -30,6 +31,7 @@ __all__ = [
     "time_channel_matrix",
     "apply_channel",
     "effective_tf_channel",
+    "full_grid_pairs",
     "unit_path_atoms",
     "unit_path_tf_channel",
 ]
@@ -235,13 +237,11 @@ def apply_channel(
     return r
 
 
-_SANDWICH = "ij,ajbk,kl->aibl"
-
-
 @lru_cache(maxsize=None)
 def _sandwich_factors(d: Dims) -> tuple[np.ndarray, np.ndarray, list]:
-    """Per-block factors F_M R_CP and A_CP F_M^H of H_TF, and the contraction
-    path that ``np.einsum(..., optimize=True)`` would search for on every call."""
+    """Per-block factors F_M R_CP and A_CP F_M^H of H_TF, and the dense blockwise
+    sandwich's ``optimize=True`` contraction path: contracting G's bands in
+    that order keeps every entry bit-identical to the dense H_TF's."""
     span = d.m + d.cp_len
     fm = dft_matrix(d.m)
     eye = np.eye(d.m)
@@ -253,24 +253,36 @@ def _sandwich_factors(d: Dims) -> tuple[np.ndarray, np.ndarray, list]:
     b.setflags(write=False)
     # the path depends only on the operand shapes
     blocks = np.empty((d.n, span, d.n, span), dtype=complex)
-    path, _ = np.einsum_path(_SANDWICH, c, blocks, b, optimize=True)
+    path, _ = np.einsum_path("ij,ajbk,kl->aibl", c, blocks, b, optimize=True)
     return c, b, path
 
 
-def effective_tf_channel(g: np.ndarray, d: Dims) -> np.ndarray:
-    """Effective TF channel H_TF = (I_N kron F_M R_CP) G (I_N kron A_CP F_M^H).
+def _band_sandwich(g_bands: np.ndarray, d: Dims, out: np.ndarray | None = None) -> np.ndarray:
+    """TF bands (P, 2, N, M, M) of a stack of G's (P, 2, N, M + cp, M + cp) bands."""
+    c, b, path = _sandwich_factors(d)
+    return np.einsum("ij,pcajk,kl->pcail", c, g_bands, b, optimize=path,
+                     out=np.empty((len(g_bands), 2, d.n, d.m, d.m), dtype=complex) if out is None else out)
 
-    Evaluated blockwise; the MN x MN Kronecker factors are never materialized.
-    """
+
+def effective_tf_channel(g: np.ndarray, d: Dims) -> np.ndarray:
+    """Effective TF channel H_TF = (I_N kron F_M R_CP) G (I_N kron A_CP F_M^H)
+    as its two symbol-block bands, a (2, N, M, M) array laid out as an atom
+    (see ``unit_path_atoms``): G's diagonal and sub-diagonal symbol blocks go
+    through the atoms' own contraction, bit-identical to the dense H_TF's
+    blocks. A G with a tap outside those blocks is rejected."""
     span = d.m + d.cp_len
     if g.shape != (d.frame_len, d.frame_len):
-        raise ValueError(
-            f"channel matrix must be {d.frame_len} x {d.frame_len}, got {g.shape}"
-        )
-    c, b, path = _sandwich_factors(d)
+        raise ValueError(f"channel matrix must be {d.frame_len} x {d.frame_len}, got {g.shape}")
+    g = np.ascontiguousarray(g, dtype=complex)
     blocks = g.reshape(d.n, span, d.n, span)
-    h = np.einsum(_SANDWICH, c, blocks, b, optimize=path)
-    return np.ascontiguousarray(h.reshape(d.grid_size, d.grid_size))
+    n = np.arange(d.n)
+    g_bands = np.zeros((1, 2, d.n, span, span), dtype=complex)
+    g_bands[0, 0] = blocks[n, :, n]
+    g_bands[0, 1, 1:] = blocks[n[1:], :, n[:-1]]
+    # set 64-bit words: a tap outside the bands, even a -0.0, adds one
+    if np.count_nonzero(g_bands.view(np.int64)) != np.count_nonzero(g.view(np.int64)):
+        raise ValueError("G has a tap outside its diagonal and sub-diagonal symbol blocks")
+    return _band_sandwich(g_bands, d)[0]
 
 
 # Atoms built per batch: each batch contracts a (B, 2, N, M + cp_len, M + cp_len)
@@ -278,14 +290,19 @@ def effective_tf_channel(g: np.ndarray, d: Dims) -> np.ndarray:
 # holding all its bands of G at once.
 ATOM_BATCH = 16
 
-_BAND_SANDWICH = "ij,pcajk,kl->pcail"
-
-# Unit-path atoms built so far, by (dims, pulse) and then (delay, doppler),
-# and the lookups that found or missed one, counted as functools.lru_cache
-# counts them.
-_atoms: dict[tuple, dict[tuple[int, int], np.ndarray]] = {}
+# Unit-path atoms by (dims, pulse): the full-grid stack in full_grid_pairs
+# order, each full-grid bin's slot and each built atom by (delay, doppler);
+# and the lookups that found or missed one, as functools.lru_cache counts.
+_atoms: dict[tuple, tuple[np.ndarray, dict, dict]] = {}
 _atom_lookups = {"hits": 0, "misses": 0}
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+@lru_cache(maxsize=None)
+def full_grid_pairs(d: Dims) -> tuple[tuple[int, int], ...]:
+    """Every (delay, signed Doppler) bin of the grid, delay fastest:
+    tf_lasso's support and the order of the atom stack."""
+    return tuple((l, signed_doppler(kc, d.n)) for kc in range(d.n) for l in range(d.m))
 
 
 @lru_cache(maxsize=None)
@@ -302,60 +319,74 @@ def _band_index(d: Dims, delay: int) -> tuple[np.ndarray, ...]:
     return index
 
 
-def _build_atoms(d: Dims, pulse: Pulse, pairs: list[tuple[int, int]]) -> np.ndarray:
+def _build_atoms(d: Dims, pulse: Pulse, pairs, out: np.ndarray | None = None) -> np.ndarray:
     """Bands of the unit-path atoms at ``pairs``, a read-only (P, 2, N, M, M)
-    array. Each path's taps are written into the two symbol-block bands of
-    G, and one einsum contracts only those block pairs with the sandwich
-    factors, in the order of ``effective_tf_channel``'s path: every entry is
-    bit-identical to the dense H_TF's block."""
-    span = d.m + d.cp_len
-    bands = np.empty((len(pairs), 2, d.n, d.m, d.m), dtype=complex)
-    g_bands = np.zeros((len(pairs), 2, d.n, span, span), dtype=complex)
+    array: each path's taps written into the two symbol-block bands of G and
+    contracted as ``effective_tf_channel`` contracts G's bands."""
+    g_bands = np.zeros((len(pairs), 2, d.n, d.m + d.cp_len, d.m + d.cp_len), dtype=complex)
     for p, (delay, doppler) in enumerate(pairs):
         band, block, row, col = _band_index(d, delay)
         g_bands[p, band, block, row, col] = _path_taps(d, pulse, 1.0 + 0.0j, delay, doppler)
-    c, b, path = _sandwich_factors(d)
-    np.einsum(_BAND_SANDWICH, c, g_bands, b, optimize=path, out=bands)
+    bands = _band_sandwich(g_bands, d, out)
     bands.setflags(write=False)
     return bands
 
 
-def unit_path_atoms(d: Dims, pulse: Pulse, pairs) -> list[np.ndarray]:
-    """The atoms of the (delay, doppler) pairs, in order, from the atom cache.
+def unit_path_atoms(d: Dims, pulse: Pulse, pairs) -> np.ndarray:
+    """The atoms of the (delay, doppler) pairs, in order, as one read-only
+    (P, 2, N, M, M) stack from the atom cache.
 
     Atoms not yet cached are built ATOM_BATCH at a time and cached. Each
     atom is a unit-gain single path's H_TF as its two symbol-block bands: a
-    read-only (2, N, M, M) array whose [0, n] is the diagonal block of
-    symbol n and [1, n] the block through which symbol n - 1 leaks into
-    symbol n ([1, 0] is zero). A received payload sample depends on transmit
-    samples at most ``delay`` earlier, so below one CP-extended symbol of
-    delay every other block is exactly zero; longer delays are rejected.
+    (2, N, M, M) array whose [0, n] is the diagonal block of symbol n and
+    [1, n] the block through which symbol n - 1 leaks into symbol n ([1, 0]
+    is zero). A received payload sample depends on transmit samples at most
+    ``delay`` earlier, so below one CP-extended symbol of delay every other
+    block is exactly zero; longer delays are rejected. The full-grid atoms
+    sit in one stack in ``full_grid_pairs`` order: a run of it, such as the
+    whole grid, is returned as a view, any other pairs as a gathered copy.
     """
-    span = d.m + d.cp_len
-    store = _atoms.setdefault((d, pulse), {})
-    keys = [(delay, doppler) for delay, doppler in pairs]
+    if (d, pulse) not in _atoms:
+        slots = {pair: slot for slot, pair in enumerate(full_grid_pairs(d))}
+        _atoms[(d, pulse)] = (np.empty((d.grid_size, 2, d.n, d.m, d.m), dtype=complex), slots, {})
+    stack, slots, store = _atoms[(d, pulse)]
+    keys = tuple((delay, doppler) for delay, doppler in pairs)
     missing = [key for key in dict.fromkeys(keys) if key not in store]
     for delay, doppler in missing:
-        if not 0 <= delay < span:
-            raise ValueError(f"delay {delay} must be non-negative and below m + cp_len = {span}")
+        if not 0 <= delay < d.m + d.cp_len:
+            raise ValueError(f"delay {delay} must be non-negative and below m + cp_len = {d.m + d.cp_len}")
         if abs(doppler) > d.n / 2:
             raise ValueError(f"Doppler {doppler} exceeds half the Doppler grid (N/2 = {d.n / 2})")
-    for start in range(0, len(missing), ATOM_BATCH):
-        batch = missing[start:start + ATOM_BATCH]
+    # full-grid atoms are built straight into the stack, a run of slots at a time
+    todo = sorted(slots[key] for key in missing if key in slots)
+    for run in np.split(todo, np.flatnonzero(np.diff(todo) != 1) + 1) if todo else ():
+        for first in range(run[0], run[-1] + 1, ATOM_BATCH):
+            batch = full_grid_pairs(d)[first:min(first + ATOM_BATCH, run[-1] + 1)]
+            store.update(zip(batch, _build_atoms(d, pulse, batch, out=stack[first:first + len(batch)])))
+    extras = [key for key in missing if key not in slots]
+    for start in range(0, len(extras), ATOM_BATCH):
+        batch = extras[start:start + ATOM_BATCH]
         store.update(zip(batch, _build_atoms(d, pulse, batch)))
     _atom_lookups["misses"] += len(missing)
     _atom_lookups["hits"] += len(keys) - len(missing)
-    return [store[key] for key in keys]
+    index = [slots.get(key) for key in keys]
+    if None in index:
+        atoms = np.array([store[key] for key in keys], dtype=complex)
+    else:
+        first = index[0] if index else 0
+        run = index == list(range(first, first + len(index)))
+        atoms = stack[first:first + len(index)] if run else stack[index]
+    atoms.setflags(write=False)
+    return atoms
 
 
 def unit_path_tf_channel(d: Dims, pulse: Pulse, delay: int, doppler: int) -> np.ndarray:
-    """The cached atom of a unit-gain single path at integer (delay,
-    doppler); see ``unit_path_atoms``."""
+    """The cached atom of a unit-gain single path; see ``unit_path_atoms``."""
     return unit_path_atoms(d, pulse, ((delay, doppler),))[0]
 
 
 def _atom_cache_info() -> CacheInfo:
-    size = sum(len(store) for store in _atoms.values())
+    size = sum(len(store) for *_, store in _atoms.values())
     return CacheInfo(_atom_lookups["hits"], _atom_lookups["misses"], None, size)
 
 

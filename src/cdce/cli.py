@@ -41,8 +41,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_single(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    if args.trial < 0:
-        raise ValueError(f"trial must be non-negative, got {args.trial}")
     ratios = run_trial(cfg, args.snr_db, args.trial)
     for name in cfg.estimators:
         print(f"{name}\t{ratio_db(ratios[name]):.6f}")

@@ -47,12 +47,13 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys {sorted(extra)} in {where}")
 
 
-def _section(raw: dict, name: str) -> dict:
+def _section(raw: dict, name: str, allowed: set) -> dict:
     value = raw.get(name, {})
     if value is None:
         return {}
     if not isinstance(value, dict):
         raise ConfigError(f"section {name!r} must be a mapping, got {type(value).__name__}")
+    _check_keys(value, allowed, f"section {name!r}")
     return value
 
 
@@ -91,8 +92,7 @@ def load_config(path: str, env: dict | None = None) -> SimConfig:
         raise ConfigError(f"config {path} must be a mapping at the top level")
     _check_keys(raw, _TOP_KEYS, "the top level")
 
-    dims_raw = _section(raw, "dims")
-    _check_keys(dims_raw, _DIMS_KEYS, "section 'dims'")
+    dims_raw = _section(raw, "dims", _DIMS_KEYS)
     try:
         dims = Dims(
             m=_as_int(dims_raw.get("m", 8), "dims.m"),
@@ -102,8 +102,7 @@ def load_config(path: str, env: dict | None = None) -> SimConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid dims section in {path}: {exc}") from exc
 
-    stats_raw = _section(raw, "stats")
-    _check_keys(stats_raw, _STATS_KEYS, "section 'stats'")
+    stats_raw = _section(raw, "stats", _STATS_KEYS)
     gain_variance = stats_raw.get("gain_variance")
     try:
         stats = ChannelStats(
@@ -122,8 +121,7 @@ def load_config(path: str, env: dict | None = None) -> SimConfig:
     if mode not in ("pilot_only", "with_data"):
         raise ConfigError(f"mode must be pilot_only or with_data, got {mode!r}")
 
-    frame_raw = _section(raw, "frame")
-    _check_keys(frame_raw, _FRAME_KEYS, "section 'frame'")
+    frame_raw = _section(raw, "frame", _FRAME_KEYS)
     sequence_param = frame_raw.get("sequence_param")
     try:
         frame = FrameSpec(
@@ -146,8 +144,7 @@ def load_config(path: str, env: dict | None = None) -> SimConfig:
     except ValueError as exc:
         raise ConfigError(f"invalid frame section in {path}: {exc}") from exc
 
-    lasso_raw = _section(raw, "lasso")
-    _check_keys(lasso_raw, _LASSO_KEYS, "section 'lasso'")
+    lasso_raw = _section(raw, "lasso", _LASSO_KEYS)
     try:
         lasso = LassoConfig(
             lam=_as_float(lasso_raw.get("lambda", 0.01), "lasso.lambda"),

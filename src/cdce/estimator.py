@@ -6,7 +6,7 @@ its gain magnitude, and keeps the (delay, Doppler) bins inside the search
 region whose score clears a threshold. Stage two rebuilds the TF dictionary
 restricted to the surviving bins and recovers the fading coefficients with a
 pseudo-inverse least squares solve (or FISTA when the dictionary is fat or
-ill-conditioned), then reconstructs the effective TF channel matrix from the
+ill-conditioned), then reconstructs the effective TF channel's bands from the
 unit-path atoms. The dictionary builder and the reconstruction are shared
 with the reference estimators, which work in the span of the same atoms.
 """
@@ -104,7 +104,7 @@ class LassoConfig:
 
 @dataclass(frozen=True)
 class ChannelEstimate:
-    """Recovered fading vector, its support, and the rebuilt TF channel."""
+    """Recovered fading vector, its support, and the rebuilt TF channel's bands."""
 
     h_hat: np.ndarray
     pairs: tuple[tuple[int, int], ...]
@@ -165,11 +165,10 @@ def build_dictionary(
     if not pairs:
         raise ValueError("cannot build a dictionary from an empty set of pairs")
     pairs = tuple(pairs)
+    atoms = unit_path_atoms(d, pulse, pairs)
     symbols = vec(pilot_only_tf).reshape(d.n, d.m, 1)
-    columns = np.empty((len(pairs), d.n, d.m, 1), dtype=complex)
-    for column, atom in zip(columns, unit_path_atoms(d, pulse, pairs)):
-        np.matmul(atom[0], symbols, out=column)
-        column[1:] += np.matmul(atom[1, 1:], symbols[:-1])
+    columns = np.matmul(atoms[:, 0], symbols)
+    columns[:, 1:] += np.matmul(atoms[:, 1, 1:], symbols[:-1])
     matrix = np.ascontiguousarray(columns.reshape(len(pairs), d.grid_size).T)
     matrix.setflags(write=False)
     return Dictionary(matrix=matrix, pairs=pairs)
@@ -197,29 +196,12 @@ def cached_dictionary(
     return dictionary
 
 
-def reconstruct(
-    h: np.ndarray,
-    pairs: tuple[tuple[int, int], ...],
-    pulse: Pulse,
-    d: Dims,
-) -> np.ndarray:
+def reconstruct(h: np.ndarray, pairs: tuple[tuple[int, int], ...], pulse: Pulse, d: Dims) -> np.ndarray:
     """Effective TF channel sum_i h_i H_TF(pairs[i]) of path gains h on the
-    unit-path atoms; zero gains are skipped.
-
-    The sum runs over the atoms' two symbol-block bands, term by term in the
-    order given, and is scattered into the MN x MN result once: outside the
-    bands every atom is exactly zero, so every entry equals the dense sum's.
-    """
-    kept = [(gain, pair) for gain, pair in zip(np.asarray(h).tolist(), pairs) if gain != 0]
-    atoms = unit_path_atoms(d, pulse, [pair for _, pair in kept])
-    acc = np.zeros((2, d.n, d.m, d.m), dtype=complex)
-    for (gain, _), atom in zip(kept, atoms):
-        acc += gain * atom
-    n = np.arange(d.n)
-    h_tf = np.zeros((d.n, d.m, d.n, d.m), dtype=complex)
-    h_tf[n, :, n, :] = acc[0]
-    h_tf[n[1:], :, n[:-1], :] = acc[1, 1:]
-    return h_tf.reshape(d.grid_size, d.grid_size)
+    unit-path atoms, as its two symbol-block bands: a (2, N, M, M) array laid
+    out as an atom, from one product of the gains with the stacked atoms."""
+    atoms = unit_path_atoms(d, pulse, pairs)
+    return (np.asarray(h) @ atoms.reshape(len(atoms), 2 * d.grid_size * d.m)).reshape(atoms.shape[1:])
 
 
 def soft_threshold(x: np.ndarray, gamma: float) -> np.ndarray:

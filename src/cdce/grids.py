@@ -25,7 +25,6 @@ __all__ = [
     "add_cp",
     "remove_cp",
     "tf_to_dd",
-    "dd_to_tf",
     "signed_doppler",
     "doppler_col",
     "twisted_convolution",
@@ -148,12 +147,6 @@ def tf_to_dd(x: np.ndarray, d: Dims) -> np.ndarray:
     """
     x = _check_grid(x, d, "TF grid")
     return dft_matrix(d.m).conj().T @ x @ dft_matrix(d.n)
-
-
-def dd_to_tf(x: np.ndarray, d: Dims) -> np.ndarray:
-    """Exact inverse of :func:`tf_to_dd`."""
-    x = _check_grid(x, d, "DD grid")
-    return dft_matrix(d.m) @ x @ dft_matrix(d.n).conj().T
 
 
 def signed_doppler(col: int, n: int) -> int:

@@ -60,11 +60,11 @@ MAX_N0 = math.sqrt(sys.float_info.max)
 MIN_SNR_DB = -10.0 * math.log10(MAX_N0)
 
 # glibc serves each block above its mmap threshold (128 KiB at start) with a
-# fresh mapping and unmaps it on free, so every trial would fault its larger
-# temporaries (G, H_TF, the einsum intermediates) in page by page. Freeing one
-# mapped block raises the mmap threshold to that block's size and the heap's
-# trim threshold to twice it, which keeps the temporaries on the heap from
-# trial to trial. Other allocators are unaffected by this one 4 MiB allocation.
+# fresh mapping, faulted in page by page, and unmaps it on free. Freeing a
+# mapped block raises the threshold to its size, so the larger temporaries
+# (G and CDCE's correlation operator; H_TF is now small bands) stay on the
+# heap once one was freed. Freeing this 4 MiB block does so before the first
+# trial. Other allocators ignore it.
 np.empty(4 << 20, dtype=np.uint8)
 
 
@@ -195,7 +195,8 @@ def run_trial(
     lasso_gains: np.ndarray | None = None,
 ) -> dict[str, float]:
     """One paired trial: returns the linear NMSE of every configured
-    estimator against the same received frame.
+    estimator against the same received frame, scored on the symbol-block
+    bands (see ``effective_tf_channel``) of the truth and every estimate.
 
     ``lasso_gains``, when given, must be this trial's ``tf_lasso_gains``;
     tf_lasso then reconstructs them instead of solving."""
@@ -211,24 +212,19 @@ def run_trial(
     st_ls_hat = None
     for name in cfg.estimators:
         if name == "cdce":
-            h_hat = cdce_estimate(
-                y_tf, frame, cfg.stats, n0,
-                mode=cfg.mode, lasso=cfg.lasso, pulse=cfg.pulse,
-            ).h_tf_hat
+            h_hat = cdce_estimate(y_tf, frame, cfg.stats, n0, mode=cfg.mode, lasso=cfg.lasso,
+                                  pulse=cfg.pulse).h_tf_hat
         elif name == "fs_lmmse":
             h_hat = fs_lmmse(y_tf, frame, cov, n0)
         elif name in ("st_ls", "st_lmmse"):
             # ST-LMMSE scales the ST-LS estimate, which is interpolated once
             if st_ls_hat is None:
                 st_ls_hat = st_ls(y_tf, frame)
-            if name == "st_ls":
-                h_hat = st_ls_hat
-            else:
-                h_hat = st_lmmse(st_ls_hat, math.inf if n0 == 0 else 1.0 / n0)
+            snr = math.inf if n0 == 0 else 1.0 / n0
+            h_hat = st_ls_hat if name == "st_ls" else st_lmmse(st_ls_hat, snr)
         else:
             h_hat = tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse, gains=lasso_gains)
         out[name] = float(np.sum(np.abs(h_hat - h_true) ** 2)) / denom
-        del h_hat  # free the MN x MN estimate before the next estimator runs
     return out
 
 

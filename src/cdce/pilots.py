@@ -116,29 +116,25 @@ def make_pilot_sequence(kind: str, length: int, param: int | None = None) -> np.
         if math.gcd(root, length) != 1:
             raise ValueError(f"Zadoff-Chu root {root} must be coprime with the length {length}")
         n = np.arange(length)
-        if length % 2:
-            phase = root * n * (n + 1)
-        else:
-            phase = root * n * n
-        return np.exp(-1j * np.pi * phase / length)
+        # n (n + 1) on odd lengths, n^2 on even ones
+        return np.exp(-1j * np.pi * (root * n * (n + length % 2)) / length)
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 
-def _pilot_positions(spec: FrameSpec, rng: np.random.Generator | None) -> list[tuple[int, int]]:
+def _pilot_positions(spec: FrameSpec, rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the pilots, in column-major scan order."""
     d = spec.dims
     if spec.placement == "lattice":
-        return [
-            (m, n)
-            for n in range(spec.lattice.time_offset, d.n, spec.lattice.time_spacing)
-            for m in range(spec.lattice.freq_offset, d.m, spec.lattice.freq_spacing)
-        ]
+        rows = np.arange(spec.lattice.freq_offset, d.m, spec.lattice.freq_spacing)
+        cols = np.arange(spec.lattice.time_offset, d.n, spec.lattice.time_spacing)
+        return np.tile(rows, cols.size), np.repeat(cols, rows.size)
     if rng is None:
         raise ValueError("uniform_random placement needs an rng")
     count = spec.n_pilots
     if count > d.grid_size:
         raise ValueError(f"cannot place {count} pilots on a grid of {d.grid_size}")
     flat = np.sort(rng.choice(d.grid_size, size=count, replace=False))
-    return [(int(i) % d.m, int(i) // d.m) for i in flat]
+    return flat % d.m, flat // d.m
 
 
 def assemble_frame(spec: FrameSpec, rng: np.random.Generator | None = None) -> Frame:
@@ -148,14 +144,12 @@ def assemble_frame(spec: FrameSpec, rng: np.random.Generator | None = None) -> F
     therefore require ``rng``.
     """
     d = spec.dims
-    positions = _pilot_positions(spec, rng)
-    seq = make_pilot_sequence(spec.sequence_kind, len(positions), spec.sequence_param)
+    rows, cols = _pilot_positions(spec, rng)
+    seq = make_pilot_sequence(spec.sequence_kind, rows.size, spec.sequence_param)
     pilot_only = np.zeros((d.m, d.n), dtype=complex)
     mask = np.zeros((d.m, d.n), dtype=bool)
-    scale = math.sqrt(spec.pilot_power)
-    for (m, n), value in zip(positions, seq):
-        pilot_only[m, n] = scale * value
-        mask[m, n] = True
+    pilot_only[rows, cols] = math.sqrt(spec.pilot_power) * seq
+    mask[rows, cols] = True
     tf = pilot_only.copy()
     if spec.data_mode == "qpsk":
         if rng is None:

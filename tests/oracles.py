@@ -4,9 +4,9 @@ Everything here is written the slow, obvious way: explicit scalar loops,
 dense Kronecker products, numerical quadrature, and plain (non-accelerated)
 iterative solvers. None of it imports the implementation being tested beyond
 basic array plumbing, except ``dense_atom``: it builds the dense MN x MN
-atom by its definition from the package's time-domain and effective-channel
-builders (themselves pinned to the oracles here), to check the band store
-bit for bit; and ``fit_covariance_reference``, which draws its ensemble
+atom by its definition from the package's time-domain builder and
+``dense_effective_tf`` (both pinned to the oracles here), to check the band
+store bit for bit; and ``fit_covariance_reference``, which draws its ensemble
 through the package's ``sample_channel`` one realization at a time, to check
 the covariance fit's direct draws bit for bit.
 """
@@ -22,11 +22,10 @@ from cdce.channel import (
     ChannelStats,
     PathParams,
     Pulse,
-    effective_tf_channel,
     sample_channel,
     time_channel_matrix,
 )
-from cdce.grids import Dims
+from cdce.grids import Dims, dft_matrix
 
 
 def unitary_dft(n: int) -> np.ndarray:
@@ -142,6 +141,55 @@ def dense_effective_tf_oracle(g: np.ndarray, m: int, n: int, cp_len: int) -> np.
     return rx @ g @ tx
 
 
+def dense_effective_tf(g: np.ndarray, d: Dims) -> np.ndarray:
+    """The dense MN x MN H_TF of G by blocks: one einsum of every symbol
+    block pair of G with the per-block factors F_M R_CP and A_CP F_M^H."""
+    span = d.m + d.cp_len
+    fm = dft_matrix(d.m)
+    c = fm @ remove_cp_matrix(d.m, d.cp_len)
+    b = add_cp_matrix(d.m, d.cp_len) @ fm.conj().T
+    h = np.einsum("ij,ajbk,kl->aibl", c, g.reshape(d.n, span, d.n, span), b, optimize=True)
+    return np.ascontiguousarray(h.reshape(d.grid_size, d.grid_size))
+
+
+def bands_to_dense(bands: np.ndarray) -> np.ndarray:
+    """The MN x MN matrix whose diagonal symbol blocks are bands[0] and whose
+    sub-diagonal blocks are bands[1, 1:], zero elsewhere."""
+    _, n, m, _ = bands.shape
+    dense = np.zeros((n * m, n * m), dtype=complex)
+    for r in range(n):
+        dense[r * m:(r + 1) * m, r * m:(r + 1) * m] = bands[0, r]
+        if r:
+            dense[r * m:(r + 1) * m, (r - 1) * m:r * m] = bands[1, r]
+    return dense
+
+
+def dd_to_tf(x: np.ndarray, d: Dims) -> np.ndarray:
+    """TF grid of a DD grid, the exact inverse of ``tf_to_dd``:
+    F_M X F_N^H."""
+    return unitary_dft(d.m) @ np.asarray(x, dtype=complex) @ unitary_dft(d.n).conj().T
+
+
+def interpolate_grid_loop(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Single-tap interpolation one line at a time with np.interp: each
+    pilot column along frequency, then each row along time across the pilot
+    columns, real and imaginary parts separately."""
+    m, n = mask.shape
+    grid = np.zeros((m, n), dtype=complex)
+    pilot_cols = [c for c in range(n) if mask[:, c].any()]
+    for c in pilot_cols:
+        rows = np.flatnonzero(mask[:, c])
+        col = values[rows, c]
+        grid[:, c] = np.interp(np.arange(m), rows, col.real) + 1j * np.interp(np.arange(m), rows, col.imag)
+    for r in range(m):
+        row = grid[r, pilot_cols]
+        grid[r, :] = (
+            np.interp(np.arange(n), pilot_cols, row.real)
+            + 1j * np.interp(np.arange(n), pilot_cols, row.imag)
+        )
+    return grid
+
+
 def dense_fs_lmmse_oracle(
     y: np.ndarray,
     x: np.ndarray,
@@ -225,7 +273,7 @@ def fista_reference(
 def dense_atom(d: Dims, pulse: Pulse, l: int, k: int) -> np.ndarray:
     """The dense MN x MN H_TF of a unit-gain single path at (l, k)."""
     ch = ChannelRealization((PathParams(1.0 + 0.0j, l, k),), d)
-    return effective_tf_channel(time_channel_matrix(ch, pulse), d)
+    return dense_effective_tf(time_channel_matrix(ch, pulse), d)
 
 
 def dense_reconstruct_oracle(h: np.ndarray, atoms: list[np.ndarray]) -> np.ndarray:

@@ -55,7 +55,7 @@ from cdce.pilots import (
     pilot_dd_image,
 )
 
-from oracles import dense_atom, dense_fs_lmmse_oracle, ista_reference, lasso_certificate_gap
+from oracles import bands_to_dense, dense_atom, dense_fs_lmmse_oracle, ista_reference, lasso_certificate_gap
 
 pytestmark = pytest.mark.slow
 
@@ -312,7 +312,7 @@ def test_criterion_8_transform_and_property_suite():
         g = time_channel_matrix(ch, IDEAL)
         frame = assemble_frame(FrameSpec(dims=D, data_mode="qpsk"), rng)
         y_sig = received_tf(frame, ch)
-        y_mat = unvec(effective_tf_channel(g, D) @ vec(frame.tf), D.m, D.n)
+        y_mat = unvec(bands_to_dense(effective_tf_channel(g, D)) @ vec(frame.tf), D.m, D.n)
         rel = np.linalg.norm(y_sig - y_mat) / np.linalg.norm(y_mat)
         if rel > 1e-10:
             failures.append(f"chain equivalence off by {rel:.1e}")
@@ -333,7 +333,7 @@ def test_criterion_8_transform_and_property_suite():
     dense = dense_fs_lmmse_oracle(
         vec(y4), vec(frame4.pilot_only_tf), atoms @ cov.mean, atoms @ cov.factor, 0.3
     )
-    if not np.allclose(fact, unvec(dense, d4.grid_size, d4.grid_size), atol=1e-8):
+    if not np.allclose(bands_to_dense(fact), unvec(dense, d4.grid_size, d4.grid_size), atol=1e-8):
         failures.append("factored FS-LMMSE disagrees with the dense oracle")
 
     ok = not failures

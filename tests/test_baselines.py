@@ -25,7 +25,13 @@ from cdce.estimator import LassoConfig, reconstruct
 from cdce.grids import Dims, remove_cp, tf_to_time, time_to_tf, unvec, vec
 from cdce.pilots import Frame, FrameSpec, Lattice, assemble_frame
 
-from oracles import dense_atom, dense_fs_lmmse_oracle, fit_covariance_reference
+from oracles import (
+    bands_to_dense,
+    dense_atom,
+    dense_fs_lmmse_oracle,
+    fit_covariance_reference,
+    interpolate_grid_loop,
+)
 
 D = Dims(8, 14, 2)
 IDEAL = Pulse("ideal")
@@ -56,21 +62,87 @@ def frame():
     return assemble_frame(FrameSpec(dims=D))
 
 
+def interp_masks():
+    """Pilot masks of every kind the vectorized interpolation must handle."""
+    rng = np.random.default_rng(3)
+    masks = []
+    for d, lattice in ((D, Lattice()), (D, Lattice(freq_spacing=3, time_spacing=2)),
+                       (Dims(9, 5, 2), Lattice(freq_spacing=2, time_spacing=2, time_offset=1)),
+                       (Dims(6, 11, 1), Lattice(freq_spacing=4, time_spacing=3, freq_offset=1))):
+        masks.append(assemble_frame(FrameSpec(dims=d, lattice=lattice)).pilot_mask)
+    for shape, share in (((8, 14), 0.5), ((8, 14), 0.1), ((5, 9), 0.3), ((1, 6), 0.5), ((7, 1), 0.5)):
+        mask = rng.random(shape) < share
+        mask[rng.integers(shape[0]), rng.integers(shape[1])] = True
+        masks.append(mask)
+    one_per_column = np.zeros((8, 14), bool)
+    one_per_column[np.arange(14) % 8, np.arange(14)] = True
+    masks.append(one_per_column)
+    for row in (0, -1):  # pilots only in the first or the last row
+        edge = np.zeros((8, 14), bool)
+        edge[row, ::3] = True
+        masks.append(edge)
+    gaps = np.zeros((8, 14), bool)  # pilot-free symbols between pilot symbols
+    gaps[[1, 4, 6], 2] = True
+    gaps[[0, 7], 9] = True
+    gaps[5, 13] = True
+    masks.append(gaps)
+    return masks
+
+
+class TestInterpolation:
+    @pytest.mark.parametrize("i", range(len(interp_masks())))
+    def test_matches_the_np_interp_loop_bit_for_bit(self, i):
+        mask = interp_masks()[i]
+        rng = np.random.default_rng(i)
+        for scale in (1e-3, 1.0, 1e3):
+            values = scale * (rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape))
+            values[~mask] = 0
+            got = baselines._interpolate_grid(values, mask)
+            want = interpolate_grid_loop(values, mask)
+            assert got.shape == mask.shape and got.dtype == complex
+            assert got.tobytes() == want.tobytes()
+
+    def test_constant_ends_and_exact_hits(self):
+        mask = np.zeros((5, 4), bool)
+        mask[[1, 3], 1] = True
+        values = np.zeros((5, 4), dtype=complex)
+        values[1, 1], values[3, 1] = 2.0 - 1.0j, 4.0 + 3.0j
+        grid = baselines._interpolate_grid(values, mask)
+        column = [2.0 - 1.0j, 2.0 - 1.0j, 3.0 + 1.0j, 4.0 + 3.0j, 4.0 + 3.0j]
+        np.testing.assert_array_equal(grid, np.repeat(np.array(column)[:, None], 4, axis=1))
+
+
 class TestStLs:
     def test_identity_channel(self, frame):
         h = st_ls(frame.pilot_only_tf, frame)
-        np.testing.assert_allclose(h, np.eye(D.grid_size), atol=1e-12)
+        assert h.shape == (2, D.n, D.m, D.m)
+        np.testing.assert_allclose(bands_to_dense(h), np.eye(D.grid_size), atol=1e-12)
 
     def test_flat_channel_gain(self, frame):
         gain = 0.4 - 1.1j
         h = st_ls(gain * frame.pilot_only_tf, frame)
-        np.testing.assert_allclose(h, gain * np.eye(D.grid_size), atol=1e-12)
+        np.testing.assert_allclose(bands_to_dense(h), gain * np.eye(D.grid_size), atol=1e-12)
 
     def test_diagonal_output(self, frame):
         rng = np.random.default_rng(0)
         y = rng.standard_normal((D.m, D.n)) + 1j * rng.standard_normal((D.m, D.n))
-        h = st_ls(y, frame)
+        h = bands_to_dense(st_ls(y, frame))
         np.testing.assert_array_equal(h - np.diag(np.diag(h)), np.zeros_like(h))
+
+    @pytest.mark.parametrize("placement", ["lattice", "uniform_random"])
+    def test_bands_are_the_diagonal_matrix_bit_for_bit(self, placement):
+        # the old dense form: np.diag of the np.interp loop's grid, and
+        # st_lmmse's shrink of it
+        rng = np.random.default_rng(8)
+        spec = FrameSpec(dims=D, sequence_kind="zadoff_chu", placement=placement)
+        for _ in range(5):
+            fr = assemble_frame(spec, rng)
+            y = rng.standard_normal((D.m, D.n)) + 1j * rng.standard_normal((D.m, D.n))
+            ratios = np.where(fr.pilot_mask, y / np.where(fr.pilot_mask, fr.pilot_only_tf, 1), 0)
+            dense = np.diag(vec(interpolate_grid_loop(ratios, fr.pilot_mask)))
+            bands = st_ls(y, fr)
+            np.testing.assert_array_equal(bands_to_dense(bands), dense)
+            np.testing.assert_array_equal(bands_to_dense(st_lmmse(bands, 4.0)), dense / (1.0 + 1.0 / 4.0))
 
     def test_affine_grid_interpolated_exactly(self):
         d9 = Dims(9, 5, 2)
@@ -80,7 +152,7 @@ class TestStLs:
         rows = np.arange(d9.m)[:, None]
         cols = np.arange(d9.n)[None, :]
         x = (0.3 + 0.1j) * rows + (-0.2 + 0.4j) * cols + (1.0 + 1.0j)
-        h = st_ls(x * fr.pilot_only_tf, fr)
+        h = bands_to_dense(st_ls(x * fr.pilot_only_tf, fr))
         np.testing.assert_allclose(np.diag(h), vec(x), atol=1e-12)
 
     def test_zero_pilot_symbol_rejected(self, frame):
@@ -137,7 +209,7 @@ class TestFitCovariance:
         samples = np.empty((D.grid_size**2, k), dtype=complex)
         for j in range(k):
             ch = sample_channel(stats, D, rng)
-            samples[:, j] = vec(effective_tf_channel(time_channel_matrix(ch, pulse), D))
+            samples[:, j] = vec(bands_to_dense(effective_tf_channel(time_channel_matrix(ch, pulse), D)))
         mean = samples.mean(axis=1)
         scatter = (samples - mean[:, None]) / np.sqrt(k)
         lift_mean, lift_factor = lifted(cov, D)
@@ -234,7 +306,7 @@ class TestFsLmmse:
         y = received_tf(full_pilot_frame4, ch)
         est = fs_lmmse(y, full_pilot_frame4, cov, 1e12)
         prior = unvec(lifted(cov, d4)[0], d4.grid_size, d4.grid_size)
-        assert np.linalg.norm(est - prior) <= 1e-8 * np.linalg.norm(prior)
+        assert np.linalg.norm(bands_to_dense(est) - prior) <= 1e-8 * np.linalg.norm(prior)
 
     def test_noiseless_full_frame_recovers_ensemble_channel(self, small_setup, full_pilot_frame4):
         d4, stats4, cov, _ = small_setup
@@ -254,7 +326,7 @@ class TestFsLmmse:
             vec(y), vec(frame4.pilot_only_tf), *lifted(cov, d4), n0
         )
         np.testing.assert_allclose(
-            est, unvec(dense, d4.grid_size, d4.grid_size), atol=1e-8
+            bands_to_dense(est), unvec(dense, d4.grid_size, d4.grid_size), atol=1e-8
         )
 
 
@@ -272,7 +344,7 @@ class TestTfLasso:
 
     def test_zero_signal_gives_zero_estimate(self, frame):
         est = tf_lasso(np.zeros((D.m, D.n), dtype=complex), frame)
-        np.testing.assert_array_equal(est, np.zeros((D.grid_size, D.grid_size)))
+        np.testing.assert_array_equal(est, np.zeros((2, D.n, D.m, D.m)))
 
 
 class TestFrameCache:

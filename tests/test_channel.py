@@ -31,7 +31,15 @@ from cdce.grids import (
     vec,
 )
 
-from oracles import dense_atom, dense_effective_tf_oracle, rect_af_quadrature, time_channel_oracle
+from oracles import (
+    bands_to_dense,
+    dd_to_tf,
+    dense_atom,
+    dense_effective_tf,
+    dense_effective_tf_oracle,
+    rect_af_quadrature,
+    time_channel_oracle,
+)
 
 D = Dims(8, 14, 2)
 IDEAL = Pulse("ideal")
@@ -244,19 +252,19 @@ class TestApplyChannel:
             apply_channel(np.zeros(4, dtype=complex), np.eye(4), 1.0)
 
 
+def dense_h_tf(g, d=D):
+    return bands_to_dense(effective_tf_channel(g, d))
+
+
 class TestEffectiveTfChannel:
     def test_identity_sandwich(self):
         g = np.eye(D.frame_len)
-        np.testing.assert_allclose(
-            effective_tf_channel(g, D), np.eye(D.grid_size), atol=1e-12
-        )
+        np.testing.assert_allclose(dense_h_tf(g), np.eye(D.grid_size), atol=1e-12)
 
     def test_flat_path_is_scaled_identity(self):
         h = 0.7 + 0.2j
         g = time_channel_matrix(single_path(h, 0, 0), IDEAL)
-        np.testing.assert_allclose(
-            effective_tf_channel(g, D), h * np.eye(D.grid_size), atol=1e-12
-        )
+        np.testing.assert_allclose(dense_h_tf(g), h * np.eye(D.grid_size), atol=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=10)
@@ -265,7 +273,7 @@ class TestEffectiveTfChannel:
         ch = sample_channel(ChannelStats(), D, rng)
         g = time_channel_matrix(ch, IDEAL)
         x = random_frame(D, seed + 1)
-        via_matrix = unvec(effective_tf_channel(g, D) @ vec(x), D.m, D.n)
+        via_matrix = unvec(dense_h_tf(g) @ vec(x), D.m, D.n)
         via_signal = time_to_tf(
             remove_cp(apply_channel(tf_to_time(x, D, with_cp=True), g, 0.0), D), D
         )
@@ -276,9 +284,7 @@ class TestEffectiveTfChannel:
         ch = sample_channel(ChannelStats(), D, rng)
         g = time_channel_matrix(ch, IDEAL)
         np.testing.assert_allclose(
-            effective_tf_channel(g, D),
-            dense_effective_tf_oracle(g, D.m, D.n, D.cp_len),
-            atol=1e-10,
+            dense_h_tf(g), dense_effective_tf_oracle(g, D.m, D.n, D.cp_len), atol=1e-10
         )
 
     def test_shape_mismatch_rejected(self):
@@ -287,9 +293,12 @@ class TestEffectiveTfChannel:
 
     @pytest.mark.parametrize("d", [Dims(8, 14, 2), Dims(4, 4, 0), Dims(6, 5, 3)], ids=str)
     def test_cached_path_matches_fresh_einsum(self, d):
+        # a random G on the two symbol-block bands, every entry nonzero there
         rng = np.random.default_rng(d.frame_len)
         g = rng.standard_normal((d.frame_len,) * 2) + 1j * rng.standard_normal((d.frame_len,) * 2)
         span = d.m + d.cp_len
+        blk = np.arange(d.frame_len) // span
+        g[(blk[:, None] != blk[None, :]) & (blk[:, None] != blk[None, :] + 1)] = 0
         fm = dft_matrix(d.m)
         eye = np.eye(d.m)
         c = fm @ np.hstack([np.zeros((d.m, d.cp_len)), eye])
@@ -297,17 +306,47 @@ class TestEffectiveTfChannel:
         fresh = np.einsum("ij,ajbk,kl->aibl", c, g.reshape(d.n, span, d.n, span), b, optimize=True)
         for _ in range(2):
             np.testing.assert_array_equal(
-                effective_tf_channel(g, d), fresh.reshape(d.grid_size, d.grid_size)
+                dense_h_tf(g, d), fresh.reshape(d.grid_size, d.grid_size)
             )
+
+    @pytest.mark.parametrize("kind", ["ideal", "rectangular"])
+    @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
+    def test_bands_are_the_dense_blocks_bit_for_bit(self, shape, kind):
+        # every delay below one CP-extended symbol, and a random channel
+        d, pulse = Dims(*shape), Pulse(kind)
+        m = d.m
+        stats = ChannelStats(n_paths=3, l_max=d.cp_len, k_max=(d.n - 1) // 2)
+        channels = [ChannelRealization((PathParams(0.3 - 0.7j, l, k),), d)
+                    for l in range(d.m + d.cp_len) for k in (-(d.n // 2), 1)]
+        channels.append(sample_channel(stats, d, np.random.default_rng(d.frame_len)))
+        for ch in channels:
+            g = time_channel_matrix(ch, pulse)
+            bands = effective_tf_channel(g, d)
+            dense = dense_effective_tf(g, d)
+            kron = dense_effective_tf_oracle(g, d.m, d.n, d.cp_len)
+            assert bands.shape == (2, d.n, m, m)
+            assert not bands[1, 0].any()
+            np.testing.assert_array_equal(bands_to_dense(bands), dense)
+            np.testing.assert_allclose(dense, kron, atol=1e-12)
+            for r in range(d.n):
+                for c in range(d.n):
+                    if c not in (r, r - 1):
+                        assert not kron[r * m:(r + 1) * m, c * m:(c + 1) * m].any()
+
+    @pytest.mark.parametrize("tap", [(0, 10), (25, 0), (0, 139)])
+    def test_tap_beyond_the_bands_rejected(self, tap):
+        g = time_channel_matrix(single_path(1.0, 1, 0), IDEAL)
+        g[tap] = 1e-300
+        with pytest.raises(ValueError, match="outside"):
+            effective_tf_channel(g, D)
 
     def test_ici_exactly_when_doppler_nonzero(self):
         for k, expect_ici in ((0, False), (2, True)):
-            h_tf = effective_tf_channel(
+            bands = effective_tf_channel(
                 time_channel_matrix(single_path(1.0, 1, k), IDEAL), D
             )
             off = 0.0
-            for b in range(D.n):
-                block = h_tf[b * D.m:(b + 1) * D.m, b * D.m:(b + 1) * D.m]
+            for block in bands[0]:
                 off += np.sum(np.abs(block - np.diag(np.diag(block))) ** 2)
             assert (off > 1e-6) == expect_ici
 
@@ -315,14 +354,10 @@ class TestEffectiveTfChannel:
         stats = ChannelStats()
         imp = np.zeros((D.m, D.n))
         imp[0, 0] = 1.0
-        from cdce.grids import dd_to_tf
-
         x_tf = dd_to_tf(imp, D)
         for l in range(stats.l_max + 1):
             for k in range(-stats.k_max, stats.k_max + 1):
-                h_tf = effective_tf_channel(
-                    time_channel_matrix(single_path(1.0, l, k), IDEAL), D
-                )
+                h_tf = dense_h_tf(time_channel_matrix(single_path(1.0, l, k), IDEAL))
                 y_dd = tf_to_dd(unvec(h_tf @ vec(x_tf), D.m, D.n), D)
                 peak = np.unravel_index(np.argmax(np.abs(y_dd)), y_dd.shape)
                 assert peak == (l, k % D.n), f"path ({l},{k}) peaked at {peak}"
@@ -363,9 +398,9 @@ class TestUnitPathCache:
         grid = [(l, k) for l, k in every if l < d.m]
         batches = []
 
-        def spy(d_, pulse_, pairs, _build=channel._build_atoms):
+        def spy(d_, pulse_, pairs, _build=channel._build_atoms, **kwargs):
             batches.append(len(pairs))
-            return _build(d_, pulse_, pairs)
+            return _build(d_, pulse_, pairs, **kwargs)
 
         monkeypatch.setattr(channel, "_build_atoms", spy)
         for calls in ([every], [region, grid, every]):
@@ -406,7 +441,7 @@ class TestUnitPathCache:
         direct = effective_tf_channel(
             time_channel_matrix(single_path(1.0, 2, -3), IDEAL), D
         )
-        np.testing.assert_allclose(h_tf, direct, atol=1e-12)
+        np.testing.assert_array_equal(h_tf, direct)
 
     def test_cached_array_is_readonly(self):
         h_tf = unit_path_tf_channel(D, IDEAL, 1, 1)
@@ -415,4 +450,4 @@ class TestUnitPathCache:
 
     def test_delay_spread_unchecked_for_dictionary_use(self):
         h_tf = reconstruct(np.ones(1), ((5, 0),), IDEAL, D)
-        assert h_tf.shape == (D.grid_size, D.grid_size)
+        assert h_tf.shape == (2, D.n, D.m, D.m)

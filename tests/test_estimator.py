@@ -36,6 +36,7 @@ from cdce.grids import Dims, _twist_tables, remove_cp, tf_to_dd, tf_to_time, tim
 from cdce.pilots import Frame, FrameSpec, Lattice, assemble_frame
 
 from oracles import (
+    bands_to_dense,
     dense_atom,
     dense_reconstruct_oracle,
     fista_reference,
@@ -365,8 +366,25 @@ class TestReconstruct:
         h = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
         h[rng.random(len(pairs)) < 0.3] = 0.0
         for gains in (h, np.zeros(len(pairs), dtype=complex)):
-            np.testing.assert_array_equal(
-                reconstruct(gains, pairs, pulse, d), dense_reconstruct_oracle(gains, atoms)
+            bands = reconstruct(gains, pairs, pulse, d)
+            assert bands.shape == (2, d.n, d.m, d.m)
+            np.testing.assert_allclose(
+                bands_to_dense(bands), dense_reconstruct_oracle(gains, atoms), rtol=1e-14, atol=1e-14
+            )
+
+    @pytest.mark.parametrize("shape", [(8, 14, 2), (6, 5, 3)])
+    def test_any_pairs_match_dense_oracle(self, shape):
+        # a run of the grid's stack, scattered pairs, CP-span delays, a
+        # repeated pair and none at all
+        d = Dims(*shape)
+        rng = np.random.default_rng(d.frame_len)
+        for pairs in (((1, 0), (2, 0), (3, 0)), ((2, -1), (0, 2), (1, 1)),
+                      ((d.m, 1), (0, 0), (d.m + d.cp_len - 1, -1)), ((1, 1), (1, 1)), ()):
+            atoms = [dense_atom(d, IDEAL, l, k) for l, k in pairs] or [np.zeros((d.grid_size,) * 2)]
+            h = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
+            np.testing.assert_allclose(
+                bands_to_dense(reconstruct(h, pairs, IDEAL, d)), dense_reconstruct_oracle(h, atoms),
+                rtol=1e-14, atol=1e-14,
             )
 
 
@@ -728,6 +746,7 @@ class TestCdceEstimate:
         y = received_tf(frame, ch)
         est = cdce_estimate(y, frame, STATS, n0=0.0)
         h_true = effective_tf_channel(time_channel_matrix(ch, IDEAL), D)
+        assert est.h_tf_hat.shape == h_true.shape == (2, D.n, D.m, D.m)
         err = np.linalg.norm(est.h_tf_hat - h_true) / np.linalg.norm(h_true)
         assert err < 1e-8
         assert not est.empty
@@ -736,7 +755,7 @@ class TestCdceEstimate:
         est = cdce_estimate(np.zeros((D.m, D.n), dtype=complex), frame, STATS, n0=1.0)
         assert est.empty
         assert est.pairs == ()
-        np.testing.assert_array_equal(est.h_tf_hat, np.zeros((D.grid_size, D.grid_size)))
+        np.testing.assert_array_equal(est.h_tf_hat, np.zeros((2, D.n, D.m, D.m)))
 
     def test_deterministic(self, frame):
         rng = np.random.default_rng(21)
@@ -788,4 +807,4 @@ class TestCdceEstimate:
         rebuilt = np.zeros((D.grid_size, D.grid_size), dtype=complex)
         for g, pair in zip(est.h_hat, est.pairs):
             rebuilt += g * dense_atom(D, IDEAL, *pair)
-        np.testing.assert_allclose(est.h_tf_hat, rebuilt, atol=1e-12)
+        np.testing.assert_allclose(bands_to_dense(est.h_tf_hat), rebuilt, atol=1e-12)

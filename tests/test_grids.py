@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from cdce.grids import (
     Dims,
     add_cp,
-    dd_to_tf,
     dft_matrix,
     remove_cp,
     tf_to_dd,
@@ -15,7 +14,7 @@ from cdce.grids import (
     vec,
 )
 
-from oracles import sfft_kron_oracle
+from oracles import dd_to_tf, sfft_kron_oracle
 
 
 def random_grid(d, seed):

@@ -18,6 +18,7 @@ from cdce.channel import (
     sample_channel,
     time_channel_matrix,
 )
+from cdce.estimator import cdce_estimate
 from cdce.grids import Dims, remove_cp, tf_to_time, time_to_tf, vec
 from cdce.harness import (
     ESTIMATOR_NAMES,
@@ -31,6 +32,14 @@ from cdce.harness import (
     run_trial,
 )
 from cdce.pilots import FrameSpec, assemble_frame
+
+from oracles import (
+    bands_to_dense,
+    dense_atom,
+    dense_effective_tf,
+    dense_reconstruct_oracle,
+    interpolate_grid_loop,
+)
 
 D = Dims(8, 14, 2)
 
@@ -240,6 +249,65 @@ def lasso_sweep_config(data_mode="none", **overrides):
     )
     params.update(overrides)
     return make_config(**params)
+
+
+def dense_trial(cfg, snr_db, t, cov):
+    """run_trial's NMSEs with every channel a dense MN x MN matrix: the truth
+    by the dense blockwise sandwich, CDCE and tf_lasso as sums of dense
+    atoms over their gains, the single-tap estimates as np.diag of the
+    np.interp loop's grid, and fs_lmmse's bands scattered into a matrix."""
+    d = cfg.dims
+    n0 = harness._check_snr(snr_db)
+    g, frame, y_tf = harness._received(cfg, snr_db, t, n0)
+    h_true = dense_effective_tf(g, d)
+
+    def summed(gains, pairs):
+        return dense_reconstruct_oracle(gains, [dense_atom(d, cfg.pulse, l, k) for l, k in pairs])
+
+    mask = frame.pilot_mask
+    ratios = np.where(mask, y_tf / np.where(mask, frame.pilot_only_tf, 1), 0)
+    single_tap = np.diag(vec(interpolate_grid_loop(ratios, mask)))
+    est = cdce_estimate(y_tf, frame, cfg.stats, n0, mode=cfg.mode, lasso=cfg.lasso, pulse=cfg.pulse)
+    gains = baselines.tf_lasso_gains(vec(y_tf), frame, cfg.lasso, cfg.pulse)
+    estimates = {
+        "cdce": summed(est.h_hat, est.pairs) if est.pairs else np.zeros_like(h_true),
+        "fs_lmmse": bands_to_dense(baselines.fs_lmmse(y_tf, frame, cov, n0)),
+        "st_ls": single_tap,
+        "st_lmmse": single_tap / (1.0 + n0),
+        "tf_lasso": summed(gains, baselines.full_grid_pairs(d)),
+    }
+    energy = np.sum(np.abs(h_true) ** 2)
+    return {name: np.sum(np.abs(estimates[name] - h_true) ** 2) / energy for name in cfg.estimators}
+
+
+class TestBandScoring:
+    @pytest.mark.parametrize("data_mode", ["none", "qpsk"])
+    def test_every_nmse_matches_a_dense_oracle_trial(self, data_mode):
+        cfg = lasso_sweep_config(data_mode, estimators=ESTIMATOR_NAMES, trials=2)
+        cov = fit_config_covariance(cfg)
+        for snr_db in cfg.snr_grid_db:
+            for t in range(cfg.trials):
+                got = run_trial(cfg, snr_db, t, cov)
+                want = dense_trial(cfg, snr_db, t, cov)
+                assert set(got) == set(ESTIMATOR_NAMES)
+                for name in ESTIMATOR_NAMES:
+                    assert got[name] == pytest.approx(want[name], rel=1e-12, abs=0), name
+
+    def test_every_channel_in_a_trial_is_a_band_stack(self, monkeypatch):
+        # the truth, the four baselines' estimates and CDCE's reconstruction
+        sizes = []
+        for mod, name in ((harness, "effective_tf_channel"), (harness, "st_ls"), (harness, "st_lmmse"),
+                          (harness, "fs_lmmse"), (harness, "tf_lasso"), (estimator, "reconstruct")):
+            def spy(*args, _fn=getattr(mod, name), **kwargs):
+                out = _fn(*args, **kwargs)
+                sizes.append(out.shape)
+                return out
+
+            monkeypatch.setattr(mod, name, spy)
+        cfg = lasso_sweep_config(estimators=ESTIMATOR_NAMES, trials=1)
+        run_trial(cfg, 15.0, 0)
+        assert len(sizes) == 6
+        assert set(sizes) == {(2, D.n, D.m, D.m)}
 
 
 @pytest.fixture
