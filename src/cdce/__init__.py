@@ -16,6 +16,7 @@ from .channel import (
     time_channel_matrix,
     apply_channel,
     effective_tf_channel,
+    reconstruct,
     unit_path_tf_channel,
 )
 from .pilots import Lattice, FrameSpec, Frame, make_pilot_sequence, assemble_frame, pilot_dd_image, discrete_af
@@ -28,7 +29,6 @@ from .estimator import (
     default_gamma,
     threshold_select,
     build_dictionary,
-    reconstruct,
     soft_threshold,
     solve_ls,
     solve_lasso,

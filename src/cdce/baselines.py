@@ -11,8 +11,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelStats, Pulse, draw_paths, full_grid_pairs
-from .estimator import LassoConfig, cached_dictionary, reconstruct, solve_lasso
+from .channel import ChannelStats, Pulse, draw_paths, full_grid_pairs, reconstruct
+from .estimator import LassoConfig, cached_dictionary, solve_lasso
 from .grids import Dims, vec
 from .pilots import Frame
 

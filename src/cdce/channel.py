@@ -4,9 +4,9 @@ A channel realization is a sum of P discrete paths, each with a complex gain,
 an integer delay of ``delay_int`` samples, and an integer Doppler shift of
 ``doppler_int`` cycles per frame of M*N payload samples. The time-domain
 matrix G acts on the CP-extended transmit vector, and each path adds one tap
-to it. The effective TF matrix H_TF is the unitary DFT / CP sandwich of G and
-is the ground truth that every estimator is scored against, kept, as every
-estimate is, as its two symbol-block bands (see ``unit_path_atoms``).
+to it. The effective TF matrix H_TF, the unitary DFT / CP sandwich of G, is
+the ground truth that every estimator is scored against: the paths' gains on
+their unit-path atoms (see ``unit_path_atoms``), summed by ``reconstruct``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "effective_tf_channel",
     "full_grid_pairs",
     "unit_path_atoms",
+    "reconstruct",
     "unit_path_tf_channel",
 ]
 
@@ -203,7 +204,7 @@ def time_channel_matrix(ch: ChannelRealization, pulse: Pulse) -> np.ndarray:
     G[n + l_p, n] += gain_p * exp(2j pi k_p phi(n) / (M N)) * conj(A(0, k_p / (M N)))
     with phi the payload-sample clock; the receive index is the row and the
     transmit index is the column. Delays beyond the CP are valid (dictionary
-    atoms reach them); ``effective_tf_channel`` then carries the ISI.
+    atoms reach them); the atom's sub-diagonal band then carries the ISI.
     """
     d = ch.dims
     t_len = d.frame_len
@@ -264,27 +265,6 @@ def _band_sandwich(g_bands: np.ndarray, d: Dims, out: np.ndarray | None = None) 
                      out=np.empty((len(g_bands), 2, d.n, d.m, d.m), dtype=complex) if out is None else out)
 
 
-def effective_tf_channel(g: np.ndarray, d: Dims) -> np.ndarray:
-    """Effective TF channel H_TF = (I_N kron F_M R_CP) G (I_N kron A_CP F_M^H)
-    as its two symbol-block bands, a (2, N, M, M) array laid out as an atom
-    (see ``unit_path_atoms``): G's diagonal and sub-diagonal symbol blocks go
-    through the atoms' own contraction, bit-identical to the dense H_TF's
-    blocks. A G with a tap outside those blocks is rejected."""
-    span = d.m + d.cp_len
-    if g.shape != (d.frame_len, d.frame_len):
-        raise ValueError(f"channel matrix must be {d.frame_len} x {d.frame_len}, got {g.shape}")
-    g = np.ascontiguousarray(g, dtype=complex)
-    blocks = g.reshape(d.n, span, d.n, span)
-    n = np.arange(d.n)
-    g_bands = np.zeros((1, 2, d.n, span, span), dtype=complex)
-    g_bands[0, 0] = blocks[n, :, n]
-    g_bands[0, 1, 1:] = blocks[n[1:], :, n[:-1]]
-    # set 64-bit words: a tap outside the bands, even a -0.0, adds one
-    if np.count_nonzero(g_bands.view(np.int64)) != np.count_nonzero(g.view(np.int64)):
-        raise ValueError("G has a tap outside its diagonal and sub-diagonal symbol blocks")
-    return _band_sandwich(g_bands, d)[0]
-
-
 # Atoms built per batch: each batch contracts a (B, 2, N, M + cp_len, M + cp_len)
 # band stack of G, so the bound keeps a miss of a whole-grid dictionary from
 # holding all its bands of G at once.
@@ -322,7 +302,7 @@ def _band_index(d: Dims, delay: int) -> tuple[np.ndarray, ...]:
 def _build_atoms(d: Dims, pulse: Pulse, pairs, out: np.ndarray | None = None) -> np.ndarray:
     """Bands of the unit-path atoms at ``pairs``, a read-only (P, 2, N, M, M)
     array: each path's taps written into the two symbol-block bands of G and
-    contracted as ``effective_tf_channel`` contracts G's bands."""
+    contracted through the dense H_TF's per-block factors."""
     g_bands = np.zeros((len(pairs), 2, d.n, d.m + d.cp_len, d.m + d.cp_len), dtype=complex)
     for p, (delay, doppler) in enumerate(pairs):
         band, block, row, col = _band_index(d, delay)
@@ -391,3 +371,20 @@ def _atom_cache_info() -> CacheInfo:
 
 
 unit_path_tf_channel.cache_info = _atom_cache_info
+
+
+def reconstruct(h: np.ndarray, pairs: tuple[tuple[int, int], ...], pulse: Pulse, d: Dims) -> np.ndarray:
+    """Effective TF channel sum_i h_i H_TF(pairs[i]) of path gains h on the
+    unit-path atoms, as its two symbol-block bands: a (2, N, M, M) array laid
+    out as an atom, from one product of the gains with the stacked atoms."""
+    atoms = unit_path_atoms(d, pulse, pairs)
+    return (np.asarray(h) @ atoms.reshape(len(atoms), 2 * d.grid_size * d.m)).reshape(atoms.shape[1:])
+
+
+def effective_tf_channel(ch: ChannelRealization, pulse: Pulse) -> np.ndarray:
+    """Effective TF channel H_TF = (I_N kron F_M R_CP) G (I_N kron A_CP F_M^H)
+    of a realization as its two symbol-block bands: the sum of its paths'
+    gains times their unit-path atoms (see ``reconstruct``). A delay of one
+    CP-extended symbol or more is rejected."""
+    pairs = tuple((p.delay_int, p.doppler_int) for p in ch.paths)
+    return reconstruct(np.array([p.gain for p in ch.paths]), pairs, pulse, ch.dims)

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelStats, Pulse, unit_path_atoms
+from .channel import ChannelStats, Pulse, reconstruct, unit_path_atoms
 from .grids import Dims, doppler_col, signed_doppler, tf_to_dd, twisted_convolution, vec
 from .pilots import Frame
 
@@ -37,7 +37,6 @@ __all__ = [
     "threshold_select",
     "build_dictionary",
     "cached_dictionary",
-    "reconstruct",
     "soft_threshold",
     "solve_ls",
     "solve_lasso",
@@ -70,7 +69,8 @@ class CoarseEstimate:
 @dataclass(frozen=True)
 class Dictionary:
     """TF response dictionary restricted to a candidate support, with its
-    Gram matrix and squared spectral norm computed on first use."""
+    Gram matrix and the Gram's eigenvalues computed on first use: they give
+    FISTA's step (``norm_sq``) and the least-squares gate (``cond``)."""
 
     matrix: np.ndarray
     pairs: tuple[tuple[int, int], ...]
@@ -82,9 +82,21 @@ class Dictionary:
         return gram
 
     @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The Gram's eigenvalues, ascending: D's squared singular values."""
+        return np.linalg.eigvalsh(self.gram)
+
+    @property
     def norm_sq(self) -> float:
         """||D||_2^2, the exact largest eigenvalue of the Gram."""
-        return float(np.linalg.eigvalsh(self.gram)[-1])
+        return float(self.eigenvalues[-1])
+
+    @property
+    def cond(self) -> float:
+        """sqrt(lambda_max / lambda_min) of the Gram, infinite when lambda_min
+        is not positive: no SVD. Near 1e6 it differs from the SVD's by ~1e-4."""
+        eig = self.eigenvalues
+        return math.sqrt(eig[-1] / eig[0]) if eig[0] > 0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -196,14 +208,6 @@ def cached_dictionary(
     return dictionary
 
 
-def reconstruct(h: np.ndarray, pairs: tuple[tuple[int, int], ...], pulse: Pulse, d: Dims) -> np.ndarray:
-    """Effective TF channel sum_i h_i H_TF(pairs[i]) of path gains h on the
-    unit-path atoms, as its two symbol-block bands: a (2, N, M, M) array laid
-    out as an atom, from one product of the gains with the stacked atoms."""
-    atoms = unit_path_atoms(d, pulse, pairs)
-    return (np.asarray(h) @ atoms.reshape(len(atoms), 2 * d.grid_size * d.m)).reshape(atoms.shape[1:])
-
-
 def soft_threshold(x: np.ndarray, gamma: float) -> np.ndarray:
     """Complex soft threshold: shrink magnitudes by gamma, zero at or below it.
 
@@ -223,17 +227,13 @@ def soft_threshold(x: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def solve_ls(y: np.ndarray, dictionary: Dictionary) -> np.ndarray:
-    """Pseudo-inverse least squares, valid for tall well-conditioned D."""
+    """Pseudo-inverse least squares, valid for tall D with ``cond`` below LS_CONDITION_LIMIT."""
     d = dictionary.matrix
-    rows, cols = d.shape
-    if rows < cols:
+    if d.shape[0] < d.shape[1]:
         raise ValueError("dictionary is fat, use solve_lasso")
-    cond = np.linalg.cond(d)
+    cond = dictionary.cond
     if not cond < LS_CONDITION_LIMIT:
-        raise ValueError(
-            f"dictionary condition number {cond:.3e} exceeds {LS_CONDITION_LIMIT:.0e}, "
-            "use solve_lasso"
-        )
+        raise ValueError(f"condition number {cond:.3e} exceeds {LS_CONDITION_LIMIT:.0e}, use solve_lasso")
     return np.linalg.solve(dictionary.gram, d.conj().T @ y)
 
 

@@ -84,8 +84,11 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must not be empty")
-        for snr_db in self.snr_grid_db:
+        for i, snr_db in enumerate(self.snr_grid_db):
             _check_snr(snr_db)
+            twins = [s for s in self.snr_grid_db[:i] if _snr_key(s) == _snr_key(snr_db)]
+            if twins:
+                raise ValueError(f"SNR points {twins[0]!r} and {snr_db!r} dB share a seed key: identical trials")
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
         if not self.estimators:
@@ -93,6 +96,9 @@ class SimConfig:
         unknown = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
         if unknown:
             raise ValueError(f"unknown estimators {unknown}, choose from {ESTIMATOR_NAMES}")
+        repeated = sorted({e for e in self.estimators if self.estimators.count(e) > 1})
+        if repeated:
+            raise ValueError(f"estimators {repeated} are listed more than once")
         if self.cov_samples < 2:
             raise ValueError(f"cov_samples must be at least 2, got {self.cov_samples}")
         if self.base_seed < 0:
@@ -176,15 +182,15 @@ def fit_config_covariance(cfg: SimConfig) -> CovarianceModel:
 
 
 def _received(cfg: SimConfig, snr_db: float, trial_index: int, n0: float):
-    """The keyed transmit chain of one trial: its time-domain channel G, its
-    frame and the received TF grid at noise variance n0."""
+    """One trial's keyed transmit chain: the channel realization, whose atom
+    sum is the truth, the frame, and the received TF grid at noise variance n0."""
     channel_rng, frame_rng, noise_rng = _trial_rngs(cfg, snr_db, trial_index)
     ch = sample_channel(cfg.stats, cfg.dims, channel_rng)
     g = time_channel_matrix(ch, cfg.pulse)
     frame = assemble_frame(cfg.frame, frame_rng)
     s = tf_to_time(frame.tf, cfg.dims, with_cp=True)
     r = apply_channel(s, g, n0, noise_rng)
-    return g, frame, time_to_tf(remove_cp(r, cfg.dims), cfg.dims)
+    return ch, frame, time_to_tf(remove_cp(r, cfg.dims), cfg.dims)
 
 
 def run_trial(
@@ -205,8 +211,8 @@ def run_trial(
     n0 = _check_snr(snr_db)
     if cov is None and "fs_lmmse" in cfg.estimators:
         cov = fit_config_covariance(cfg)
-    g, frame, y_tf = _received(cfg, snr_db, trial_index, n0)
-    h_true = effective_tf_channel(g, cfg.dims)
+    ch, frame, y_tf = _received(cfg, snr_db, trial_index, n0)
+    h_true = effective_tf_channel(ch, cfg.pulse)
     denom = float(np.sum(np.abs(h_true) ** 2))
     out: dict[str, float] = {}
     st_ls_hat = None

@@ -130,10 +130,7 @@ def _pilot_positions(spec: FrameSpec, rng: np.random.Generator | None) -> tuple[
         return np.tile(rows, cols.size), np.repeat(cols, rows.size)
     if rng is None:
         raise ValueError("uniform_random placement needs an rng")
-    count = spec.n_pilots
-    if count > d.grid_size:
-        raise ValueError(f"cannot place {count} pilots on a grid of {d.grid_size}")
-    flat = np.sort(rng.choice(d.grid_size, size=count, replace=False))
+    flat = np.sort(rng.choice(d.grid_size, size=spec.n_pilots, replace=False))
     return flat % d.m, flat // d.m
 
 

@@ -167,7 +167,7 @@ def test_criterion_2_bound_within_reach_of_stage_two(data_cov):
             ch = sample_channel(STATS, D, channel_rng)
             frame = assemble_frame(cfg.frame, frame_rng)
             y = received_tf(frame, ch, n0, noise_rng)
-            h_true = effective_tf_channel(time_channel_matrix(ch, IDEAL), D)
+            h_true = effective_tf_channel(ch, IDEAL)
             energy = np.sum(np.abs(h_true) ** 2)
             pairs = tuple((p.delay_int, p.doppler_int) for p in ch.paths)
             gains = solve_ls(vec(y), build_dictionary(frame.pilot_only_tf, pairs, IDEAL, D))
@@ -256,7 +256,7 @@ def test_criterion_6_exact_recovery_on_noiseless_three_path_channels():
     for _ in range(100):
         ch = sample_channel(STATS, D, rng)
         y = received_tf(frame, ch)
-        h_true = effective_tf_channel(time_channel_matrix(ch, IDEAL), D)
+        h_true = effective_tf_channel(ch, IDEAL)
         est = cdce_estimate(y, frame, STATS, n0=0.0)
         err = 10 * np.log10(
             np.sum(np.abs(est.h_tf_hat - h_true) ** 2) / np.sum(np.abs(h_true) ** 2)
@@ -309,10 +309,9 @@ def test_criterion_8_transform_and_property_suite():
 
     for trial in range(5):
         ch = sample_channel(STATS, D, rng)
-        g = time_channel_matrix(ch, IDEAL)
         frame = assemble_frame(FrameSpec(dims=D, data_mode="qpsk"), rng)
         y_sig = received_tf(frame, ch)
-        y_mat = unvec(bands_to_dense(effective_tf_channel(g, D)) @ vec(frame.tf), D.m, D.n)
+        y_mat = unvec(bands_to_dense(effective_tf_channel(ch, IDEAL)) @ vec(frame.tf), D.m, D.n)
         rel = np.linalg.norm(y_sig - y_mat) / np.linalg.norm(y_mat)
         if rel > 1e-10:
             failures.append(f"chain equivalence off by {rel:.1e}")

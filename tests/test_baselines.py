@@ -209,7 +209,7 @@ class TestFitCovariance:
         samples = np.empty((D.grid_size**2, k), dtype=complex)
         for j in range(k):
             ch = sample_channel(stats, D, rng)
-            samples[:, j] = vec(bands_to_dense(effective_tf_channel(time_channel_matrix(ch, pulse), D)))
+            samples[:, j] = vec(bands_to_dense(effective_tf_channel(ch, pulse)))
         mean = samples.mean(axis=1)
         scatter = (samples - mean[:, None]) / np.sqrt(k)
         lift_mean, lift_factor = lifted(cov, D)
@@ -252,7 +252,7 @@ class TestFitCovariance:
         assert cov.rank == 0
         np.testing.assert_allclose(
             reconstruct(cov.mean, cov.pairs, cov.pulse, D),
-            effective_tf_channel(time_channel_matrix(fixed, IDEAL), D),
+            effective_tf_channel(fixed, IDEAL),
             atol=1e-12,
         )
 
@@ -312,7 +312,7 @@ class TestFsLmmse:
         d4, stats4, cov, _ = small_setup
         ch = sample_channel(stats4, d4, np.random.default_rng(13))
         y = received_tf(full_pilot_frame4, ch)
-        h_true = effective_tf_channel(time_channel_matrix(ch, IDEAL), d4)
+        h_true = effective_tf_channel(ch, IDEAL)
         est = fs_lmmse(y, full_pilot_frame4, cov, 0.0)
         assert nmse_db(est, h_true) < -60.0
 
@@ -338,7 +338,7 @@ class TestTfLasso:
             paths=(PathParams(gain=0.7 + 0.2j, delay_int=1, doppler_int=-2),), dims=D
         )
         y = received_tf(fr, ch)
-        h_true = effective_tf_channel(time_channel_matrix(ch, IDEAL), D)
+        h_true = effective_tf_channel(ch, IDEAL)
         est = tf_lasso(y, fr, cfg=LassoConfig(lam=0.01, tol=1e-10, max_iter=5000))
         assert nmse_db(est, h_true) < -60.0
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -30,6 +31,16 @@ trials: 2
 estimators: [st_ls, st_lmmse]
 snr_grid_db: [10]
 """
+
+
+# A repeated estimator would run twice per trial and write two identical rows
+# per SNR point; two SNR points with one seed key (the SNR rounded to 1e-6 dB)
+# would draw identical trials.
+DUPLICATES = [
+    ("estimators: [cdce, st_ls, cdce]", r"estimators \['cdce'\] are listed more than once"),
+    ("snr_grid_db: [10, 5, 10.0]", "SNR points 10.0 and 10.0 dB share a seed key: identical trials"),
+    ("snr_grid_db: [5, 10, 10.0000001]", "SNR points 10.0 and 10.0000001 dB share a seed key: identical trials"),
+]
 
 
 class TestLoadConfig:
@@ -128,6 +139,15 @@ class TestLoadConfig:
             load_config(path)
         if fragment.startswith("invalid"):
             assert path in str(caught.value)
+
+    @pytest.mark.parametrize("text,named", DUPLICATES)
+    def test_duplicates_rejected_by_name(self, tmp_path, text, named):
+        with pytest.raises(ConfigError, match=named):
+            load_config(write_config(tmp_path, text))
+
+    def test_close_snr_points_with_distinct_keys_load(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, "snr_grid_db: [10, 10.000001]"))
+        assert cfg.snr_grid_db == (10.0, 10.000001)
 
     def test_sequence_key_maps_to_kind(self, tmp_path):
         # Walsh rows need a power-of-two pilot count: 4 x 16 here
@@ -231,6 +251,16 @@ class TestCliSweep:
         path = write_config(tmp_path, "mode: blind")
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("text,named", DUPLICATES)
+    def test_duplicates_are_an_error_before_any_trial(self, tmp_path, capsys, text, named):
+        path = write_config(tmp_path, "trials: 1\n" + text)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert re.search(named, err)
+        assert not out.exists()
 
 
 class TestCliAf:

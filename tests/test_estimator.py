@@ -446,7 +446,33 @@ def random_lasso_instance(seed, rows=40, cols=12, sparsity=3, noise=0.0):
     return y, Dictionary(matrix=d, pairs=tuple((j, 0) for j in range(cols))), h
 
 
+def conditioned(rows, cols, cond, seed=0):
+    """A complex rows x cols matrix with singular values spaced
+    geometrically from 1 down to 1/cond."""
+    rng = np.random.default_rng(seed)
+
+    def orthonormal(n, k):
+        q, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+        return q
+
+    sv = np.geomspace(1.0, 1.0 / cond, cols)
+    return (orthonormal(rows, cols) * sv) @ orthonormal(cols, cols).conj().T
+
+
 class TestSolveLs:
+    @pytest.mark.parametrize("cond", [1.0, 3.0, 10.0, 1e2, 1e3, 1e4])
+    @pytest.mark.parametrize("shape", [(112, 21), (112, 3), (40, 12), (5, 2)])
+    def test_gram_condition_number_matches_the_svd(self, shape, cond):
+        for seed in range(3):
+            m = conditioned(*shape, cond, seed)
+            d = Dictionary(matrix=m, pairs=tuple((j, 0) for j in range(shape[1])))
+            assert d.cond == pytest.approx(np.linalg.cond(m), rel=1e-6)
+
+    def test_rank_deficient_dictionary_has_infinite_or_huge_condition(self):
+        m = conditioned(40, 4, 10.0)
+        d = Dictionary(matrix=np.column_stack([m, m[:, 1]]), pairs=tuple((j, 0) for j in range(5)))
+        assert not d.cond < estimator.LS_CONDITION_LIMIT
+
     def test_orthonormal_columns_recover_exactly(self):
         q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((20, 5)))
         h = np.arange(1, 6) + 0.5j
@@ -745,7 +771,7 @@ class TestCdceEstimate:
         ch = make_channel([(gain, 2, -3)])
         y = received_tf(frame, ch)
         est = cdce_estimate(y, frame, STATS, n0=0.0)
-        h_true = effective_tf_channel(time_channel_matrix(ch, IDEAL), D)
+        h_true = effective_tf_channel(ch, IDEAL)
         assert est.h_tf_hat.shape == h_true.shape == (2, D.n, D.m, D.m)
         err = np.linalg.norm(est.h_tf_hat - h_true) / np.linalg.norm(h_true)
         assert err < 1e-8
@@ -797,6 +823,33 @@ class TestCdceEstimate:
             monkeypatch.setattr(estimator, name, spy)
         est = cdce_estimate(y, fr, STATS, n0=0.0)
         assert len(est.pairs) > 0
+        assert finished == [branch]
+
+    @pytest.mark.parametrize("cond,branch", [(0.98e6, "solve_ls"), (1.02e6, "solve_lasso")])
+    def test_branch_follows_the_gram_condition_number(self, monkeypatch, frame, cond, branch):
+        # n0 = 0 keeps all 21 region bins; the dictionary is swapped for one
+        # of the given condition number, 2 % either side of the limit
+        y = received_tf(frame, make_channel([(0.9, 1, 1)]))
+        built = []
+
+        def build(pilot_only_tf, pairs, pulse, d):
+            built.append(Dictionary(matrix=conditioned(d.grid_size, len(pairs), cond), pairs=tuple(pairs)))
+            return built[-1]
+
+        monkeypatch.setattr(estimator, "build_dictionary", build)
+        finished = []
+        for name in ("solve_ls", "solve_lasso"):
+            def spy(*args, _solve=getattr(estimator, name), _name=name):
+                h = _solve(*args)
+                finished.append(_name)
+                return h
+
+            monkeypatch.setattr(estimator, name, spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cdce_estimate(y, frame, STATS, n0=0.0)
+        assert [d.matrix.shape for d in built] == [(D.grid_size, STATS.region_size)]
+        assert built[0].cond == pytest.approx(cond, rel=1e-3)
         assert finished == [branch]
 
     def test_reconstruction_uses_only_surviving_pairs(self, frame):

@@ -136,11 +136,11 @@ class TestRunTrial:
         cfg = make_config()
         n0 = harness._check_snr(5.0)
         channel_rng, frame_rng, noise_rng = harness._trial_rngs(cfg, 5.0, 2)
-        g = time_channel_matrix(sample_channel(cfg.stats, D, channel_rng), cfg.pulse)
+        ch = sample_channel(cfg.stats, D, channel_rng)
         frame = assemble_frame(cfg.frame, frame_rng)
-        r = apply_channel(tf_to_time(frame.tf, D, with_cp=True), g, n0, noise_rng)
+        r = apply_channel(tf_to_time(frame.tf, D, with_cp=True), time_channel_matrix(ch, cfg.pulse), n0, noise_rng)
         y = time_to_tf(remove_cp(r, D), D)
-        h_true = effective_tf_channel(g, D)
+        h_true = effective_tf_channel(ch, cfg.pulse)
         h_hat = st_ls(y, frame) / (1.0 + n0)
         want = np.sum(np.abs(h_hat - h_true) ** 2) / np.sum(np.abs(h_true) ** 2)
         assert ratios[0] == pytest.approx(want, rel=1e-12)
@@ -258,8 +258,8 @@ def dense_trial(cfg, snr_db, t, cov):
     np.interp loop's grid, and fs_lmmse's bands scattered into a matrix."""
     d = cfg.dims
     n0 = harness._check_snr(snr_db)
-    g, frame, y_tf = harness._received(cfg, snr_db, t, n0)
-    h_true = dense_effective_tf(g, d)
+    ch, frame, y_tf = harness._received(cfg, snr_db, t, n0)
+    h_true = dense_effective_tf(time_channel_matrix(ch, cfg.pulse), d)
 
     def summed(gains, pairs):
         return dense_reconstruct_oracle(gains, [dense_atom(d, cfg.pulse, l, k) for l, k in pairs])
