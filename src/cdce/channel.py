@@ -360,19 +360,6 @@ def unit_path_atoms(d: Dims, pulse: Pulse, pairs) -> np.ndarray:
     return atoms
 
 
-def unit_path_tf_channel(d: Dims, pulse: Pulse, delay: int, doppler: int) -> np.ndarray:
-    """The cached atom of a unit-gain single path; see ``unit_path_atoms``."""
-    return unit_path_atoms(d, pulse, ((delay, doppler),))[0]
-
-
-def _atom_cache_info() -> CacheInfo:
-    size = sum(len(store) for *_, store in _atoms.values())
-    return CacheInfo(_atom_lookups["hits"], _atom_lookups["misses"], None, size)
-
-
-unit_path_tf_channel.cache_info = _atom_cache_info
-
-
 def reconstruct(h: np.ndarray, pairs: tuple[tuple[int, int], ...], pulse: Pulse, d: Dims) -> np.ndarray:
     """Effective TF channel sum_i h_i H_TF(pairs[i]) of path gains h on the
     unit-path atoms, as its two symbol-block bands: a (2, N, M, M) array laid
@@ -388,3 +375,16 @@ def effective_tf_channel(ch: ChannelRealization, pulse: Pulse) -> np.ndarray:
     CP-extended symbol or more is rejected."""
     pairs = tuple((p.delay_int, p.doppler_int) for p in ch.paths)
     return reconstruct(np.array([p.gain for p in ch.paths]), pairs, pulse, ch.dims)
+
+
+def unit_path_tf_channel(d: Dims, pulse: Pulse, delay: int, doppler: int) -> np.ndarray:
+    """The cached atom of a unit-gain single path; see ``unit_path_atoms``."""
+    return unit_path_atoms(d, pulse, ((delay, doppler),))[0]
+
+
+def _atom_cache_info() -> CacheInfo:
+    size = sum(len(store) for *_, store in _atoms.values())
+    return CacheInfo(_atom_lookups["hits"], _atom_lookups["misses"], None, size)
+
+
+unit_path_tf_channel.cache_info = _atom_cache_info

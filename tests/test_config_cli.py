@@ -131,7 +131,7 @@ class TestLoadConfig:
             ("snr_grid_db: [-4000]", "invalid config"),
             ("snr_grid_db: [-3082]", "invalid config"),
             ("snr_grid_db: [10, -1541.3]", "invalid config"),
-        ],
+        ] + DUPLICATES,
     )
     def test_bad_configs_rejected(self, tmp_path, text, fragment):
         path = write_config(tmp_path, text)
@@ -139,11 +139,6 @@ class TestLoadConfig:
             load_config(path)
         if fragment.startswith("invalid"):
             assert path in str(caught.value)
-
-    @pytest.mark.parametrize("text,named", DUPLICATES)
-    def test_duplicates_rejected_by_name(self, tmp_path, text, named):
-        with pytest.raises(ConfigError, match=named):
-            load_config(write_config(tmp_path, text))
 
     def test_close_snr_points_with_distinct_keys_load(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "snr_grid_db: [10, 10.000001]"))
