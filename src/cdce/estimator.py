@@ -384,16 +384,16 @@ def cdce_estimate(
     frame: Frame,
     stats: ChannelStats,
     n0: float,
-    mode: str = "pilot_only",
     lasso: LassoConfig = LassoConfig(),
     pulse: Pulse = Pulse("ideal"),
 ) -> ChannelEstimate:
     """Run the full two-stage pipeline on a received TF grid.
 
-    The correlation surface is normalized by the pilot frame energy before
-    thresholding, so the pilot-only threshold sqrt(N0)/3 acts on gain-scale
-    scores; the with-data RMS threshold is invariant to this scaling. Stage
-    two always fits the raw received vector.
+    A frame whose grid differs from its pilot-only grid carries data and gets
+    the with-data threshold. The correlation surface is normalized by the
+    pilot frame energy before thresholding, so the pilot-only threshold
+    sqrt(N0)/3 acts on gain-scale scores; the with-data RMS threshold is
+    invariant to this scaling. Stage two always fits the raw received vector.
     """
     d = frame.dims
     x_dd = tf_to_dd(frame.pilot_only_tf, d)
@@ -402,14 +402,16 @@ def cdce_estimate(
         raise ValueError("the pilot frame is empty")
     y_dd = tf_to_dd(y_tf, d)
     scores = twisted_convolution(y_dd, x_dd) / pilot_energy
+    mode = "pilot_only" if np.array_equal(frame.tf, frame.pilot_only_tf) else "with_data"
     gamma = default_gamma(mode, n0=n0, v_dd=scores, region_size=stats.region_size)
     coarse = threshold_select(scores, stats, gamma)
     h = np.zeros(0, dtype=complex)
     if coarse.p_hat:
         dictionary = build_dictionary(frame.pilot_only_tf, coarse.pairs, pulse, d)
-        try:
+        rows, cols = dictionary.matrix.shape
+        if rows >= cols and dictionary.cond < LS_CONDITION_LIMIT:
             h = solve_ls(vec(y_tf), dictionary)
-        except ValueError:  # fat or ill-conditioned dictionary
+        else:
             h = solve_lasso(vec(y_tf), dictionary, lasso)
     keep = h != 0
     kept_pairs = tuple(p for p, flag in zip(coarse.pairs, keep) if flag)

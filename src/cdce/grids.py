@@ -41,9 +41,9 @@ class Dims:
         cp_len: cyclic prefix length in samples, smaller than ``m``.
     """
 
-    m: int
-    n: int
-    cp_len: int
+    m: int = 8
+    n: int = 14
+    cp_len: int = 2
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:

@@ -73,7 +73,7 @@ class SimConfig:
     dims: Dims
     stats: ChannelStats
     frame: FrameSpec
-    snr_grid_db: tuple[float, ...]
+    snr_grid_db: tuple[float, ...] = (0.0, 5.0, 10.0, 15.0, 20.0)
     trials: int = 500
     estimators: tuple[str, ...] = ESTIMATOR_NAMES
     lasso: LassoConfig = field(default_factory=LassoConfig)
@@ -115,11 +115,6 @@ class SimConfig:
             raise ValueError(
                 f"cannot draw {stats.n_paths} distinct paths from a region of {stats.region_size} bins"
             )
-
-    @property
-    def mode(self) -> str:
-        """``pilot_only`` for a frame without data, else ``with_data``."""
-        return "pilot_only" if self.frame.data_mode == "none" else "with_data"
 
 
 @dataclass(frozen=True)
@@ -218,8 +213,7 @@ def run_trial(
     st_ls_hat = None
     for name in cfg.estimators:
         if name == "cdce":
-            h_hat = cdce_estimate(y_tf, frame, cfg.stats, n0, mode=cfg.mode, lasso=cfg.lasso,
-                                  pulse=cfg.pulse).h_tf_hat
+            h_hat = cdce_estimate(y_tf, frame, cfg.stats, n0, lasso=cfg.lasso, pulse=cfg.pulse).h_tf_hat
         elif name == "fs_lmmse":
             h_hat = fs_lmmse(y_tf, frame, cov, n0)
         elif name in ("st_ls", "st_lmmse"):

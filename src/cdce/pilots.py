@@ -67,6 +67,8 @@ class FrameSpec:
             raise ValueError(f"pilot power must be finite and positive, got {self.pilot_power}")
         if self.lattice.freq_offset >= self.dims.m or self.lattice.time_offset >= self.dims.n:
             raise ValueError("lattice offsets leave no pilot positions")
+        if self.data_mode == "qpsk" and self.n_pilots == self.dims.grid_size:
+            raise ValueError("pilots fill every resource element, leaving none for a qpsk data fill")
         # the sequence is built per frame; an impossible length or parameter fails here
         make_pilot_sequence(self.sequence_kind, self.n_pilots, self.sequence_param)
 

@@ -7,12 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdce.channel import Pulse
+from cdce.channel import ChannelStats, Pulse
 from cdce.cli import main
 from cdce.config import ENV_BASE_SEED, ConfigError, load_config
 from cdce.grids import Dims
-from cdce.harness import ESTIMATOR_NAMES, run_trial
-from cdce.pilots import assemble_frame, discrete_af, pilot_dd_image
+from cdce.harness import ESTIMATOR_NAMES, SimConfig, run_trial
+from cdce.pilots import FrameSpec, assemble_frame, discrete_af, pilot_dd_image
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 REPO_CONFIG = str(CONFIG_DIR / "pilot_only.yaml")
@@ -43,6 +43,15 @@ DUPLICATES = [
 ]
 
 
+# YAML would keep the last of two equal keys; the loader refuses them, at the
+# top level and inside a section
+REPEATED = [
+    ("estimators: [cdce, st_ls]\nsnr_grid_db: [10]\nestimators: [st_ls]", r"repeated key 'estimators' in .*cfg\.yaml, line \d"),
+    ("dims: {m: 8, m: 16}", "repeated key 'm'"),
+    ("lasso:\n  tol: 1.0e-6\n  lambda: 0.1\n  tol: 1.0e-5", "repeated key 'tol'"),
+]
+
+
 class TestLoadConfig:
     def test_repo_pilot_config(self):
         cfg = load_config(REPO_CONFIG)
@@ -56,7 +65,6 @@ class TestLoadConfig:
         assert cfg.frame.data_mode == "none"
         assert cfg.snr_grid_db == (0.0, 5.0, 10.0, 15.0, 20.0)
         assert cfg.trials == 500
-        assert cfg.mode == "pilot_only"
         assert cfg.estimators == ESTIMATOR_NAMES
         assert cfg.lasso.lam == 0.01
         assert cfg.cov_samples == 1000
@@ -65,7 +73,6 @@ class TestLoadConfig:
 
     def test_repo_data_config_fills_qpsk(self):
         cfg = load_config(DATA_CONFIG)
-        assert cfg.mode == "with_data"
         assert cfg.frame.data_mode == "qpsk"
 
     def test_empty_file_gives_defaults(self, tmp_path):
@@ -131,7 +138,8 @@ class TestLoadConfig:
             ("snr_grid_db: [-4000]", "invalid config"),
             ("snr_grid_db: [-3082]", "invalid config"),
             ("snr_grid_db: [10, -1541.3]", "invalid config"),
-        ] + DUPLICATES,
+            ("mode: with_data\nframe: {freq_spacing: 1}", "invalid frame"),
+        ] + DUPLICATES + REPEATED,
     )
     def test_bad_configs_rejected(self, tmp_path, text, fragment):
         path = write_config(tmp_path, text)
@@ -139,6 +147,21 @@ class TestLoadConfig:
             load_config(path)
         if fragment.startswith("invalid"):
             assert path in str(caught.value)
+
+    def test_empty_file_is_the_dataclass_defaults(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, ""), env={})
+        assert cfg == SimConfig(dims=Dims(), stats=ChannelStats(), frame=FrameSpec(dims=Dims()))
+
+    def test_readme_defaults_are_the_code_defaults(self, tmp_path):
+        readme = (CONFIG_DIR.parent / "README.md").read_text()
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
+        documented = load_config(write_config(tmp_path, block, "readme.yaml"), env={})
+        assert documented == load_config(write_config(tmp_path, ""), env={})
+
+    def test_merged_keys_may_be_overridden(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, "dims: {<<: {m: 16, n: 16}, n: 14}"))
+        assert cfg.dims == Dims(16, 14, 2)
 
     def test_close_snr_points_with_distinct_keys_load(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "snr_grid_db: [10, 10.000001]"))
@@ -247,7 +270,7 @@ class TestCliSweep:
         assert main(["sweep", "--config", path, "--out", str(tmp_path / "x.csv")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("text,named", DUPLICATES)
+    @pytest.mark.parametrize("text,named", DUPLICATES + REPEATED)
     def test_duplicates_are_an_error_before_any_trial(self, tmp_path, capsys, text, named):
         path = write_config(tmp_path, "trials: 1\n" + text)
         out = tmp_path / "x.csv"

@@ -804,18 +804,35 @@ class TestCdceEstimate:
         data_frame = assemble_frame(spec, rng)
         ch = make_channel([(0.8, 1, 0)])
         y = received_tf(data_frame, ch, n0=0.01, rng=rng)
-        est = cdce_estimate(y, data_frame, STATS, n0=0.01, mode="with_data")
+        est = cdce_estimate(y, data_frame, STATS, n0=0.01)
         assert (1, 0) in est.pairs
+
+    @pytest.mark.parametrize("data_mode,rule", [("none", "pilot_only"), ("qpsk", "with_data")])
+    def test_the_frame_picks_the_threshold_rule(self, monkeypatch, data_mode, rule):
+        rng = np.random.default_rng(5)
+        fr = assemble_frame(FrameSpec(dims=D, data_mode=data_mode), rng)
+        y = received_tf(fr, make_channel([(0.8, 1, 0)]), n0=0.01, rng=rng)
+        rules = []
+
+        def spy(mode, **kwargs):
+            rules.append(mode)
+            return default_gamma(mode, **kwargs)
+
+        monkeypatch.setattr(estimator, "default_gamma", spy)
+        cdce_estimate(y, fr, STATS, n0=0.01)
+        assert rules == [rule]
 
     @pytest.mark.parametrize("freq_spacing,branch", [(2, "solve_ls"), (4, "solve_lasso")])
     def test_fista_only_for_ill_conditioned_dictionaries(self, monkeypatch, freq_spacing, branch):
         # n0 = 0 keeps all 21 region bins; pilots on every fourth subcarrier
-        # cannot tell delay 0 from delay 2, so two columns coincide
+        # cannot tell delay 0 from delay 2, so two columns coincide. The
+        # branch is chosen before the call: a FISTA trial never enters solve_ls
         fr = assemble_frame(FrameSpec(dims=D, lattice=Lattice(freq_spacing=freq_spacing)))
         y = received_tf(fr, make_channel([(0.9, 1, 1)]))
-        finished = []
+        entered, finished = [], []
         for name in ("solve_ls", "solve_lasso"):
             def spy(*args, _solve=getattr(estimator, name), _name=name):
+                entered.append(_name)
                 h = _solve(*args)
                 finished.append(_name)
                 return h
@@ -823,7 +840,7 @@ class TestCdceEstimate:
             monkeypatch.setattr(estimator, name, spy)
         est = cdce_estimate(y, fr, STATS, n0=0.0)
         assert len(est.pairs) > 0
-        assert finished == [branch]
+        assert entered == finished == [branch]
 
     @pytest.mark.parametrize("cond,branch", [(0.98e6, "solve_ls"), (1.02e6, "solve_lasso")])
     def test_branch_follows_the_gram_condition_number(self, monkeypatch, frame, cond, branch):
@@ -837,9 +854,10 @@ class TestCdceEstimate:
             return built[-1]
 
         monkeypatch.setattr(estimator, "build_dictionary", build)
-        finished = []
+        entered, finished = [], []
         for name in ("solve_ls", "solve_lasso"):
             def spy(*args, _solve=getattr(estimator, name), _name=name):
+                entered.append(_name)
                 h = _solve(*args)
                 finished.append(_name)
                 return h
@@ -850,7 +868,7 @@ class TestCdceEstimate:
             cdce_estimate(y, frame, STATS, n0=0.0)
         assert [d.matrix.shape for d in built] == [(D.grid_size, STATS.region_size)]
         assert built[0].cond == pytest.approx(cond, rel=1e-3)
-        assert finished == [branch]
+        assert entered == finished == [branch]
 
     def test_reconstruction_uses_only_surviving_pairs(self, frame):
         gain = 0.9

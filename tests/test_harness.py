@@ -83,7 +83,7 @@ class TestNmseDb:
 class TestSimConfig:
     def test_defaults(self):
         cfg = make_config()
-        assert cfg.mode == "pilot_only"
+        assert cfg.frame.data_mode == "none"
         assert cfg.base_seed == 0
         assert cfg.pulse == Pulse("ideal")
 
@@ -108,10 +108,6 @@ class TestSimConfig:
     def test_invalid_configs_rejected(self, overrides):
         with pytest.raises(ValueError):
             make_config(**overrides)
-
-    def test_with_data_mode_needs_data_frame(self):
-        cfg = make_config(frame=FrameSpec(dims=D, data_mode="qpsk"))
-        assert cfg.mode == "with_data"
 
 
 class TestRunTrial:
@@ -267,7 +263,7 @@ def dense_trial(cfg, snr_db, t, cov):
     mask = frame.pilot_mask
     ratios = np.where(mask, y_tf / np.where(mask, frame.pilot_only_tf, 1), 0)
     single_tap = np.diag(vec(interpolate_grid_loop(ratios, mask)))
-    est = cdce_estimate(y_tf, frame, cfg.stats, n0, mode=cfg.mode, lasso=cfg.lasso, pulse=cfg.pulse)
+    est = cdce_estimate(y_tf, frame, cfg.stats, n0, lasso=cfg.lasso, pulse=cfg.pulse)
     gains = baselines.tf_lasso_gains(vec(y_tf), frame, cfg.lasso, cfg.pulse)
     estimates = {
         "cdce": summed(est.h_hat, est.pairs) if est.pairs else np.zeros_like(h_true),

@@ -108,6 +108,15 @@ class TestFrameSpec:
         with pytest.raises(ValueError):
             FrameSpec(dims=D, placement="speckle")
 
+    @pytest.mark.parametrize("placement", ["lattice", "uniform_random"])
+    def test_qpsk_needs_a_resource_element_without_a_pilot(self, placement):
+        full = Lattice(freq_spacing=1, time_spacing=1)
+        with pytest.raises(ValueError, match="qpsk"):
+            FrameSpec(dims=D, lattice=full, data_mode="qpsk", placement=placement)
+        assert FrameSpec(dims=D, lattice=full, placement=placement).n_pilots == D.grid_size
+        # one subcarrier without pilots leaves room for data
+        FrameSpec(dims=D, lattice=Lattice(freq_offset=1, freq_spacing=1), data_mode="qpsk")
+
 
 class TestAssembleFrame:
     def test_pilot_only_energy(self):
