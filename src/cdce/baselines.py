@@ -157,13 +157,12 @@ def fs_lmmse(y_tf: np.ndarray, frame: Frame, cov: CovarianceModel, n0: float) ->
     estimate is reconstruct(hbar + U z) with
         z = (B^H B + N0 I)^{-1} B^H (y - D hbar),
     the pseudo-inverse solution when N0 = 0. By the push-through identity this
-    equals the LMMSE over vec(H_TF) with the lifted mean and covariance.
+    equals the LMMSE over vec(H_TF) with the lifted mean and covariance. A
+    rank-0 prior (U with no columns) gives an empty z: the prior mean.
     """
     if n0 < 0:
         raise ValueError(f"n0 must be non-negative, got {n0}")
     d = frame.dims
-    if cov.rank == 0:
-        return reconstruct(cov.mean, cov.pairs, cov.pulse, d)
     atoms = cached_dictionary(frame.pilot_only_tf, cov.pairs, cov.pulse, d).matrix
     b = atoms @ cov.factor
     resid = vec(y_tf) - atoms @ cov.mean

@@ -7,6 +7,8 @@ matrix G acts on the CP-extended transmit vector, and each path adds one tap
 to it. The effective TF matrix H_TF, the unitary DFT / CP sandwich of G, is
 the ground truth that every estimator is scored against: the paths' gains on
 their unit-path atoms (see ``unit_path_atoms``), summed by ``reconstruct``.
+Atoms exist for the grid's own bins only, 0 <= delay < M and
+-N/2 < doppler <= N/2, cached as one stack per (dims, pulse).
 """
 
 from __future__ import annotations
@@ -271,9 +273,9 @@ def _band_sandwich(g_bands: np.ndarray, d: Dims, out: np.ndarray | None = None) 
 ATOM_BATCH = 16
 
 # Unit-path atoms by (dims, pulse): the full-grid stack in full_grid_pairs
-# order, each full-grid bin's slot and each built atom by (delay, doppler);
-# and the lookups that found or missed one, as functools.lru_cache counts.
-_atoms: dict[tuple, tuple[np.ndarray, dict, dict]] = {}
+# order and the mask of its built slots; and the lookups that found or missed
+# one, as functools.lru_cache counts them.
+_atoms: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 _atom_lookups = {"hits": 0, "misses": 0}
 CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
@@ -316,46 +318,45 @@ def unit_path_atoms(d: Dims, pulse: Pulse, pairs) -> np.ndarray:
     """The atoms of the (delay, doppler) pairs, in order, as one read-only
     (P, 2, N, M, M) stack from the atom cache.
 
-    Atoms not yet cached are built ATOM_BATCH at a time and cached. Each
-    atom is a unit-gain single path's H_TF as its two symbol-block bands: a
-    (2, N, M, M) array whose [0, n] is the diagonal block of symbol n and
-    [1, n] the block through which symbol n - 1 leaks into symbol n ([1, 0]
-    is zero). A received payload sample depends on transmit samples at most
-    ``delay`` earlier, so below one CP-extended symbol of delay every other
-    block is exactly zero; longer delays are rejected. The full-grid atoms
-    sit in one stack in ``full_grid_pairs`` order: a run of it, such as the
-    whole grid, is returned as a view, any other pairs as a gathered copy.
+    Each atom is a unit-gain single path's H_TF as its two symbol-block
+    bands: a (2, N, M, M) array whose [0, n] is the diagonal block of symbol
+    n and [1, n] the block through which symbol n - 1 leaks into symbol n
+    ([1, 0] is zero); a delay below M reaches back less than one CP-extended
+    symbol, so every other block is exactly zero. The cache holds one stack
+    of the grid's own bins, 0 <= delay < M and -N/2 < doppler <= N/2, in
+    ``full_grid_pairs`` order: bin (l, k) sits at slot (k mod N) * M + l,
+    and any other pair is rejected. Slots not yet built are built straight
+    into the stack, ATOM_BATCH at a time. A run of slots, such as the whole
+    grid, is returned as a view of the stack, any other pairs as a gathered
+    copy.
     """
+    m, n = d.m, d.n
+    slots = []
+    for delay, doppler in pairs:
+        if not 0 <= delay < m:
+            raise ValueError(f"delay {delay} must be non-negative and below m = {m}")
+        if not -n < 2 * doppler <= n:
+            raise ValueError(f"Doppler {doppler} is outside the Doppler grid (-N/2, N/2] with N = {n}")
+        slots.append(doppler % n * m + delay)
     if (d, pulse) not in _atoms:
-        slots = {pair: slot for slot, pair in enumerate(full_grid_pairs(d))}
-        _atoms[(d, pulse)] = (np.empty((d.grid_size, 2, d.n, d.m, d.m), dtype=complex), slots, {})
-    stack, slots, store = _atoms[(d, pulse)]
-    keys = tuple((delay, doppler) for delay, doppler in pairs)
-    missing = [key for key in dict.fromkeys(keys) if key not in store]
-    for delay, doppler in missing:
-        if not 0 <= delay < d.m + d.cp_len:
-            raise ValueError(f"delay {delay} must be non-negative and below m + cp_len = {d.m + d.cp_len}")
-        if abs(doppler) > d.n / 2:
-            raise ValueError(f"Doppler {doppler} exceeds half the Doppler grid (N/2 = {d.n / 2})")
-    # full-grid atoms are built straight into the stack, a run of slots at a time
-    todo = sorted(slots[key] for key in missing if key in slots)
-    for run in np.split(todo, np.flatnonzero(np.diff(todo) != 1) + 1) if todo else ():
+        _atoms[(d, pulse)] = (np.empty((d.grid_size, 2, n, m, m), dtype=complex),
+                              np.zeros(d.grid_size, dtype=bool))
+    stack, built = _atoms[(d, pulse)]
+    wanted = np.zeros_like(built)
+    wanted[slots] = True
+    todo = np.flatnonzero(wanted & ~built)
+    for run in np.split(todo, np.flatnonzero(np.diff(todo) != 1) + 1) if todo.size else ():
         for first in range(run[0], run[-1] + 1, ATOM_BATCH):
-            batch = full_grid_pairs(d)[first:min(first + ATOM_BATCH, run[-1] + 1)]
-            store.update(zip(batch, _build_atoms(d, pulse, batch, out=stack[first:first + len(batch)])))
-    extras = [key for key in missing if key not in slots]
-    for start in range(0, len(extras), ATOM_BATCH):
-        batch = extras[start:start + ATOM_BATCH]
-        store.update(zip(batch, _build_atoms(d, pulse, batch)))
-    _atom_lookups["misses"] += len(missing)
-    _atom_lookups["hits"] += len(keys) - len(missing)
-    index = [slots.get(key) for key in keys]
-    if None in index:
-        atoms = np.array([store[key] for key in keys], dtype=complex)
+            last = min(first + ATOM_BATCH, run[-1] + 1)
+            _build_atoms(d, pulse, full_grid_pairs(d)[first:last], out=stack[first:last])
+            built[first:last] = True
+    _atom_lookups["misses"] += todo.size
+    _atom_lookups["hits"] += len(slots) - todo.size
+    first = slots[0] if slots else 0
+    if slots == list(range(first, first + len(slots))):
+        atoms = stack[first:first + len(slots)]
     else:
-        first = index[0] if index else 0
-        run = index == list(range(first, first + len(index)))
-        atoms = stack[first:first + len(index)] if run else stack[index]
+        atoms = stack[slots]
     atoms.setflags(write=False)
     return atoms
 
@@ -371,8 +372,8 @@ def reconstruct(h: np.ndarray, pairs: tuple[tuple[int, int], ...], pulse: Pulse,
 def effective_tf_channel(ch: ChannelRealization, pulse: Pulse) -> np.ndarray:
     """Effective TF channel H_TF = (I_N kron F_M R_CP) G (I_N kron A_CP F_M^H)
     of a realization as its two symbol-block bands: the sum of its paths'
-    gains times their unit-path atoms (see ``reconstruct``). A delay of one
-    CP-extended symbol or more is rejected."""
+    gains times their unit-path atoms (see ``reconstruct``). A path off the
+    grid's bins (delay M or more, Doppler outside (-N/2, N/2]) is rejected."""
     pairs = tuple((p.delay_int, p.doppler_int) for p in ch.paths)
     return reconstruct(np.array([p.gain for p in ch.paths]), pairs, pulse, ch.dims)
 
@@ -383,7 +384,7 @@ def unit_path_tf_channel(d: Dims, pulse: Pulse, delay: int, doppler: int) -> np.
 
 
 def _atom_cache_info() -> CacheInfo:
-    size = sum(len(store) for *_, store in _atoms.values())
+    size = sum(int(built.sum()) for _, built in _atoms.values())
     return CacheInfo(_atom_lookups["hits"], _atom_lookups["misses"], None, size)
 
 

@@ -29,8 +29,9 @@ class ConfigError(ValueError):
     """Raised when a config file cannot be parsed or fails validation."""
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """SafeLoader that refuses a key given twice in one mapping (``<<`` merges aside)."""
+class _UniqueKeyLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """Safe loader, libyaml's where PyYAML was built with it, that refuses a
+    key given twice in one mapping (``<<`` merges aside)."""
 
     def construct_mapping(self, node, deep=False):
         keys = []

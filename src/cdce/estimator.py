@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .channel import ChannelStats, Pulse, reconstruct, unit_path_atoms
-from .grids import Dims, doppler_col, signed_doppler, tf_to_dd, twisted_convolution, vec
+from .grids import Dims, doppler_col, signed_doppler, tf_to_dd, twisted_convolution, unvec, vec
 from .pilots import Frame
 
 __all__ = [
@@ -45,13 +44,12 @@ __all__ = [
 
 LS_CONDITION_LIMIT = 1e6
 
-# Dictionaries kept by cached_dictionary, most recently used last. A lattice
-# trial asks it for two fixed ones (tf_lasso's full grid and fs_lmmse's search
-# region); a random-pilot frame is never seen twice, so the bound keeps its
-# misses from growing the cache. CDCE's per-trial supports almost never
-# repeat, so cdce_estimate builds its dictionary afresh.
+# Dictionaries kept by cached_dictionary. A lattice trial asks it for two
+# fixed ones (tf_lasso's full grid and fs_lmmse's search region); a
+# random-pilot frame is never seen twice, so the bound keeps its misses from
+# growing the cache. CDCE's per-trial supports almost never repeat, so
+# cdce_estimate builds its dictionary afresh.
 DICTIONARY_CACHE_SIZE = 8
-_dictionaries: OrderedDict = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -192,20 +190,18 @@ def cached_dictionary(
     pulse: Pulse,
     d: Dims,
 ) -> Dictionary:
-    """``build_dictionary``, memoised on (dims, pulse, pairs, pilot-only frame
-    bytes) in a least-recently-used cache of DICTIONARY_CACHE_SIZE entries,
-    so a frame that repeats across trials builds its dictionary, Gram and
-    step once."""
+    """``build_dictionary``, memoised on (pilot-only frame bytes, pairs,
+    pulse, dims) in a functools least-recently-used cache of
+    DICTIONARY_CACHE_SIZE entries, so a frame that repeats across trials
+    builds its dictionary, Gram and step once."""
     x = vec(pilot_only_tf)
-    key = (d, pulse, tuple(pairs), x.dtype.str, x.tobytes())
-    dictionary = _dictionaries.get(key)
-    if dictionary is not None:
-        _dictionaries.move_to_end(key)
-        return dictionary
-    dictionary = _dictionaries[key] = build_dictionary(pilot_only_tf, pairs, pulse, d)
-    if len(_dictionaries) > DICTIONARY_CACHE_SIZE:
-        _dictionaries.popitem(last=False)
-    return dictionary
+    return _frame_dictionary(x.dtype.str, x.tobytes(), tuple(pairs), pulse, d)
+
+
+@lru_cache(maxsize=DICTIONARY_CACHE_SIZE)
+def _frame_dictionary(dtype: str, frame_bytes: bytes, pairs, pulse: Pulse, d: Dims) -> Dictionary:
+    """``build_dictionary`` of the pilot-only frame held in ``frame_bytes``."""
+    return build_dictionary(unvec(np.frombuffer(frame_bytes, dtype=dtype), d.m, d.n), pairs, pulse, d)
 
 
 def soft_threshold(x: np.ndarray, gamma: float) -> np.ndarray:

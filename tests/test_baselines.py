@@ -362,9 +362,9 @@ class TestFrameCache:
 
         cold = []
         for y, fr in zip(received, frames):
-            estimator._dictionaries.clear()
+            estimator._frame_dictionary.cache_clear()
             cold.append(both(y, fr))
-        estimator._dictionaries.clear()
+        estimator._frame_dictionary.cache_clear()
         for _ in range(2):
             for (y, fr), want in zip(zip(received, frames), cold):
                 for got, expected in zip(both(y, fr), want):

@@ -12,6 +12,7 @@ from cdce.channel import (
     Pulse,
     apply_channel,
     effective_tf_channel,
+    full_grid_pairs,
     pulse_af,
     sample_channel,
     time_channel_matrix,
@@ -313,11 +314,11 @@ class TestEffectiveTfChannel:
     @pytest.mark.parametrize("kind", ["ideal", "rectangular"])
     @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
     def test_bands_are_the_dense_blocks_bit_for_bit(self, shape, kind):
-        # a unit-gain path at every delay below one CP-extended symbol
+        # a unit-gain path at every delay of the grid, at both Doppler edges
         d, pulse = Dims(*shape), Pulse(kind)
         m = d.m
-        for l in range(d.m + d.cp_len):
-            for k in (-(d.n // 2), 1):
+        for l in range(d.m):
+            for k in (-((d.n - 1) // 2), 1, d.n // 2):
                 ch = ChannelRealization((PathParams(1.0, l, k),), d)
                 g = time_channel_matrix(ch, pulse)
                 bands = effective_tf_channel(ch, pulse)
@@ -380,7 +381,7 @@ class TestUnitPathCache:
     def test_bands_are_the_dense_atom_bit_for_bit(self, shape, kind):
         d, pulse = Dims(*shape), Pulse(kind)
         m = d.m
-        for l in range(d.m + d.cp_len):
+        for l in range(d.m):
             for kc in range(d.n):
                 k = signed_doppler(kc, d.n)
                 bands = unit_path_tf_channel(d, pulse, l, k)
@@ -400,13 +401,12 @@ class TestUnitPathCache:
     @pytest.mark.parametrize("kind", ["ideal", "rectangular"])
     @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
     def test_batched_fill_is_the_dense_atom_bit_for_bit(self, shape, kind, monkeypatch):
-        # all atoms in one call, and the search region, then the tf_lasso
-        # grid, then the rest: each atom is built once, in bounded batches
+        # all atoms in one call, and the search region, then the rest of the
+        # grid: each atom is built once, in bounded batches
         d, pulse = Dims(*shape), Pulse(kind)
         m = d.m
-        every = [(l, signed_doppler(kc, d.n)) for kc in range(d.n) for l in range(d.m + d.cp_len)]
+        every = [(l, signed_doppler(kc, d.n)) for kc in range(d.n) for l in range(d.m)]
         region = ChannelStats(l_max=d.cp_len, k_max=(d.n - 1) // 2).region_pairs
-        grid = [(l, k) for l, k in every if l < d.m]
         batches = []
 
         def spy(d_, pulse_, pairs, _build=channel._build_atoms, **kwargs):
@@ -414,7 +414,7 @@ class TestUnitPathCache:
             return _build(d_, pulse_, pairs, **kwargs)
 
         monkeypatch.setattr(channel, "_build_atoms", spy)
-        for calls in ([every], [region, grid, every]):
+        for calls in ([every], [region, every]):
             monkeypatch.setattr(channel, "_atoms", {})
             batches.clear()
             for pairs in calls:
@@ -446,6 +446,47 @@ class TestUnitPathCache:
         d = Dims(*shape)
         with pytest.raises(ValueError, match="delay"):
             unit_path_tf_channel(d, IDEAL, d.m + d.cp_len, 0)
+
+    @pytest.mark.parametrize("kind", ["ideal", "rectangular"])
+    @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
+    def test_grid_bins_sit_at_their_arithmetic_slots(self, shape, kind, monkeypatch):
+        # bin (l, k) at slot (k mod N) M + l of one stack: the whole grid is a
+        # view of it, and the bins in any order gather the same atoms
+        d, pulse = Dims(*shape), Pulse(kind)
+        pairs = full_grid_pairs(d)
+        order = np.random.default_rng(d.grid_size).permutation(len(pairs))
+        shuffled = [pairs[i] for i in order]
+        monkeypatch.setattr(channel, "_atoms", {})
+        in_order = unit_path_atoms(d, pulse, pairs).copy()
+        monkeypatch.setattr(channel, "_atoms", {})
+        gathered = unit_path_atoms(d, pulse, shuffled)
+        grid = unit_path_atoms(d, pulse, pairs)
+        stack, built = channel._atoms[(d, pulse)]
+        assert built.all() and grid.base is stack
+        assert not grid.flags.writeable and not gathered.flags.writeable
+        np.testing.assert_array_equal(grid, in_order)
+        np.testing.assert_array_equal(gathered, in_order[order])
+        for slot, (l, k) in enumerate(pairs):
+            assert slot == k % d.n * d.m + l
+            assert unit_path_tf_channel(d, pulse, l, k).tobytes() == in_order[slot].tobytes()
+
+    @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
+    def test_bins_off_the_grid_rejected(self, shape):
+        # delay M, and on even N Doppler -N/2 (the DD column of +N/2); the
+        # pair is checked before anything is looked up or built
+        d = Dims(*shape)
+        off = [((d.m, 0), "delay")] + ([((1, -d.n // 2), "Doppler")] if d.n % 2 == 0 else [])
+        before = unit_path_tf_channel.cache_info()
+        for (l, k), named in off:
+            pairs = ((0, 0), (l, k))
+            with pytest.raises(ValueError, match=named):
+                unit_path_atoms(d, IDEAL, pairs)
+            with pytest.raises(ValueError, match=named):
+                reconstruct(np.ones(2), pairs, IDEAL, d)
+            ch = ChannelRealization((PathParams(1.0, 0, 0), PathParams(0.5, l, k)), d)
+            with pytest.raises(ValueError, match=named):
+                effective_tf_channel(ch, IDEAL)
+        assert unit_path_tf_channel.cache_info() == before
 
     def test_matches_explicit_construction(self):
         h_tf = reconstruct(np.ones(1), ((2, -3),), IDEAL, D)

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from cdce.channel import ChannelStats, Pulse
 from cdce.cli import main
-from cdce.config import ENV_BASE_SEED, ConfigError, load_config
+from cdce.config import ENV_BASE_SEED, ConfigError, _UniqueKeyLoader, load_config
 from cdce.grids import Dims
 from cdce.harness import ESTIMATOR_NAMES, SimConfig, run_trial
 from cdce.pilots import FrameSpec, assemble_frame, discrete_af, pilot_dd_image
@@ -90,6 +91,10 @@ class TestLoadConfig:
     def test_unparseable_yaml_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot parse"):
             load_config(write_config(tmp_path, "trials: [unclosed"))
+
+    def test_parses_with_libyaml_when_present(self):
+        base = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert issubclass(_UniqueKeyLoader, base)
 
     def test_non_mapping_top_level_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="mapping"):

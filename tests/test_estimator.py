@@ -332,8 +332,8 @@ class TestDictionaryCache:
         rng = np.random.default_rng(50)
         for _ in range(50):
             cached_dictionary(assemble_frame(spec, rng).pilot_only_tf, STATS.region_pairs, IDEAL, D)
-            assert len(estimator._dictionaries) <= estimator.DICTIONARY_CACHE_SIZE
-        assert len(estimator._dictionaries) == estimator.DICTIONARY_CACHE_SIZE
+            assert estimator._frame_dictionary.cache_info().currsize <= estimator.DICTIONARY_CACHE_SIZE
+        assert estimator._frame_dictionary.cache_info().currsize == estimator.DICTIONARY_CACHE_SIZE
 
     def test_cdce_builds_its_support_dictionary_afresh(self, frame, monkeypatch):
         # per-trial supports almost never repeat, so they are not memoised;
@@ -345,14 +345,14 @@ class TestDictionaryCache:
             return built[-1]
 
         monkeypatch.setattr(estimator, "build_dictionary", spy)
-        estimator._dictionaries.clear()
+        estimator._frame_dictionary.cache_clear()
         y = received_tf(frame, make_channel([(0.9, 1, 1), (0.5, 2, -2)]))
         for _ in range(2):
             cdce_estimate(y, frame, STATS, n0=1e-4)
         assert len(built) == 2 and built[0] is not built[1]
         assert built[0].pairs == built[1].pairs
         np.testing.assert_array_equal(built[0].matrix, built[1].matrix)
-        assert not estimator._dictionaries
+        assert estimator._frame_dictionary.cache_info().currsize == 0
 
 
 class TestReconstruct:
@@ -374,12 +374,12 @@ class TestReconstruct:
 
     @pytest.mark.parametrize("shape", [(8, 14, 2), (6, 5, 3)])
     def test_any_pairs_match_dense_oracle(self, shape):
-        # a run of the grid's stack, scattered pairs, CP-span delays, a
+        # a run of the grid's stack, scattered pairs, the grid's edge bins, a
         # repeated pair and none at all
         d = Dims(*shape)
         rng = np.random.default_rng(d.frame_len)
-        for pairs in (((1, 0), (2, 0), (3, 0)), ((2, -1), (0, 2), (1, 1)),
-                      ((d.m, 1), (0, 0), (d.m + d.cp_len - 1, -1)), ((1, 1), (1, 1)), ()):
+        edges = ((d.m - 1, 1), (0, 0), (0, d.n // 2), (d.m - 1, -((d.n - 1) // 2)))
+        for pairs in (((1, 0), (2, 0), (3, 0)), ((2, -1), (0, 2), (1, 1)), edges, ((1, 1), (1, 1)), ()):
             atoms = [dense_atom(d, IDEAL, l, k) for l, k in pairs] or [np.zeros((d.grid_size,) * 2)]
             h = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
             np.testing.assert_allclose(
