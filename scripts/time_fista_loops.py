@@ -37,8 +37,10 @@ def main(argv=None) -> int:
     p.add_argument("--config", default="configs/pilot_only.yaml")
     p.add_argument("--snr", type=float, default=10.0, help="SNR point in dB")
     p.add_argument("--solves", type=int, default=64, help="received vectors, trials 0 .. SOLVES-1")
-    p.add_argument("--rounds", type=int, default=15)
+    p.add_argument("--rounds", type=int, default=15, help="alternating timing rounds, at least 2")
     args = p.parse_args(argv)
+    if args.rounds < 2:
+        p.error("--rounds must be at least 2: the quartiles need two rounds")
 
     cfg = load_config(args.config)
     if cfg.frame.placement != "lattice":

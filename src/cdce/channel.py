@@ -2,19 +2,19 @@
 
 A channel realization is a sum of P discrete paths, each with a complex gain,
 an integer delay of ``delay_int`` samples, and an integer Doppler shift of
-``doppler_int`` cycles per frame of M*N payload samples. The time-domain
+``doppler_int`` cycles per frame of M*N payload samples, on one of the
+grid's own bins: 0 <= delay < M and -N/2 < doppler <= N/2. The time-domain
 matrix G acts on the CP-extended transmit vector, and each path adds one tap
 to it. The effective TF matrix H_TF, the unitary DFT / CP sandwich of G, is
 the ground truth that every estimator is scored against: the paths' gains on
-their unit-path atoms (see ``unit_path_atoms``), summed by ``reconstruct``.
-Atoms exist for the grid's own bins only, 0 <= delay < M and
--N/2 < doppler <= N/2, cached as one stack per (dims, pulse).
+their unit-path atoms, summed by ``reconstruct``. Each bin's atom is two
+M x M blocks and a Doppler ramp in closed form, one cached table per
+(dims, pulse); only this module knows that layout.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,8 +34,8 @@ __all__ = [
     "apply_channel",
     "effective_tf_channel",
     "full_grid_pairs",
-    "unit_path_atoms",
     "reconstruct",
+    "atom_columns",
     "unit_path_tf_channel",
 ]
 
@@ -117,11 +117,12 @@ class ChannelRealization:
     def __post_init__(self) -> None:
         if not self.paths:
             raise ValueError("a channel realization needs at least one path")
+        m, n = self.dims.m, self.dims.n
         for p in self.paths:
-            if abs(p.doppler_int) > self.dims.n / 2:
-                raise ValueError(
-                    f"Doppler {p.doppler_int} exceeds half the Doppler grid (N/2 = {self.dims.n / 2})"
-                )
+            if p.delay_int >= m:
+                raise ValueError(f"delay {p.delay_int} must be below m = {m}")
+            if not -n < 2 * p.doppler_int <= n:
+                raise ValueError(f"Doppler {p.doppler_int} is outside the Doppler grid (-N/2, N/2] with N = {n}")
 
 
 def draw_paths(
@@ -241,95 +242,49 @@ def apply_channel(
 
 
 @lru_cache(maxsize=None)
-def _sandwich_factors(d: Dims) -> tuple[np.ndarray, np.ndarray, list]:
-    """Per-block factors F_M R_CP and A_CP F_M^H of H_TF, and the dense blockwise
-    sandwich's ``optimize=True`` contraction path: contracting G's bands in
-    that order keeps every entry bit-identical to the dense H_TF's."""
-    span = d.m + d.cp_len
-    fm = dft_matrix(d.m)
-    eye = np.eye(d.m)
-    r_cp = np.hstack([np.zeros((d.m, d.cp_len)), eye])
-    a_cp = np.vstack([eye[d.m - d.cp_len:], eye]) if d.cp_len else eye
-    c = fm @ r_cp
-    b = a_cp @ fm.conj().T
-    c.setflags(write=False)
-    b.setflags(write=False)
-    # the path depends only on the operand shapes
-    blocks = np.empty((d.n, span, d.n, span), dtype=complex)
-    path, _ = np.einsum_path("ij,ajbk,kl->aibl", c, blocks, b, optimize=True)
-    return c, b, path
-
-
-def _band_sandwich(g_bands: np.ndarray, d: Dims, out: np.ndarray | None = None) -> np.ndarray:
-    """TF bands (P, 2, N, M, M) of a stack of G's (P, 2, N, M + cp, M + cp) bands."""
-    c, b, path = _sandwich_factors(d)
-    return np.einsum("ij,pcajk,kl->pcail", c, g_bands, b, optimize=path,
-                     out=np.empty((len(g_bands), 2, d.n, d.m, d.m), dtype=complex) if out is None else out)
-
-
-# Atoms built per batch: each batch contracts a (B, 2, N, M + cp_len, M + cp_len)
-# band stack of G, so the bound keeps a miss of a whole-grid dictionary from
-# holding all its bands of G at once.
-ATOM_BATCH = 16
-
-# Unit-path atoms by (dims, pulse): the full-grid stack in full_grid_pairs
-# order and the mask of its built slots; and the lookups that found or missed
-# one, as functools.lru_cache counts them.
-_atoms: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-_atom_lookups = {"hits": 0, "misses": 0}
-CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
-
-
-@lru_cache(maxsize=None)
 def full_grid_pairs(d: Dims) -> tuple[tuple[int, int], ...]:
     """Every (delay, signed Doppler) bin of the grid, delay fastest:
-    tf_lasso's support and the order of the atom stack."""
+    tf_lasso's support and the order of the atom table."""
     return tuple((l, signed_doppler(kc, d.n)) for kc in range(d.n) for l in range(d.m))
 
 
 @lru_cache(maxsize=None)
-def _band_index(d: Dims, delay: int) -> tuple[np.ndarray, ...]:
-    """Where each tap G[n + delay, n] lands in the two symbol-block bands of G:
-    (band, receive block, row in block, column in block), band 0 the
-    diagonal block and band 1 the block below it."""
-    span = d.m + d.cp_len
-    src = np.arange(d.frame_len - delay)
-    block, row = np.divmod(src + delay, span)
-    index = (block - src // span, block, row, src % span)
-    for part in index:
-        part.setflags(write=False)
-    return index
+def _atom_table(d: Dims, pulse: Pulse) -> tuple[np.ndarray, np.ndarray]:
+    """Every grid bin's unit-path atom in closed form, in ``full_grid_pairs``
+    order: the read-only (MN, 2, M, M) blocks B_b = F_M T_b F_M^H and the
+    read-only (MN, N) Doppler ramps e^{2j pi k n / N}.
 
-
-def _build_atoms(d: Dims, pulse: Pulse, pairs, out: np.ndarray | None = None) -> np.ndarray:
-    """Bands of the unit-path atoms at ``pairs``, a read-only (P, 2, N, M, M)
-    array: each path's taps written into the two symbol-block bands of G and
-    contracted through the dense H_TF's per-block factors."""
-    g_bands = np.zeros((len(pairs), 2, d.n, d.m + d.cp_len, d.m + d.cp_len), dtype=complex)
-    for p, (delay, doppler) in enumerate(pairs):
-        band, block, row, col = _band_index(d, delay)
-        g_bands[p, band, block, row, col] = _path_taps(d, pulse, 1.0 + 0.0j, delay, doppler)
-    bands = _band_sandwich(g_bands, d, out)
-    bands.setflags(write=False)
-    return bands
-
-
-def unit_path_atoms(d: Dims, pulse: Pulse, pairs) -> np.ndarray:
-    """The atoms of the (delay, doppler) pairs, in order, as one read-only
-    (P, 2, N, M, M) stack from the atom cache.
-
-    Each atom is a unit-gain single path's H_TF as its two symbol-block
-    bands: a (2, N, M, M) array whose [0, n] is the diagonal block of symbol
-    n and [1, n] the block through which symbol n - 1 leaks into symbol n
-    ([1, 0] is zero); a delay below M reaches back less than one CP-extended
-    symbol, so every other block is exactly zero. The cache holds one stack
-    of the grid's own bins, 0 <= delay < M and -N/2 < doppler <= N/2, in
-    ``full_grid_pairs`` order: bin (l, k) sits at slot (k mod N) * M + l,
-    and any other pair is rejected. Slots not yet built are built straight
-    into the stack, ATOM_BATCH at a time. A run of slots, such as the whole
-    grid, is returned as a view of the stack, any other pairs as a gathered
-    copy.
+    With nu = k / MN and a = conj(A(0, nu)), CP-free receive sample i of a
+    symbol holds a e^{2j pi nu j} times payload sample j of the symbol that
+    sent it, taken as symbol 0: j = (i - l) mod M of the same symbol when
+    i >= l - cp_len (T_0, the diagonal band), else j = (i - l + cp_len) mod M
+    of the previous one (T_1, the sub-diagonal band). A sending symbol n
+    multiplies its taps by ramp[n], so atom (l, k) has [0, n] = ramp[n] B_0
+    and [1, n] = ramp[n - 1] B_1.
     """
+    m, size = d.m, d.grid_size
+    delay, doppler = np.array(full_grid_pairs(d)).T
+    nu = doppler / size
+    i = np.arange(m)
+    taps = (np.exp(2j * np.pi * np.outer(i, nu)) * np.conj(pulse_af(nu, pulse))).T
+    band = (i < delay[:, None] - d.cp_len).astype(int)
+    col = (i - delay[:, None] + band * d.cp_len) % m
+    slot = np.arange(size)[:, None]
+    t = np.zeros((size, 2, m, m), dtype=complex)
+    t[slot, band, i, col] = taps[slot, col]
+    fm = dft_matrix(m)
+    blocks = fm @ t @ fm.conj().T
+    ramps = np.exp(2j * np.pi * np.outer(doppler, np.arange(d.n)) / d.n)
+    blocks.setflags(write=False)
+    ramps.setflags(write=False)
+    return blocks, ramps
+
+
+def _unit_path_atoms(d: Dims, pulse: Pulse, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The table's blocks (P, 2, M, M) and ramps (P, N) of the (delay,
+    doppler) pairs, in order. Only the grid's own bins have atoms:
+    0 <= delay < M and -N/2 < doppler <= N/2, bin (l, k) at slot
+    (k mod N) * M + l; any other pair is rejected before the lookup."""
     m, n = d.m, d.n
     slots = []
     for delay, doppler in pairs:
@@ -338,54 +293,53 @@ def unit_path_atoms(d: Dims, pulse: Pulse, pairs) -> np.ndarray:
         if not -n < 2 * doppler <= n:
             raise ValueError(f"Doppler {doppler} is outside the Doppler grid (-N/2, N/2] with N = {n}")
         slots.append(doppler % n * m + delay)
-    if (d, pulse) not in _atoms:
-        _atoms[(d, pulse)] = (np.empty((d.grid_size, 2, n, m, m), dtype=complex),
-                              np.zeros(d.grid_size, dtype=bool))
-    stack, built = _atoms[(d, pulse)]
-    wanted = np.zeros_like(built)
-    wanted[slots] = True
-    todo = np.flatnonzero(wanted & ~built)
-    for run in np.split(todo, np.flatnonzero(np.diff(todo) != 1) + 1) if todo.size else ():
-        for first in range(run[0], run[-1] + 1, ATOM_BATCH):
-            last = min(first + ATOM_BATCH, run[-1] + 1)
-            _build_atoms(d, pulse, full_grid_pairs(d)[first:last], out=stack[first:last])
-            built[first:last] = True
-    _atom_lookups["misses"] += todo.size
-    _atom_lookups["hits"] += len(slots) - todo.size
-    first = slots[0] if slots else 0
-    if slots == list(range(first, first + len(slots))):
-        atoms = stack[first:first + len(slots)]
-    else:
-        atoms = stack[slots]
-    atoms.setflags(write=False)
-    return atoms
+    blocks, ramps = _atom_table(d, pulse)
+    return blocks[slots], ramps[slots]
 
 
 def reconstruct(h: np.ndarray, pairs: tuple[tuple[int, int], ...], pulse: Pulse, d: Dims) -> np.ndarray:
     """Effective TF channel sum_i h_i H_TF(pairs[i]) of path gains h on the
-    unit-path atoms, as its two symbol-block bands: a (2, N, M, M) array laid
-    out as an atom, from one product of the gains with the stacked atoms."""
-    atoms = unit_path_atoms(d, pulse, pairs)
-    return (np.asarray(h) @ atoms.reshape(len(atoms), 2 * d.grid_size * d.m)).reshape(atoms.shape[1:])
+    unit-path atoms, as its two symbol-block bands: a (2, N, M, M) array
+    whose [0, n] is the diagonal block of symbol n and [1, n] the block
+    through which symbol n - 1 leaks into symbol n ([1, 0] is zero). Each
+    band is one (N x P) @ (P x M^2) product of the gains times the ramps
+    with the table's blocks."""
+    blocks, ramps = _unit_path_atoms(d, pulse, pairs)
+    weights = (np.asarray(h)[:, None] * ramps).T
+    flat = blocks.reshape(len(blocks), 2, d.m * d.m)
+    bands = np.zeros((2, d.n, d.m * d.m), dtype=complex)
+    np.matmul(weights, flat[:, 0], out=bands[0])
+    np.matmul(weights[:-1], flat[:, 1], out=bands[1, 1:])
+    return bands.reshape(2, d.n, d.m, d.m)
+
+
+def atom_columns(x_tf: np.ndarray, pairs: tuple[tuple[int, int], ...], pulse: Pulse, d: Dims) -> np.ndarray:
+    """The (MN, P) matrix whose column i is vec(H_TF(pairs[i]) vec(x_tf)), the
+    response of unit path i to the M x N frame: per symbol n, ramp[n] B_0 x_n
+    plus ramp[n - 1] B_1 x_{n - 1}."""
+    blocks, ramps = _unit_path_atoms(d, pulse, pairs)
+    x = np.asarray(x_tf)
+    columns = blocks[:, 0] @ x * ramps[:, None, :]
+    columns[:, :, 1:] += blocks[:, 1] @ x[:, :-1] * ramps[:, None, :-1]
+    return columns.transpose(2, 1, 0).reshape(d.grid_size, len(blocks))
 
 
 def effective_tf_channel(ch: ChannelRealization, pulse: Pulse) -> np.ndarray:
     """Effective TF channel H_TF = (I_N kron F_M R_CP) G (I_N kron A_CP F_M^H)
     of a realization as its two symbol-block bands: the sum of its paths'
-    gains times their unit-path atoms (see ``reconstruct``). A path off the
-    grid's bins (delay M or more, Doppler outside (-N/2, N/2]) is rejected."""
+    gains times their unit-path atoms (see ``reconstruct``), within 1e-14 of
+    the dense sandwich of G, relative in Frobenius norm."""
     pairs = tuple((p.delay_int, p.doppler_int) for p in ch.paths)
     return reconstruct(np.array([p.gain for p in ch.paths]), pairs, pulse, ch.dims)
 
 
 def unit_path_tf_channel(d: Dims, pulse: Pulse, delay: int, doppler: int) -> np.ndarray:
-    """The cached atom of a unit-gain single path; see ``unit_path_atoms``."""
-    return unit_path_atoms(d, pulse, ((delay, doppler),))[0]
+    """The read-only (2, N, M, M) atom of a unit-gain single path, laid out
+    as ``reconstruct``'s bands."""
+    atom = reconstruct(np.ones(1), ((delay, doppler),), pulse, d)
+    atom.setflags(write=False)
+    return atom
 
 
-def _atom_cache_info() -> CacheInfo:
-    size = sum(int(built.sum()) for _, built in _atoms.values())
-    return CacheInfo(_atom_lookups["hits"], _atom_lookups["misses"], None, size)
-
-
-unit_path_tf_channel.cache_info = _atom_cache_info
+# the atom table's lookups, whose hit ratio bench/run.py reports
+unit_path_tf_channel.cache_info = _atom_table.cache_info

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channel import ChannelStats, Pulse, reconstruct, unit_path_atoms
+from .channel import ChannelStats, Pulse, atom_columns, reconstruct
 from .grids import Dims, doppler_col, signed_doppler, tf_to_dd, twisted_convolution, unvec, vec
 from .pilots import Frame
 
@@ -165,9 +165,8 @@ def build_dictionary(
     d: Dims,
 ) -> Dictionary:
     """Columns are the vectorized TF responses of unit-gain single paths at
-    the (delay, Doppler) pairs, driven by the pilot-only frame: per symbol,
-    the atom's diagonal block times that symbol plus its sub-diagonal block
-    times the previous one. The matrix is read-only.
+    the (delay, Doppler) pairs, driven by the pilot-only frame
+    (``channel.atom_columns``). The matrix is read-only.
 
     Built afresh on every call; ``cached_dictionary`` memoises the
     dictionaries that repeat across trials.
@@ -175,11 +174,7 @@ def build_dictionary(
     if not pairs:
         raise ValueError("cannot build a dictionary from an empty set of pairs")
     pairs = tuple(pairs)
-    atoms = unit_path_atoms(d, pulse, pairs)
-    symbols = vec(pilot_only_tf).reshape(d.n, d.m, 1)
-    columns = np.matmul(atoms[:, 0], symbols)
-    columns[:, 1:] += np.matmul(atoms[:, 1, 1:], symbols[:-1])
-    matrix = np.ascontiguousarray(columns.reshape(len(pairs), d.grid_size).T)
+    matrix = atom_columns(pilot_only_tf, pairs, pulse, d)
     matrix.setflags(write=False)
     return Dictionary(matrix=matrix, pairs=pairs)
 

@@ -5,10 +5,10 @@ dense Kronecker products, numerical quadrature, and plain (non-accelerated)
 iterative solvers. None of it imports the implementation being tested beyond
 basic array plumbing, except ``dense_atom``: it builds the dense MN x MN
 atom by its definition from the package's time-domain builder and
-``dense_effective_tf`` (both pinned to the oracles here), to check the band
-store bit for bit; and ``fit_covariance_reference``, which draws its ensemble
-through the package's ``sample_channel`` one realization at a time, to check
-the covariance fit's direct draws bit for bit.
+``dense_effective_tf`` (both pinned to the oracles here), to check the
+closed-form atom table entrywise; and ``fit_covariance_reference``, which
+draws its ensemble through the package's ``sample_channel`` one realization
+at a time, to check the covariance fit's direct draws bit for bit.
 """
 
 import cmath
