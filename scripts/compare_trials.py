@@ -20,7 +20,9 @@ slowness as bench/run.py does.
 Every trial's NMSE of every configured estimator, and every sweep row's
 nmse_db and stderr_db, must be bit-identical between the sides and across
 rounds, and each process's sweep rows must be the linear mean of its own
-`run_trial` results; otherwise the script exits 1 and writes nothing. It
+`run_trial` results (exactly, except a lattice sweep's tf_lasso rows, whose
+gains are solved in batches and so agree within LASSO_ROW_TOL_DB);
+otherwise the script exits 1 and writes nothing. It
 then writes BENCH_<tag>.json at the repo root: per side, normalized set-up
 seconds, trials per second of the `run_trial` calls and of the sweep
 (median and quartiles over the rounds, with the median speed-up and the
@@ -29,7 +31,7 @@ git revisions, and the numpy and Python versions.
 
 With --drift the sides may differ, for a change that reorders a sum on
 purpose. Each side must still repeat itself bit for bit across rounds, and
-its sweep rows must still be the linear mean of its own trials. The report
+its sweep rows must still be the linear mean of its own trials, as above. The report
 then gives, per workload and estimator, how many trials, sweep-row
 nmse_db values and stderr_db values moved between the sides and the largest
 |change| in dB of each, and the script exits 0.
@@ -66,6 +68,9 @@ WORKLOADS = {
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BASE_SEED = 7
 ROUNDS = 10
+# A batched tf_lasso row is within rtol 1e-12 of its own solve, which moves
+# an NMSE above -40 dB by well under this.
+LASSO_ROW_TOL_DB = 1e-9
 
 
 def worker(src: str, config: str, trials_per_snr: str) -> None:
@@ -112,7 +117,9 @@ def worker(src: str, config: str, trials_per_snr: str) -> None:
     for row in rows:
         i = cfg.snr_grid_db.index(row.snr_db)
         mean = float(np.array([r[row.estimator] for r in results[i * per_snr:(i + 1) * per_snr]]).mean())
-        if row.nmse_db != harness.ratio_db(mean):
+        batched = row.estimator == "tf_lasso" and cfg.frame.placement == "lattice"
+        tol = LASSO_ROW_TOL_DB if batched else 0.0
+        if not abs(row.nmse_db - harness.ratio_db(mean)) <= tol:
             raise SystemExit(f"error: sweep row {row.estimator} at {row.snr_db} dB gives {row.nmse_db!r} dB, "
                              f"the mean of its run_trial results {harness.ratio_db(mean)!r} dB")
     n = len(results)

@@ -183,7 +183,8 @@ def tf_lasso_gains(
     """tf_lasso's path gains on ``full_grid_pairs``: ``solve_lasso`` of the
     received vector y against ``frame``'s full-grid dictionary. A (K, MN)
     stack of received vectors on one frame is solved in one batched loop and
-    gives a (K, MN) array, each row bit-identical to that vector's own solve."""
+    gives a (K, MN) array, each row equal to that vector's own solve to
+    rounding."""
     d = frame.dims
     return solve_lasso(y, cached_dictionary(frame.pilot_only_tf, full_grid_pairs(d), pulse, d), cfg)
 

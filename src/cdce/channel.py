@@ -41,6 +41,10 @@ __all__ = [
 
 _PULSE_KINDS = ("ideal", "rectangular")
 
+# Only integer bins have atoms: a delay or Doppler must be a Python or NumPy
+# integer.
+_INTEGER = (int, np.integer)
+
 
 @dataclass(frozen=True)
 class Pulse:
@@ -64,6 +68,8 @@ class PathParams:
     doppler_int: int = 0
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.delay_int, _INTEGER) and isinstance(self.doppler_int, _INTEGER)):
+            raise ValueError(f"delay and Doppler must be integer bins, got {self.delay_int!r}, {self.doppler_int!r}")
         if self.delay_int < 0:
             raise ValueError(f"delay index must be non-negative, got {self.delay_int}")
 
@@ -288,6 +294,8 @@ def _unit_path_atoms(d: Dims, pulse: Pulse, pairs) -> tuple[np.ndarray, np.ndarr
     m, n = d.m, d.n
     slots = []
     for delay, doppler in pairs:
+        if not (isinstance(delay, _INTEGER) and isinstance(doppler, _INTEGER)):
+            raise ValueError(f"delay and Doppler must be integer bins, got {delay!r}, {doppler!r}")
         if not 0 <= delay < m:
             raise ValueError(f"delay {delay} must be non-negative and below m = {m}")
         if not -n < 2 * doppler <= n:

@@ -239,10 +239,11 @@ def solve_lasso(y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig) -> np.n
     the step come with the dictionary.
 
     A 1-D ``y`` runs the single-vector loop. A (K, rows) stack of received
-    vectors runs one loop over all K rows and returns a (K, cols) array whose
-    every row is bit-identical to that row's own solve, with one
-    RuntimeWarning per row that uses up ``max_iter``. The shape picks the
-    loop because the row loop, run on a single row, is slower per solve.
+    vectors runs one loop over all K rows and returns a (K, cols) array, with
+    one RuntimeWarning per row that uses up ``max_iter``. Each row stops at
+    its own solve's iteration and agrees with it to rounding (its matrix
+    product is a gemm, not a gemv). The shape picks the loop because the row
+    loop, run on a single row, is slower per solve.
     """
     norm_sq = dictionary.norm_sq
     if norm_sq <= 0:
@@ -307,66 +308,45 @@ def _fista_vector(
     return h, [change]
 
 
-def _sum_squares(x: np.ndarray) -> np.ndarray:
-    """x[k] . x[k] for each row of a 2-D float view: the matmul of a
-    (K, 1, P) by a (K, P, 1) stack calls, per row, the ddot of 1-D ``.dot``."""
-    return np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0]
-
-
 def _fista_rows(
     y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig, eps: float, gamma: float
 ) -> tuple[np.ndarray, list[float]]:
-    """``_fista_vector`` on every row of y at once: the last iterates, and
-    the last relative change of each row that used up ``max_iter``.
+    """The FISTA loop on every row of y at once: the last iterates, and the
+    last relative change of each row that used up ``max_iter``.
 
-    Each numpy call of the single-vector loop becomes one call over the live
-    rows that runs the same kernel per row: the matrix-vector products are
-    matmuls of stacked (P, 1) columns, one gemv per row; the element-wise
-    steps act entry by entry; the norms are per-row ddots. Every live row is
-    at the same iteration, so beta is shared. A row that meets ``tol`` is
-    stored and leaves the live rows, so each stops at its own iteration. An
-    iterate's norm is computed once, as it is made, and serves as the next
-    iteration's denominator.
+    The live problems are the columns of a (P, K) block, so each iteration
+    is the plain formula with one ``gram @ z`` matrix product. Every live
+    column is at the same iteration, so beta is shared; the stopping norms
+    are per column. A column that meets ``tol`` is stored and leaves the
+    block, so each row stops at its own iteration.
     """
     d = dictionary.matrix
     gram = dictionary.gram
-    dty = np.matmul(d.conj().T, y[:, :, None])[:, :, 0]
-    out = np.empty(dty.shape, dtype=complex)
+    dty = d.conj().T @ y.T
+    out = np.empty((len(y), d.shape[1]), dtype=complex)
     live = np.arange(len(y))
     h = np.zeros(dty.shape, dtype=complex)
-    z = h.copy()
-    v = np.empty_like(h)
-    moved = np.empty_like(h)
-    denom = np.zeros(len(y))
+    z = h
     change = np.full(len(y), math.inf)
     beta = 1.0
     for _ in range(cfg.max_iter):
-        # v = z + eps * (dty - gram @ z)
-        np.matmul(gram, z[:, :, None], out=v[:, :, None])
-        np.subtract(dty, v, out=v)
-        np.multiply(eps, v, out=v)
-        np.add(z, v, out=v)
-        h_new = soft_threshold(v, gamma)
-        beta_next = (1.0 + math.sqrt(1.0 + 4.0 * beta * beta)) / 2.0
-        # z = h_new + ((beta - 1) / beta_next) * (h_new - h)
-        np.subtract(h_new, h, out=moved)
-        np.multiply((beta - 1.0) / beta_next, moved, out=z)
-        np.add(h_new, z, out=z)
-        beta = beta_next
-        delta = np.sqrt(_sum_squares(moved.real) + _sum_squares(moved.imag))
-        change = np.divide(delta, denom, out=np.where(delta == 0, 0.0, math.inf), where=denom > 0)
-        h = h_new
-        denom = np.sqrt(_sum_squares(h.real) + _sum_squares(h.imag))
-        done = change < cfg.tol
-        if done.any():
-            out[live[done]] = h[done]
-            keep = ~done
-            live, h, z, dty, denom, change = (a[keep] for a in (live, h, z, dty, denom, change))
-            v = np.empty_like(h)
-            moved = np.empty_like(h)
         if not live.size:
             break
-    out[live] = h
+        h_new = soft_threshold(z + eps * (dty - gram @ z), gamma)
+        beta_next = (1.0 + math.sqrt(1.0 + 4.0 * beta * beta)) / 2.0
+        moved = h_new - h
+        z = h_new + ((beta - 1.0) / beta_next) * moved
+        beta = beta_next
+        delta = np.linalg.norm(moved, axis=0)
+        denom = np.linalg.norm(h, axis=0)
+        change = np.divide(delta, denom, out=np.where(delta == 0, 0.0, math.inf), where=denom > 0)
+        h = h_new
+        done = change < cfg.tol
+        if done.any():
+            out[live[done]] = h[:, done].T
+            keep = ~done
+            live, h, z, dty, change = live[keep], h[:, keep], z[:, keep], dty[:, keep], change[keep]
+    out[live] = h.T
     return out, change.tolist()
 
 

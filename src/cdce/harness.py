@@ -49,9 +49,10 @@ NMSE_FLOOR_DB = -200.0
 _COV_SEED_TAG = 0x636F76
 
 # Trials per batched tf_lasso solve in run_sweep. Per solve on the 8 x 14
-# lattice dictionary, the batched loop ran 2.5x as fast as one-by-one solves
-# at 16 rows, 3.2x at 32 and 3.9x at 64 (one BLAS thread, x86-64). A chunk
-# holds only its received vectors and their solutions: a few KiB per trial.
+# lattice dictionary, 32 rows ran 3.0x to 4.3x as fast as one-by-one solves
+# on one BLAS thread and 4.1x to 4.2x on two (scripts/time_fista_loops.py,
+# x86-64). A chunk holds only its received vectors and their solutions: a
+# few KiB per trial.
 LASSO_BATCH = 32
 
 # The largest noise variance simulated: noise of this variance squares to at
@@ -251,8 +252,9 @@ def run_sweep(cfg: SimConfig, cov: CovarianceModel | None = None) -> list[Result
     received grids are simulated ahead and their tf_lasso problems solved in
     one batched call, and each trial's row of gains is passed to run_trial.
     run_trial still runs the trial's whole transmit chain, so the chain runs
-    twice per trial. Every row equals, bit for bit, the one a trial-by-trial
-    sweep gives.
+    twice per trial. Every estimator's row equals, bit for bit, the one a
+    trial-by-trial sweep gives, except tf_lasso's, which equals it to
+    rounding.
     """
     if cov is None and "fs_lmmse" in cfg.estimators:
         cov = fit_config_covariance(cfg)

@@ -95,6 +95,25 @@ class TestTypes:
         with pytest.raises(ValueError):
             PathParams(gain=1.0, delay_int=-1)
 
+    @pytest.mark.parametrize(
+        "delay,doppler", [(1.0, 0), (0, 0.5), (np.float64(2.0), 1), (1, np.float32(-1.0))]
+    )
+    def test_non_integer_bin_rejected(self, delay, doppler):
+        with pytest.raises(ValueError, match="must be integer bins"):
+            PathParams(1.0, delay, doppler)
+        with pytest.raises(ValueError, match="must be integer bins"):
+            channel._unit_path_atoms(D, IDEAL, [(delay, doppler)])
+
+    def test_numpy_integer_bins_accepted(self):
+        np.testing.assert_array_equal(
+            effective_tf_channel(single_path(0.5, np.int64(1), np.int32(-2)), IDEAL),
+            effective_tf_channel(single_path(0.5, 1, -2), IDEAL),
+        )
+        blocks, ramps = channel._unit_path_atoms(D, IDEAL, [(np.int64(1), np.int32(-2))])
+        want_blocks, want_ramps = channel._unit_path_atoms(D, IDEAL, [(1, -2)])
+        np.testing.assert_array_equal(blocks, want_blocks)
+        np.testing.assert_array_equal(ramps, want_ramps)
+
     def test_doppler_beyond_half_grid_rejected(self):
         with pytest.raises(ValueError):
             single_path(1.0, 0, 8)
@@ -286,7 +305,7 @@ class TestEffectiveTfChannel:
 
     @pytest.mark.parametrize("kind", ["ideal", "rectangular"])
     @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
-    def test_bands_are_the_dense_blocks_bit_for_bit(self, shape, kind):
+    def test_bands_are_the_dense_blocks_within_1e_14(self, shape, kind):
         # a unit-gain path at every delay of the grid, at both Doppler edges:
         # the bands are the dense blocks within 1e-14 (the closed-form atoms
         # do not round as the dense sandwich does), and every other block of
@@ -359,7 +378,7 @@ class TestEffectiveTfChannel:
 class TestUnitPathCache:
     @pytest.mark.parametrize("kind", ["ideal", "rectangular"])
     @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
-    def test_bands_are_the_dense_atom_bit_for_bit(self, shape, kind):
+    def test_bands_are_the_dense_atom_within_1e_14(self, shape, kind):
         # every bin's closed-form atom is its dense atom's two bands, entrywise
         # within 1e-14, and the dense atom's symbol blocks are symbol 0's
         # (diagonal) and symbol 1's (sub-diagonal) times the Doppler ramp;

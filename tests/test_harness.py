@@ -355,8 +355,14 @@ class TestBatchedLassoSweep:
             mean = float(values.mean())
             se_lin = float(values.std(ddof=1)) / math.sqrt(cfg.trials)
             stderr = (10.0 / math.log(10.0)) * se_lin / mean
-            assert row.nmse_db.hex() == harness.ratio_db(mean).hex()
-            assert row.stderr_db.hex() == stderr.hex()
+            if row.estimator == "tf_lasso":
+                # a batched row is within rtol 1e-12 of its own solve, which
+                # moves an NMSE above -40 dB by well under 1e-9 dB
+                assert row.nmse_db == pytest.approx(harness.ratio_db(mean), rel=0, abs=1e-9)
+                assert row.stderr_db == pytest.approx(stderr, rel=0, abs=1e-9)
+            else:
+                assert row.nmse_db.hex() == harness.ratio_db(mean).hex()
+                assert row.stderr_db.hex() == stderr.hex()
 
     def test_random_pilot_sweep_solves_trial_by_trial(self, solves):
         spec = FrameSpec(dims=D, sequence_kind="zadoff_chu", placement="uniform_random")
