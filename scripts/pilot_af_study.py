@@ -4,6 +4,7 @@ peak-to-sidelobe ratio of their discrete ambiguity surfaces."""
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -13,6 +14,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cdce.grids import Dims
 from cdce.pilots import FrameSpec, Lattice, assemble_frame, discrete_af, pilot_dd_image
+
+
+# A sidelobe below this fraction of the peak is taken as zero, and the
+# peak-to-sidelobe ratio as infinite.
+SIDELOBE_FLOOR = 1e-9
 
 
 def lattice_replicas(d: Dims, lattice: Lattice) -> set:
@@ -47,13 +53,16 @@ def study(d: Dims, lattice: Lattice, kind: str) -> dict:
         for k in range(d.n)
         if (l, k) not in excluded
     )
+    if sidelobe < SIDELOBE_FLOOR * peak:
+        # rounding noise of an exactly zero sidelobe, not a sidelobe
+        sidelobe = 0.0
     return {
         "sequence": kind,
         "n_pilots": spec.n_pilots,
         "bins_for_90pct": bins_90,
         "af_peak": float(peak),
         "af_max_sidelobe": float(sidelobe),
-        "af_ratio": float(peak / sidelobe),
+        "af_ratio": float(peak / sidelobe) if sidelobe else math.inf,
     }
 
 
@@ -78,7 +87,12 @@ def main() -> int:
         )
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(rows, fh, indent=2)
+            # strict JSON: an infinite ratio is written as "inf"
+            records = [
+                {**r, "af_ratio": r["af_ratio"] if math.isfinite(r["af_ratio"]) else "inf"}
+                for r in rows
+            ]
+            json.dump(records, fh, indent=2, allow_nan=False)
             fh.write("\n")
         print(f"wrote {args.json}")
     return 0

@@ -115,6 +115,18 @@ class ChannelStats:
         )
 
 
+def _check_bins(pairs, d: Dims) -> None:
+    """Reject any (delay, Doppler) pair that is not one of the grid's own
+    bins: integers with 0 <= delay < M and -N/2 < doppler <= N/2."""
+    for delay, doppler in pairs:
+        if not (isinstance(delay, _INTEGER) and isinstance(doppler, _INTEGER)):
+            raise ValueError(f"delay and Doppler must be integer bins, got {delay!r}, {doppler!r}")
+        if not 0 <= delay < d.m:
+            raise ValueError(f"delay {delay} must be non-negative and below m = {d.m}")
+        if not -d.n < 2 * doppler <= d.n:
+            raise ValueError(f"Doppler {doppler} is outside the Doppler grid (-N/2, N/2] with N = {d.n}")
+
+
 @dataclass(frozen=True)
 class ChannelRealization:
     paths: tuple[PathParams, ...]
@@ -123,12 +135,7 @@ class ChannelRealization:
     def __post_init__(self) -> None:
         if not self.paths:
             raise ValueError("a channel realization needs at least one path")
-        m, n = self.dims.m, self.dims.n
-        for p in self.paths:
-            if p.delay_int >= m:
-                raise ValueError(f"delay {p.delay_int} must be below m = {m}")
-            if not -n < 2 * p.doppler_int <= n:
-                raise ValueError(f"Doppler {p.doppler_int} is outside the Doppler grid (-N/2, N/2] with N = {n}")
+        _check_bins([(p.delay_int, p.doppler_int) for p in self.paths], self.dims)
 
 
 def draw_paths(
@@ -288,19 +295,11 @@ def _atom_table(d: Dims, pulse: Pulse) -> tuple[np.ndarray, np.ndarray]:
 
 def _unit_path_atoms(d: Dims, pulse: Pulse, pairs) -> tuple[np.ndarray, np.ndarray]:
     """The table's blocks (P, 2, M, M) and ramps (P, N) of the (delay,
-    doppler) pairs, in order. Only the grid's own bins have atoms:
-    0 <= delay < M and -N/2 < doppler <= N/2, bin (l, k) at slot
-    (k mod N) * M + l; any other pair is rejected before the lookup."""
-    m, n = d.m, d.n
-    slots = []
-    for delay, doppler in pairs:
-        if not (isinstance(delay, _INTEGER) and isinstance(doppler, _INTEGER)):
-            raise ValueError(f"delay and Doppler must be integer bins, got {delay!r}, {doppler!r}")
-        if not 0 <= delay < m:
-            raise ValueError(f"delay {delay} must be non-negative and below m = {m}")
-        if not -n < 2 * doppler <= n:
-            raise ValueError(f"Doppler {doppler} is outside the Doppler grid (-N/2, N/2] with N = {n}")
-        slots.append(doppler % n * m + delay)
+    doppler) pairs, in order. Only the grid's own bins have atoms, bin
+    (l, k) at slot (k mod N) * M + l; any other pair is rejected before
+    the lookup."""
+    _check_bins(pairs, d)
+    slots = [doppler % d.n * d.m + delay for delay, doppler in pairs]
     blocks, ramps = _atom_table(d, pulse)
     return blocks[slots], ramps[slots]
 

@@ -62,10 +62,10 @@ MIN_SNR_DB = -10.0 * math.log10(MAX_N0)
 
 # glibc serves each block above its mmap threshold (128 KiB at start) with a
 # fresh mapping, faulted in page by page, and unmaps it on free. Freeing a
-# mapped block raises the threshold to its size, so the larger temporaries
-# (G and CDCE's correlation operator; H_TF is now small bands) stay on the
-# heap once one was freed. Freeing this 4 MiB block does so before the first
-# trial. Other allocators ignore it.
+# mapped block raises the threshold to its size (and the heap's trim
+# threshold to twice that), so a trial's largest temporary, G (306 KiB at
+# 8 x 14), stays on the heap once one was freed. Freeing this 4 MiB block
+# does so before the first trial. Other allocators ignore it.
 np.empty(4 << 20, dtype=np.uint8)
 
 
@@ -293,7 +293,8 @@ def emit(rows: list[ResultRow], path: str, fmt: str = "csv") -> None:
     """Write sweep rows to disk as CSV or JSON.
 
     An empty row list still produces a valid file (header only for CSV, an
-    empty array for JSON).
+    empty array for JSON). A noiseless SNR point is written as "inf" in both;
+    the JSON is strict, so a NaN in a row is a ValueError.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}, choose csv or json")
@@ -311,8 +312,9 @@ def emit(rows: list[ResultRow], path: str, fmt: str = "csv") -> None:
                         f"{row.stderr_db:.6f}",
                     ])
         else:
+            records = [{**asdict(r), "snr_db": r.snr_db if math.isfinite(r.snr_db) else "inf"} for r in rows]
+            text = json.dumps(records, indent=2, allow_nan=False)
             with open(path, "w") as fh:
-                json.dump([asdict(row) for row in rows], fh, indent=2)
-                fh.write("\n")
+                fh.write(text + "\n")
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc

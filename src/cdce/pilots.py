@@ -165,7 +165,9 @@ def pilot_dd_image(frame: Frame) -> np.ndarray:
 
 
 def discrete_af(x_dd: np.ndarray) -> np.ndarray:
-    """Discrete ambiguity function of a DD grid.
+    """Discrete ambiguity function of a DD grid: the discrete AF of its
+    MN-sample time sequence x = vec(X F_N^H),
+    A[l, k] = sum_t conj(x[(t + l) mod MN]) x[t] exp(2j pi k_signed t / (M N)).
 
     This is the self-correlation case of the twisted convolution, so
     A[0, 0] equals the grid energy and |A| peaks there.

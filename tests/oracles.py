@@ -68,6 +68,22 @@ def twisted_convolution_reference(y_dd: np.ndarray, x_dd: np.ndarray) -> np.ndar
     return v
 
 
+def cross_ambiguity_reference(y_t: np.ndarray, x_t: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Scalar-loop discrete cross-ambiguity of two MN-sample time sequences,
+    V[l, kc] = sum_t conj(y[(t + l) mod MN]) x[t] exp(2j pi k t / MN) for
+    delays l < m, with k the signed Doppler of column kc."""
+    mn = m * n
+    v = np.zeros((m, n), dtype=complex)
+    for l in range(m):
+        for kc in range(n):
+            k = kc if kc <= n // 2 else kc - n
+            acc = 0.0 + 0.0j
+            for t in range(mn):
+                acc += y_t[(t + l) % mn].conjugate() * x_t[t] * cmath.exp(2j * cmath.pi * k * t / mn)
+            v[l, kc] = acc
+    return v
+
+
 def rect_af_quadrature(tau: float, nu: float, ts: float = 1.0) -> complex:
     """Numerical evaluation of the pulse ambiguity integral
     A(tau, nu) = int p(t) p*(t - tau) exp(-2j pi nu (t - tau)) dt

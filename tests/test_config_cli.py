@@ -264,6 +264,20 @@ class TestCliSweep:
         assert [row["estimator"] for row in payload] == ["st_lmmse", "st_ls"]
         assert all(row["trials"] == 2 for row in payload)
 
+    def test_noiseless_json_is_strict(self, tmp_path):
+        # a bare Infinity token is not JSON; the noiseless SNR is written as
+        # "inf", the same token as in the CSV
+        path = write_config(tmp_path, SMALL.replace("[10]", "[.inf]"))
+        out = tmp_path / "rows.json"
+        assert main(["sweep", "--config", path, "--out", str(out), "--format", "json"]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert [row["snr_db"] for row in payload] == ["inf", "inf"]
+        assert all(isinstance(row["nmse_db"], float) for row in payload)
+
     def test_unwritable_output_is_an_error(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL)
         rc = main(["sweep", "--config", path, "--out", "/nonexistent-dir/rows.csv"])

@@ -37,6 +37,7 @@ from cdce.pilots import Frame, FrameSpec, Lattice, assemble_frame
 
 from oracles import (
     bands_to_dense,
+    cross_ambiguity_reference,
     dense_atom,
     dense_reconstruct_oracle,
     fista_reference,
@@ -121,11 +122,38 @@ class TestTwistedConvolution:
 
     def test_cached_tables_are_read_only(self):
         twisted_convolution(np.ones((3, 5)), np.ones((3, 5)))
-        index, phase = _twist_tables(3, 5)
+        shift, ramps = _twist_tables(3, 5)
         with pytest.raises(ValueError):
-            index[0, 0] = 1
+            shift[0, 0] = 1
         with pytest.raises(ValueError):
-            phase[0, 0] = 1.0
+            ramps[0, 0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(3, 5), (8, 14), (64, 14)])
+    def test_cached_tables_hold_mn_times_m_plus_n_entries(self, shape):
+        m, n = shape
+        shift, ramps = _twist_tables(m, n)
+        assert shift.shape == (m, m * n) and ramps.shape == (m * n, n)
+
+    @pytest.mark.parametrize("shape", [(8, 14, 2), (16, 14, 2)])
+    @pytest.mark.parametrize("pilots", ["random", "lattice", "random_pilots"])
+    def test_is_cross_ambiguity_of_time_sequences(self, shape, pilots):
+        # V of the DD images is the discrete cross-ambiguity of the CP-free
+        # time sequences of the TF grids
+        d = Dims(*shape)
+        rng = np.random.default_rng(d.m)
+        a = rng.standard_normal((d.m, d.n)) + 1j * rng.standard_normal((d.m, d.n))
+        if pilots == "random":
+            b = rng.standard_normal((d.m, d.n)) + 1j * rng.standard_normal((d.m, d.n))
+        else:
+            placement = "lattice" if pilots == "lattice" else "uniform_random"
+            spec = FrameSpec(dims=d, sequence_kind="zadoff_chu", placement=placement)
+            b = assemble_frame(spec, rng).pilot_only_tf
+        for y_tf, x_tf in ((a, b), (b, b)):
+            np.testing.assert_allclose(
+                twisted_convolution(tf_to_dd(y_tf, d), tf_to_dd(x_tf, d)),
+                cross_ambiguity_reference(tf_to_time(y_tf, d), tf_to_time(x_tf, d), d.m, d.n),
+                atol=1e-10,
+            )
 
     def test_random_pilot_support_matches_scalar_reference(self):
         spec = FrameSpec(dims=D, sequence_kind="zadoff_chu", placement="uniform_random")
@@ -148,14 +176,17 @@ class TestTwistedConvolution:
         assert detected >= 20
 
     def test_matches_scalar_reference_at_frame_size(self, frame):
+        # the lattice pilots' DD image, and a random grid: the hypothesis
+        # test above stops at 6 x 7
         rng = np.random.default_rng(99)
-        x_dd = tf_to_dd(frame.pilot_only_tf, D)
         y = rng.standard_normal((D.m, D.n)) + 1j * rng.standard_normal((D.m, D.n))
-        np.testing.assert_allclose(
-            twisted_convolution(y, x_dd),
-            twisted_convolution_reference(y, x_dd),
-            atol=1e-10,
-        )
+        random_x = rng.standard_normal((D.m, D.n)) + 1j * rng.standard_normal((D.m, D.n))
+        for x_dd in (tf_to_dd(frame.pilot_only_tf, D), random_x):
+            np.testing.assert_allclose(
+                twisted_convolution(y, x_dd),
+                twisted_convolution_reference(y, x_dd),
+                atol=1e-10,
+            )
 
     def test_single_path_argmax(self, frame):
         y = received_tf(frame, make_channel([(1.0, 1, 2)]))

@@ -472,6 +472,24 @@ class TestEmit:
             },
         ]
 
+    def test_noiseless_point_is_inf_in_csv_and_strict_json(self, tmp_path):
+        rows = [ResultRow(estimator="cdce", snr_db=math.inf, trials=4, nmse_db=-200.0, stderr_db=0.0)]
+        emit(rows, str(tmp_path / "rows.csv"), "csv")
+        assert (tmp_path / "rows.csv").read_text().splitlines()[1].split(",")[1] == "inf"
+        emit(rows, str(tmp_path / "rows.json"), "json")
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        payload = json.loads((tmp_path / "rows.json").read_text(), parse_constant=reject)
+        assert payload[0]["snr_db"] == "inf"
+
+    def test_non_finite_nmse_is_not_written_as_json(self, tmp_path):
+        rows = [ResultRow(estimator="cdce", snr_db=0.0, trials=4, nmse_db=math.nan, stderr_db=0.0)]
+        with pytest.raises(ValueError):
+            emit(rows, str(tmp_path / "rows.json"), "json")
+        assert not (tmp_path / "rows.json").exists()
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             emit(self.ROWS, str(tmp_path / "x.xml"), "xml")
