@@ -297,7 +297,10 @@ def _unit_path_atoms(d: Dims, pulse: Pulse, pairs) -> tuple[np.ndarray, np.ndarr
     """The table's blocks (P, 2, M, M) and ramps (P, N) of the (delay,
     doppler) pairs, in order. Only the grid's own bins have atoms, bin
     (l, k) at slot (k mod N) * M + l; any other pair is rejected before
-    the lookup."""
+    the lookup. The full grid's pairs, as the ``full_grid_pairs`` tuple,
+    are the table's own order and get the read-only table itself."""
+    if pairs == full_grid_pairs(d):
+        return _atom_table(d, pulse)
     _check_bins(pairs, d)
     slots = [doppler % d.n * d.m + delay for delay, doppler in pairs]
     blocks, ramps = _atom_table(d, pulse)

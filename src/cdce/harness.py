@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it with cdce, not in the first trial
@@ -49,11 +49,13 @@ NMSE_FLOOR_DB = -200.0
 _COV_SEED_TAG = 0x636F76
 
 # Trials per batched tf_lasso solve in run_sweep. Per solve on the 8 x 14
-# lattice dictionary, 32 rows ran 3.0x to 4.3x as fast as one-by-one solves
-# on one BLAS thread and 4.1x to 4.2x on two (scripts/time_fista_loops.py,
-# x86-64). A chunk holds only its received vectors and their solutions: a
-# few KiB per trial.
-LASSO_BATCH = 32
+# lattice dictionary (scripts/time_fista_loops.py --solves 128 --rounds 5,
+# x86-64, two runs per setting), chunks of 64 rows took 1.22-1.32 ms against
+# 1.55-1.56 ms for chunks of 32 on one BLAS thread, and 1.30-1.33 against
+# 1.43-1.62 ms on two; one-by-one solves took 7.2-8.2 ms. A chunk holds its
+# trials' channels and received grids, a few KiB each, and the solve's
+# (P, K) blocks, about 1 MiB at 64 rows.
+LASSO_BATCH = 64
 
 # The largest noise variance simulated: noise of this variance squares to at
 # most the largest float, so every NMSE stays finite. MIN_SNR_DB is its SNR.
@@ -189,27 +191,38 @@ def _received(cfg: SimConfig, snr_db: float, trial_index: int, n0: float):
     return ch, frame, time_to_tf(remove_cp(r, cfg.dims), cfg.dims)
 
 
+def _energy(h: np.ndarray) -> float:
+    """The squared Frobenius norm of a channel's bands."""
+    return float(np.sum(np.abs(h) ** 2))
+
+
+def _ratio(h_hat: np.ndarray, h_true: np.ndarray, energy: float) -> float:
+    """The linear NMSE of an estimate against the truth, whose ``_energy``
+    is ``energy``: the one expression every sweep row is scored by."""
+    return _energy(h_hat - h_true) / energy
+
+
 def run_trial(
     cfg: SimConfig,
     snr_db: float,
     trial_index: int,
     cov: CovarianceModel | None = None,
-    lasso_gains: np.ndarray | None = None,
+    received: tuple | None = None,
 ) -> dict[str, float]:
     """One paired trial: returns the linear NMSE of every configured
     estimator against the same received frame, scored on the symbol-block
     bands (see ``effective_tf_channel``) of the truth and every estimate.
 
-    ``lasso_gains``, when given, must be this trial's ``tf_lasso_gains``;
-    tf_lasso then reconstructs them instead of solving."""
+    ``received``, when given, must be this trial's transmit chain, as
+    ``_received`` returns it; the trial then runs no chain of its own."""
     if trial_index < 0:
         raise ValueError(f"trial_index must be non-negative, got {trial_index}")
     n0 = _check_snr(snr_db)
     if cov is None and "fs_lmmse" in cfg.estimators:
         cov = fit_config_covariance(cfg)
-    ch, frame, y_tf = _received(cfg, snr_db, trial_index, n0)
+    ch, frame, y_tf = _received(cfg, snr_db, trial_index, n0) if received is None else received
     h_true = effective_tf_channel(ch, cfg.pulse)
-    denom = float(np.sum(np.abs(h_true) ** 2))
+    energy = _energy(h_true)
     out: dict[str, float] = {}
     st_ls_hat = None
     for name in cfg.estimators:
@@ -224,21 +237,32 @@ def run_trial(
             snr = math.inf if n0 == 0 else 1.0 / n0
             h_hat = st_ls_hat if name == "st_ls" else st_lmmse(st_ls_hat, snr)
         else:
-            h_hat = tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse, gains=lasso_gains)
-        out[name] = float(np.sum(np.abs(h_hat - h_true) ** 2)) / denom
+            h_hat = tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse)
+        out[name] = _ratio(h_hat, h_true, energy)
     return out
 
 
-def _solved_ahead(cfg: SimConfig, snr_db: float, trials: range) -> np.ndarray:
-    """The tf_lasso gains of ``trials``, row i for trials[i], from one
-    batched solve of their received vectors against the last trial's frame:
-    on a lattice every trial's frame has the same pilot-only grid."""
+def _lattice_point(
+    cfg: SimConfig, rest: SimConfig | None, snr_db: float, cov: CovarianceModel | None, ratios: dict
+) -> None:
+    """One SNR point of a pilot-lattice sweep with tf_lasso into ``ratios``,
+    chunk by chunk as ``run_sweep`` describes. ``rest`` is ``cfg`` without
+    tf_lasso, or None when nothing else is configured."""
     n0 = _check_snr(snr_db)
-    ys = []
-    for t in trials:
-        _, frame, y_tf = _received(cfg, snr_db, t, n0)
-        ys.append(vec(y_tf))
-    return tf_lasso_gains(np.stack(ys), frame, cfg.lasso, cfg.pulse)
+    for start in range(0, cfg.trials, LASSO_BATCH):
+        trials = range(start, min(start + LASSO_BATCH, cfg.trials))
+        chunk = []
+        for t in trials:
+            ch, frame, y_tf = rec = _received(cfg, snr_db, t, n0)
+            if rest is not None:
+                for name, value in run_trial(rest, snr_db, t, cov, received=rec).items():
+                    ratios[name][t] = value
+            chunk.append((ch, y_tf))
+        gains = tf_lasso_gains(np.stack([vec(y_tf) for _, y_tf in chunk]), frame, cfg.lasso, cfg.pulse)
+        for t, (ch, y_tf), row in zip(trials, chunk, gains):
+            h_true = effective_tf_channel(ch, cfg.pulse)
+            h_hat = tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse, gains=row)
+            ratios["tf_lasso"][t] = _ratio(h_hat, h_true, _energy(h_true))
 
 
 def run_sweep(cfg: SimConfig, cov: CovarianceModel | None = None) -> list[ResultRow]:
@@ -248,27 +272,31 @@ def run_sweep(cfg: SimConfig, cov: CovarianceModel | None = None) -> list[Result
     The standard error is propagated to dB with the delta method.
 
     On a pilot lattice every trial's tf_lasso problem shares one dictionary,
-    so each SNR point is cut into chunks of LASSO_BATCH trials: the chunk's
-    received grids are simulated ahead and their tf_lasso problems solved in
-    one batched call, and each trial's row of gains is passed to run_trial.
-    run_trial still runs the trial's whole transmit chain, so the chain runs
-    twice per trial. Every estimator's row equals, bit for bit, the one a
+    so each SNR point is cut into chunks of LASSO_BATCH trials. In a chunk,
+    each trial's transmit chain runs once, in trial order, and run_trial
+    gets it (``received=``) for every estimator but tf_lasso; then the
+    chunk's tf_lasso problems are solved in one batched call and scored as
+    run_trial scores them. The chain of one trial and its run_trial call run
+    back to back, so each trial's channel is drawn just before its
+    estimators run; a config whose only estimator is tf_lasso makes no
+    run_trial call. Every estimator's row equals, bit for bit, the one a
     trial-by-trial sweep gives, except tf_lasso's, which equals it to
-    rounding.
+    rounding. Other sweeps run trial by trial.
     """
     if cov is None and "fs_lmmse" in cfg.estimators:
         cov = fit_config_covariance(cfg)
     batched = "tf_lasso" in cfg.estimators and cfg.frame.placement == "lattice"
-    chunk = LASSO_BATCH if batched else cfg.trials
+    if batched:
+        others = tuple(name for name in cfg.estimators if name != "tf_lasso")
+        rest = replace(cfg, estimators=others) if others else None
     rows: list[ResultRow] = []
     for snr_db in cfg.snr_grid_db:
         ratios = {name: np.empty(cfg.trials) for name in cfg.estimators}
-        for start in range(0, cfg.trials, chunk):
-            trials = range(start, min(start + chunk, cfg.trials))
-            gains = _solved_ahead(cfg, snr_db, trials) if batched else [None] * len(trials)
-            for t, h in zip(trials, gains):
-                result = run_trial(cfg, snr_db, t, cov=cov, lasso_gains=h)
-                for name, value in result.items():
+        if batched:
+            _lattice_point(cfg, rest, snr_db, cov, ratios)
+        else:
+            for t in range(cfg.trials):
+                for name, value in run_trial(cfg, snr_db, t, cov=cov).items():
                     ratios[name][t] = value
         for name in cfg.estimators:
             samples = ratios[name]

@@ -11,6 +11,7 @@ from cdce.channel import (
     PathParams,
     Pulse,
     apply_channel,
+    atom_columns,
     effective_tf_channel,
     full_grid_pairs,
     pulse_af,
@@ -437,6 +438,25 @@ class TestUnitPathCache:
             assert slot == k % d.n * d.m + l
             ramp = np.exp(2j * np.pi * k * np.arange(d.n) / d.n)
             np.testing.assert_allclose(ramps[slot], ramp, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["ideal", "rectangular"])
+    @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
+    def test_full_grid_pairs_look_up_the_table_itself(self, shape, kind):
+        # the full_grid_pairs tuple is the table's own order, so it gets the
+        # read-only table with no copy; the same pairs as a list are checked
+        # and gathered, and give the same bytes
+        d, pulse = Dims(*shape), Pulse(kind)
+        pairs = full_grid_pairs(d)
+        fast = channel._unit_path_atoms(d, pulse, pairs)
+        gathered = channel._unit_path_atoms(d, pulse, list(pairs))
+        for got, table, want in zip(fast, channel._atom_table(d, pulse), gathered):
+            assert got is table
+            assert got.tobytes() == want.tobytes()
+        rng = np.random.default_rng(d.grid_size)
+        h = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
+        x = rng.standard_normal((d.m, d.n)) + 1j * rng.standard_normal((d.m, d.n))
+        assert reconstruct(h, pairs, pulse, d).tobytes() == reconstruct(h, list(pairs), pulse, d).tobytes()
+        assert atom_columns(x, pairs, pulse, d).tobytes() == atom_columns(x, list(pairs), pulse, d).tobytes()
 
     @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
     def test_bins_off_the_grid_rejected(self, shape):

@@ -13,6 +13,7 @@ from cdce.channel import (
     Pulse,
     apply_channel,
     effective_tf_channel,
+    full_grid_pairs,
     sample_channel,
     time_channel_matrix,
 )
@@ -831,6 +832,85 @@ class TestSolveLassoRows:
         _, d = lasso_rows(0)
         h = solve_lasso(np.zeros((0, d.matrix.shape[0]), dtype=complex), d, LassoConfig())
         assert h.shape == (0, d.matrix.shape[1])
+
+
+def full_grid_dictionary(shape, sequence_kind="all_ones", placement="lattice", pulse=IDEAL):
+    d = Dims(*shape)
+    spec = FrameSpec(dims=d, sequence_kind=sequence_kind, placement=placement)
+    frame = assemble_frame(spec, np.random.default_rng(0))
+    return build_dictionary(frame.pilot_only_tf, full_grid_pairs(d), pulse, d)
+
+
+class TestGramBlocks:
+    # on the all-ones and Walsh lattices even delays never couple to odd ones
+    @pytest.mark.parametrize(
+        "shape,sequence_kind,pulse,sizes",
+        [
+            ((8, 14, 2), "all_ones", IDEAL, [56, 56]),
+            ((8, 14, 2), "all_ones", Pulse("rectangular"), [56, 56]),
+            ((16, 14, 3), "all_ones", IDEAL, [84, 84, 56]),
+            ((8, 16, 2), "walsh", IDEAL, [64, 64]),
+        ],
+        ids=["8x14-ideal", "8x14-rectangular", "16x14", "walsh-8x16"],
+    )
+    def test_lattice_gram_is_block_diagonal(self, shape, sequence_kind, pulse, sizes):
+        d = full_grid_dictionary(shape, sequence_kind, pulse=pulse)
+        order, blocks = d.gram_blocks
+        assert sorted(order) == list(range(len(d.gram)))
+        permuted = d.gram[np.ix_(order, order)]
+        inside = np.zeros(permuted.shape, dtype=bool)
+        start = 0
+        for rows, block in blocks:
+            assert rows == slice(start, start + len(block))
+            assert np.all(np.diff(order[rows]) > 0)
+            assert block.tobytes() == permuted[rows, rows].tobytes()
+            assert not block.flags.writeable
+            inside[rows, rows] = True
+            start = rows.stop
+        assert [len(block) for _, block in blocks] == sizes
+        assert np.abs(permuted[~inside]).max() <= estimator.GRAM_LINK_RTOL * np.abs(d.gram).max()
+
+    @pytest.mark.parametrize("placement", ["lattice", "uniform_random"])
+    def test_zadoff_chu_gram_is_one_block(self, placement):
+        d = full_grid_dictionary((8, 14, 2), "zadoff_chu", placement)
+        order, ((rows, block),) = d.gram_blocks
+        assert order == rows == slice(None)
+        assert block is d.gram
+
+    # max_iter 270 and 500 stop some rows and exhaust others
+    @pytest.mark.parametrize("cut", [False, True])
+    @pytest.mark.parametrize(
+        "shape,sequence_kind,short",
+        [((8, 16, 2), "walsh", 270), ((16, 14, 3), "all_ones", 500)],
+        ids=["walsh-8x16", "16x14"],
+    )
+    def test_rows_match_fista_oracle_across_blocks(self, monkeypatch, shape, sequence_kind, short, cut):
+        # received vectors of three paths each, at five noise levels
+        d = full_grid_dictionary(shape, sequence_kind)
+        assert len(d.gram_blocks[1]) > 1
+        rows, cols = d.matrix.shape
+        rng = np.random.default_rng(cols)
+        y = np.empty((5, rows), dtype=complex)
+        for row, noise in zip(y, (1.0, 0.3, 0.1, 0.03, 0.01)):
+            support = rng.choice(cols, size=3, replace=False)
+            gains = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / math.sqrt(6)
+            row[:] = d.matrix[:, support] @ gains + noise * (
+                rng.standard_normal(rows) + 1j * rng.standard_normal(rows)) / math.sqrt(2)
+        cfg = LassoConfig(max_iter=short if cut else 1000)
+        refs = [fista_reference(row, d.matrix, cfg.lam, cfg.tol, cfg.max_iter) for row in y]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            iters = [counted_iterations(monkeypatch, lambda: solve_lasso(row, d, cfg)) for row in y]
+            single = sorted(str(w.message) for w in caught)
+            caught.clear()
+            batch = []
+            widths = threshold_widths(monkeypatch, lambda: batch.append(solve_lasso(y, d, cfg)))
+        assert stopping_iterations(widths) == sorted(iters)
+        assert sorted(str(w.message) for w in caught) == single
+        stalled = sum(not converged for _, converged in refs)
+        assert len(caught) == stalled and (0 < stalled < len(y)) == cut
+        for row, (ref, _) in zip(batch[0], refs):
+            assert_row_matches(row, ref)
 
 
 class TestCdceEstimate:

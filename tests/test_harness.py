@@ -374,19 +374,64 @@ class TestBatchedLassoSweep:
         assert solves == [(112,)] * 3
 
     @pytest.mark.parametrize("data_mode", ["none", "qpsk"])
-    def test_run_trial_given_its_gains_only_reconstructs(self, soft_thresholds, data_mode):
-        cfg = lasso_sweep_config(data_mode, estimators=("cdce", "st_ls", "tf_lasso"))
+    def test_run_trial_given_its_chain_matches_run_trial(self, monkeypatch, data_mode):
+        cfg = lasso_sweep_config(data_mode, estimators=ESTIMATOR_NAMES)
+        cov = fit_config_covariance(cfg)
+        sampled = []
+        sample_channel = harness.sample_channel
+        monkeypatch.setattr(harness, "sample_channel", lambda *a: sampled.append(a) or sample_channel(*a))
         for snr_db in cfg.snr_grid_db:
             for t in range(cfg.trials):
-                _, frame, y_tf = harness._received(cfg, snr_db, t, harness._check_snr(snr_db))
-                gains = baselines.tf_lasso_gains(vec(y_tf), frame, cfg.lasso, cfg.pulse)
-                soft_thresholds.clear()
-                solved = run_trial(cfg, snr_db, t)
-                assert len(soft_thresholds) > 0
-                soft_thresholds.clear()
-                given = run_trial(cfg, snr_db, t, lasso_gains=gains)
-                assert soft_thresholds == []
+                solved = run_trial(cfg, snr_db, t, cov)
+                rec = harness._received(cfg, snr_db, t, harness._check_snr(snr_db))
+                sampled.clear()
+                given = run_trial(cfg, snr_db, t, cov, received=rec)
+                assert sampled == []
                 assert {k: v.hex() for k, v in given.items()} == {k: v.hex() for k, v in solved.items()}
+
+    @pytest.mark.parametrize("data_mode", ["none", "qpsk"])
+    def test_sweep_draws_each_channel_just_before_its_detection(self, monkeypatch, data_mode):
+        # a tracer scores each threshold_select against the latest
+        # sample_channel, so the sweep must draw trial t's channel right
+        # before trial t's detection, once, in trial order; the benchmark
+        # times the sweep between its run_trial calls, one per trial
+        monkeypatch.setattr(harness, "LASSO_BATCH", 5)
+        cfg = lasso_sweep_config(data_mode, trials=13)
+        want = []
+        for snr_db in cfg.snr_grid_db:
+            for t in range(cfg.trials):
+                want += [harness._received(cfg, snr_db, t, harness._check_snr(snr_db))[0], "select"]
+        calls = []
+        sample_channel, threshold_select = harness.sample_channel, estimator.threshold_select
+
+        def sampling(*args):
+            ch = sample_channel(*args)
+            calls.append(ch)
+            return ch
+
+        monkeypatch.setattr(harness, "sample_channel", sampling)
+        monkeypatch.setattr(estimator, "threshold_select", lambda *a: calls.append("select") or threshold_select(*a))
+        keys = []
+        run_trial = harness.run_trial
+
+        def keyed(c, snr_db, t, *args, **kwargs):
+            keys.append((snr_db, t))
+            return run_trial(c, snr_db, t, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trial", keyed)
+        run_sweep(cfg)
+        assert calls == want
+        assert keys == [(snr_db, t) for snr_db in cfg.snr_grid_db for t in range(cfg.trials)]
+
+    def test_tf_lasso_only_sweep_is_the_mean_of_run_trial(self, monkeypatch, solves):
+        monkeypatch.setattr(harness, "LASSO_BATCH", 5)
+        cfg = lasso_sweep_config(trials=7, estimators=("tf_lasso",))
+        rows = run_sweep(cfg)
+        assert solves == [(5, 112), (2, 112)] * len(cfg.snr_grid_db)
+        assert [(row.estimator, row.snr_db) for row in rows] == [("tf_lasso", s) for s in cfg.snr_grid_db]
+        for row in rows:
+            values = np.array([run_trial(cfg, row.snr_db, t)["tf_lasso"] for t in range(cfg.trials)])
+            assert row.nmse_db == pytest.approx(harness.ratio_db(float(values.mean())), rel=0, abs=1e-9)
 
     def test_tf_lasso_without_gains_solves(self, soft_thresholds):
         cfg = lasso_sweep_config(trials=1, snr_grid_db=(10.0,))
