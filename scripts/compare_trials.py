@@ -17,16 +17,21 @@ machine, so each process samples it with bench/calibration.py's kernel
 before and after the set-up and every 0.3 s or so of the trials and of the
 sweep (calibration.SAMPLE_EVERY_S), and divides each stretch by its
 slowness as bench/run.py does.
-Every trial's NMSE of every configured estimator, and every sweep row's
-nmse_db and stderr_db, must be bit-identical between the sides and across
-rounds, and each process's sweep rows must be the linear mean of its own
-`run_trial` results (exactly, except a lattice sweep's tf_lasso rows, whose
-gains are solved in batches and so agree within LASSO_ROW_TOL_DB);
-otherwise the script exits 1 and writes nothing. It
+Every trial's NMSE of every configured estimator must be bit-identical
+between the sides and across rounds; each side's sweep rows (nmse_db and
+stderr_db) must repeat themselves bit for bit across rounds, and each
+process's sweep rows must be the linear mean of its own `run_trial`
+results. Both hold exactly, except for a lattice sweep's tf_lasso rows,
+whose gains are solved in batches: those agree with the mean within
+LASSO_ROW_TOL_DB, and so may differ between the sides by as much, since a
+change can reorder the batched solve without moving any trial. Every other
+sweep row must be bit-identical between the sides. Otherwise the script
+exits 1 and writes nothing. It
 then writes BENCH_<tag>.json at the repo root: per side, normalized set-up
 seconds, trials per second of the `run_trial` calls and of the sweep
 (median and quartiles over the rounds, with the median speed-up and the
 rounds the working tree won), every run's raw and normalized figures, the
+largest |change| in dB of a batched tf_lasso row between the sides, the
 git revisions, and the numpy and Python versions.
 
 With --drift the sides may differ, for a change that reorders a sum on
@@ -114,11 +119,12 @@ def worker(src: str, config: str, trials_per_snr: str) -> None:
             sweep.start()
             rows = harness.run_sweep(cfg, cov)
             sweep.finish()
+    # run_sweep solves a lattice chunk's tf_lasso problems in one batched call
+    batched = ["tf_lasso"] if "tf_lasso" in cfg.estimators and cfg.frame.placement == "lattice" else []
     for row in rows:
         i = cfg.snr_grid_db.index(row.snr_db)
         mean = float(np.array([r[row.estimator] for r in results[i * per_snr:(i + 1) * per_snr]]).mean())
-        batched = row.estimator == "tf_lasso" and cfg.frame.placement == "lattice"
-        tol = LASSO_ROW_TOL_DB if batched else 0.0
+        tol = LASSO_ROW_TOL_DB if row.estimator in batched else 0.0
         if not abs(row.nmse_db - harness.ratio_db(mean)) <= tol:
             raise SystemExit(f"error: sweep row {row.estimator} at {row.snr_db} dB gives {row.nmse_db!r} dB, "
                              f"the mean of its run_trial results {harness.ratio_db(mean)!r} dB")
@@ -138,6 +144,7 @@ def worker(src: str, config: str, trials_per_snr: str) -> None:
         "sweep_trials_per_s_normalized": n / sweep.normalized,
         "host_slowness": cal.median_slowness(),
         "estimators": list(cfg.estimators),
+        "batched": batched,
         "numpy": np.__version__,
         "nmse": [{name: value.hex() for name, value in result.items()} for result in results],
         "sweep_rows": [[row.estimator, row.snr_db, row.nmse_db.hex(), row.stderr_db.hex()] for row in rows],
@@ -199,6 +206,24 @@ def drift(base: dict, head: dict) -> dict:
     return out
 
 
+def batched_row_gap(base: dict, head: dict) -> float:
+    """The largest |change| in dB, over nmse_db and stderr_db, between the
+    sides' sweep rows; exits 1 unless only batched rows changed, each by at
+    most LASSO_ROW_TOL_DB."""
+    if base["estimators"] != head["estimators"] or len(base["sweep_rows"]) != len(head["sweep_rows"]):
+        raise SystemExit("error: the sides ran different estimators or sweep points")
+    gap = 0.0
+    for b, h in zip(base["sweep_rows"], head["sweep_rows"]):
+        if b[:2] != h[:2]:
+            raise SystemExit(f"error: the sides' sweep rows {b[:2]} and {h[:2]} are not the same point")
+        delta = max(abs(float.fromhex(h[i]) - float.fromhex(b[i])) for i in (2, 3))
+        tol = LASSO_ROW_TOL_DB if b[0] in head["batched"] else 0.0
+        if not delta <= tol:
+            raise SystemExit(f"error: sweep row {b[0]} at {b[1]} dB moved by {delta:.3g} dB between the sides")
+        gap = max(gap, delta)
+    return gap
+
+
 def summary(values: list[float]) -> dict:
     q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": med, "q1": q1, "q3": q3}
@@ -239,20 +264,22 @@ def main(argv=None) -> int:
         for name, (config_rel, per_snr) in WORKLOADS.items():
             config = os.path.join(ROOT, config_rel)
             runs = {"base": [], "head": []}
-            # in drift mode each side is checked against its own first run
-            references = {}
+            # each side's first run; its sweep rows are checked against its
+            # own, and its trials also against the other side's without --drift
+            firsts = {}
             for r in range(ROUNDS):
                 order = ("base", "head") if r % 2 == 0 else ("head", "base")
                 for side in order:
                     run = run_side(sides[side], config, per_snr)
                     report.setdefault("numpy", run["numpy"])
-                    reference = references.setdefault(side if args.drift else "both", run)
+                    first = firsts.setdefault(side, run)
+                    reference = first if args.drift else next(iter(firsts.values()))
                     if run["nmse"] != reference["nmse"]:
                         diff = next(i for i, (a, b) in enumerate(zip(run["nmse"], reference["nmse"])) if a != b)
                         raise SystemExit(f"error: {name}: {side} round {r} trial {diff} NMSE "
                                          f"{run['nmse'][diff]} differs from {reference['nmse'][diff]}")
-                    elif run["sweep_rows"] != reference["sweep_rows"]:
-                        diff = next(a for a, b in zip(run["sweep_rows"], reference["sweep_rows"]) if a != b)
+                    elif run["sweep_rows"] != first["sweep_rows"]:
+                        diff = next(a for a, b in zip(run["sweep_rows"], first["sweep_rows"]) if a != b)
                         raise SystemExit(f"error: {name}: {side} round {r} sweep row {diff} differs "
                                          f"from the first run's")
                     runs[side].append({key: value for key, value in run.items()
@@ -271,17 +298,20 @@ def main(argv=None) -> int:
             sweep_base, sweep_head = figures("sweep_trials_per_s_normalized")
             setup_base, setup_head = figures("setup_s_normalized")
             pairs = list(zip(runs["base"], runs["head"]))
-            reference = references.get("head", reference)
-            moved = drift(references["base"], reference) if args.drift else None
+            reference = firsts["head"]
+            moved = drift(firsts["base"], reference) if args.drift else None
+            gap = None if args.drift else batched_row_gap(firsts["base"], reference)
+            same_rows = firsts["base"]["sweep_rows"] == reference["sweep_rows"]
             report["workloads"][name] = {
                 "config": config_rel,
                 "trials_per_snr": per_snr,
                 "estimators": reference["estimators"],
                 "trials": reference["trials"],
                 "nmse_identical": not moved or not any(m["trials_moved"] for m in moved.values()),
-                "sweep_rows_identical": not moved or not any(m["sweep_rows_moved"] for m in moved.values()),
+                "sweep_rows_identical": same_rows,
                 "sweep_rows": reference["sweep_rows"],
-                **({"drift": moved, "base_sweep_rows": references["base"]["sweep_rows"]} if moved else {}),
+                **({} if same_rows else {"base_sweep_rows": firsts["base"]["sweep_rows"]}),
+                **({"drift": moved} if moved else {"batched_row_max_abs_delta_db": gap}),
                 "setup_s": {"base": setup_base, "head": setup_head},
                 "setup_ratio_median": setup_head["median"] / setup_base["median"],
                 "setup_head_wins": sum(h["setup_s_normalized"] < b["setup_s_normalized"] for b, h in pairs),

@@ -35,7 +35,7 @@ from .estimator import (
     cdce_estimate,
 )
 from .baselines import st_ls, st_lmmse, CovarianceModel, fit_covariance, fs_lmmse, tf_lasso
-from .harness import SimConfig, ResultRow, nmse_db, run_trial, run_sweep, emit
+from .harness import SimConfig, ResultRow, run_trial, run_sweep, emit
 from .config import ConfigError, load_config
 
 __version__ = "0.1.0"

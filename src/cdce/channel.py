@@ -96,6 +96,10 @@ class ChannelStats:
             math.isfinite(self.gain_variance) and self.gain_variance > 0
         ):
             raise ValueError(f"gain variance must be finite and positive, got {self.gain_variance}")
+        if self.n_paths > self.region_size:
+            raise ValueError(
+                f"cannot draw {self.n_paths} distinct paths from a region of {self.region_size} bins"
+            )
 
     @property
     def per_path_variance(self) -> float:
@@ -146,18 +150,12 @@ def draw_paths(
     """Draw one random channel's paths as flat indices into
     ``stats.region_pairs`` and complex gains: distinct (delay, Doppler) bins
     uniform over [0, l_max] x [-k_max, k_max], i.i.d. complex Gaussian gains."""
-    n_pairs = stats.region_size
-    if stats.n_paths > n_pairs:
-        raise ValueError(
-            f"cannot draw {stats.n_paths} distinct (delay, Doppler) pairs from a "
-            f"region of {n_pairs}"
-        )
     if 2 * stats.k_max >= dims.n:
         # on even N, Doppler +N/2 and -N/2 are one DD column
         raise ValueError(
             f"k_max {stats.k_max} must stay below half the Doppler grid (N/2 = {dims.n / 2})"
         )
-    flat = rng.choice(n_pairs, size=stats.n_paths, replace=False)
+    flat = rng.choice(stats.region_size, size=stats.n_paths, replace=False)
     sigma = math.sqrt(stats.per_path_variance / 2.0)
     gains = sigma * (rng.standard_normal(stats.n_paths) + 1j * rng.standard_normal(stats.n_paths))
     return flat, gains

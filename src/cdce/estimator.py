@@ -159,7 +159,6 @@ class ChannelEstimate:
     h_hat: np.ndarray
     pairs: tuple[tuple[int, int], ...]
     h_tf_hat: np.ndarray
-    empty: bool = False
 
 
 def default_gamma(
@@ -437,5 +436,4 @@ def cdce_estimate(
         h_hat=kept_h,
         pairs=kept_pairs,
         h_tf_hat=reconstruct(kept_h, kept_pairs, pulse, d),
-        empty=kept_h.size == 0,
     )

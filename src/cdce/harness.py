@@ -36,7 +36,6 @@ __all__ = [
     "SimConfig",
     "ResultRow",
     "ratio_db",
-    "nmse_db",
     "run_trial",
     "run_sweep",
     "emit",
@@ -48,13 +47,14 @@ NMSE_FLOOR_DB = -200.0
 
 _COV_SEED_TAG = 0x636F76
 
-# Trials per batched tf_lasso solve in run_sweep. Per solve on the 8 x 14
-# lattice dictionary (scripts/time_fista_loops.py --solves 128 --rounds 5,
-# x86-64, two runs per setting), chunks of 64 rows took 1.22-1.32 ms against
+# Trials per run_sweep chunk, and so per batched tf_lasso solve on a pilot
+# lattice. Per solve on the 8 x 14 lattice dictionary
+# (scripts/time_fista_loops.py --solves 128 --rounds 5, x86-64, two runs
+# per setting), chunks of 64 rows took 1.22-1.32 ms against
 # 1.55-1.56 ms for chunks of 32 on one BLAS thread, and 1.30-1.33 against
-# 1.43-1.62 ms on two; one-by-one solves took 7.2-8.2 ms. A chunk holds its
-# trials' channels and received grids, a few KiB each, and the solve's
-# (P, K) blocks, about 1 MiB at 64 rows.
+# 1.43-1.62 ms on two; one-by-one solves took 7.2-8.2 ms. A chunk with
+# tf_lasso holds its trials' channels, frames and received grids, a few KiB
+# each, and the solve's (P, K) blocks, about 1 MiB at 64 rows.
 LASSO_BATCH = 64
 
 # The largest noise variance simulated: noise of this variance squares to at
@@ -114,10 +114,6 @@ class SimConfig:
             raise ValueError(
                 f"k_max {stats.k_max} must stay below half the Doppler grid (N/2 = {dims.n / 2})"
             )
-        if stats.n_paths > stats.region_size:
-            raise ValueError(
-                f"cannot draw {stats.n_paths} distinct paths from a region of {stats.region_size} bins"
-            )
 
 
 @dataclass(frozen=True)
@@ -134,14 +130,6 @@ def ratio_db(ratio: float) -> float:
     if ratio == 0:
         return NMSE_FLOOR_DB
     return max(10.0 * math.log10(ratio), NMSE_FLOOR_DB)
-
-
-def nmse_db(h_hat: np.ndarray, h_true: np.ndarray) -> float:
-    """Normalized squared error in dB, floored at -200 dB."""
-    denom = float(np.sum(np.abs(h_true) ** 2))
-    if denom == 0:
-        raise ValueError("the true channel is identically zero")
-    return ratio_db(float(np.sum(np.abs(np.asarray(h_hat) - h_true) ** 2)) / denom)
 
 
 def _check_snr(snr_db: float) -> float:
@@ -242,24 +230,32 @@ def run_trial(
     return out
 
 
-def _lattice_point(
+def _point(
     cfg: SimConfig, rest: SimConfig | None, snr_db: float, cov: CovarianceModel | None, ratios: dict
 ) -> None:
-    """One SNR point of a pilot-lattice sweep with tf_lasso into ``ratios``,
-    chunk by chunk as ``run_sweep`` describes. ``rest`` is ``cfg`` without
-    tf_lasso, or None when nothing else is configured."""
+    """One SNR point of a sweep into ``ratios``, chunk by chunk as
+    ``run_sweep`` describes. ``rest`` is ``cfg`` without tf_lasso, or None
+    when tf_lasso is its only estimator."""
     n0 = _check_snr(snr_db)
     for start in range(0, cfg.trials, LASSO_BATCH):
         trials = range(start, min(start + LASSO_BATCH, cfg.trials))
         chunk = []
         for t in trials:
-            ch, frame, y_tf = rec = _received(cfg, snr_db, t, n0)
+            rec = _received(cfg, snr_db, t, n0)
             if rest is not None:
                 for name, value in run_trial(rest, snr_db, t, cov, received=rec).items():
                     ratios[name][t] = value
-            chunk.append((ch, y_tf))
-        gains = tf_lasso_gains(np.stack([vec(y_tf) for _, y_tf in chunk]), frame, cfg.lasso, cfg.pulse)
-        for t, (ch, y_tf), row in zip(trials, chunk, gains):
+            if "tf_lasso" in cfg.estimators:
+                chunk.append(rec)
+        if not chunk:
+            continue
+        ys = [vec(y_tf) for _, _, y_tf in chunk]
+        if cfg.frame.placement == "lattice":
+            # every trial's pilot-only grid, and so its dictionary, is the same
+            gains = tf_lasso_gains(np.stack(ys), chunk[0][1], cfg.lasso, cfg.pulse)
+        else:
+            gains = [tf_lasso_gains(y, frame, cfg.lasso, cfg.pulse) for y, (_, frame, _) in zip(ys, chunk)]
+        for t, (ch, frame, y_tf), row in zip(trials, chunk, gains):
             h_true = effective_tf_channel(ch, cfg.pulse)
             h_hat = tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse, gains=row)
             ratios["tf_lasso"][t] = _ratio(h_hat, h_true, _energy(h_true))
@@ -271,33 +267,27 @@ def run_sweep(cfg: SimConfig, cov: CovarianceModel | None = None) -> list[Result
     The covariance model is fitted once up front when any estimator needs it.
     The standard error is propagated to dB with the delta method.
 
-    On a pilot lattice every trial's tf_lasso problem shares one dictionary,
-    so each SNR point is cut into chunks of LASSO_BATCH trials. In a chunk,
+    Each SNR point is cut into chunks of LASSO_BATCH trials. In a chunk,
     each trial's transmit chain runs once, in trial order, and run_trial
     gets it (``received=``) for every estimator but tf_lasso; then the
-    chunk's tf_lasso problems are solved in one batched call and scored as
-    run_trial scores them. The chain of one trial and its run_trial call run
-    back to back, so each trial's channel is drawn just before its
-    estimators run; a config whose only estimator is tf_lasso makes no
-    run_trial call. Every estimator's row equals, bit for bit, the one a
-    trial-by-trial sweep gives, except tf_lasso's, which equals it to
-    rounding. Other sweeps run trial by trial.
+    chunk's tf_lasso problems are solved and scored as run_trial scores
+    them. On a pilot lattice every trial's tf_lasso problem shares one
+    dictionary, so they are solved in one batched call; on other frames,
+    one by one. The chain of one trial and its run_trial call run back to
+    back, so each trial's channel is drawn just before its estimators run;
+    a config whose only estimator is tf_lasso makes no run_trial call.
+    Every estimator's row equals, bit for bit, the mean of run_trial's
+    results, except a lattice sweep's tf_lasso row, which equals it to
+    rounding.
     """
     if cov is None and "fs_lmmse" in cfg.estimators:
         cov = fit_config_covariance(cfg)
-    batched = "tf_lasso" in cfg.estimators and cfg.frame.placement == "lattice"
-    if batched:
-        others = tuple(name for name in cfg.estimators if name != "tf_lasso")
-        rest = replace(cfg, estimators=others) if others else None
+    others = tuple(name for name in cfg.estimators if name != "tf_lasso")
+    rest = replace(cfg, estimators=others) if others else None
     rows: list[ResultRow] = []
     for snr_db in cfg.snr_grid_db:
         ratios = {name: np.empty(cfg.trials) for name in cfg.estimators}
-        if batched:
-            _lattice_point(cfg, rest, snr_db, cov, ratios)
-        else:
-            for t in range(cfg.trials):
-                for name, value in run_trial(cfg, snr_db, t, cov=cov).items():
-                    ratios[name][t] = value
+        _point(cfg, rest, snr_db, cov, ratios)
         for name in cfg.estimators:
             samples = ratios[name]
             mean_lin = float(samples.mean())

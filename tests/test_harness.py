@@ -27,7 +27,7 @@ from cdce.harness import (
     SimConfig,
     emit,
     fit_config_covariance,
-    nmse_db,
+    ratio_db,
     run_sweep,
     run_trial,
 )
@@ -58,6 +58,11 @@ def make_config(**overrides):
     return SimConfig(**params)
 
 
+def nmse_db(h_hat, h_true):
+    """An estimate's NMSE in dB as a sweep scores it: ratio_db of _ratio."""
+    return ratio_db(harness._ratio(h_hat, h_true, harness._energy(h_true)))
+
+
 class TestNmseDb:
     def test_perfect_estimate_hits_the_floor(self):
         h = np.ones((4, 4), dtype=complex)
@@ -72,7 +77,7 @@ class TestNmseDb:
         assert nmse_db(np.zeros_like(h), h) == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_truth_rejected(self):
-        with pytest.raises(ValueError, match="zero"):
+        with pytest.raises(ZeroDivisionError):
             nmse_db(np.ones((2, 2)), np.zeros((2, 2)))
 
     def test_floor_clamps_tiny_errors(self):
@@ -330,6 +335,38 @@ def soft_thresholds(monkeypatch):
     return calls
 
 
+def assert_each_draw_precedes_its_detection(monkeypatch, cfg):
+    """A tracer scores each threshold_select against the latest
+    sample_channel, so a sweep must draw trial t's channel right before
+    trial t's detection, once, in trial order; the benchmark times the sweep
+    between its run_trial calls, one per trial."""
+    want = []
+    for snr_db in cfg.snr_grid_db:
+        for t in range(cfg.trials):
+            want += [harness._received(cfg, snr_db, t, harness._check_snr(snr_db))[0], "select"]
+    calls = []
+    sample_channel, threshold_select = harness.sample_channel, estimator.threshold_select
+
+    def sampling(*args):
+        ch = sample_channel(*args)
+        calls.append(ch)
+        return ch
+
+    monkeypatch.setattr(harness, "sample_channel", sampling)
+    monkeypatch.setattr(estimator, "threshold_select", lambda *a: calls.append("select") or threshold_select(*a))
+    keys = []
+    run_trial = harness.run_trial
+
+    def keyed(c, snr_db, t, *args, **kwargs):
+        keys.append((snr_db, t))
+        return run_trial(c, snr_db, t, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", keyed)
+    run_sweep(cfg)
+    assert calls == want
+    assert keys == [(snr_db, t) for snr_db in cfg.snr_grid_db for t in range(cfg.trials)]
+
+
 class TestBatchedLassoSweep:
     @pytest.mark.parametrize("data_mode", ["none", "qpsk"])
     def test_rows_are_the_linear_mean_of_run_trial(self, monkeypatch, solves, data_mode):
@@ -391,37 +428,41 @@ class TestBatchedLassoSweep:
 
     @pytest.mark.parametrize("data_mode", ["none", "qpsk"])
     def test_sweep_draws_each_channel_just_before_its_detection(self, monkeypatch, data_mode):
-        # a tracer scores each threshold_select against the latest
-        # sample_channel, so the sweep must draw trial t's channel right
-        # before trial t's detection, once, in trial order; the benchmark
-        # times the sweep between its run_trial calls, one per trial
         monkeypatch.setattr(harness, "LASSO_BATCH", 5)
-        cfg = lasso_sweep_config(data_mode, trials=13)
-        want = []
-        for snr_db in cfg.snr_grid_db:
-            for t in range(cfg.trials):
-                want += [harness._received(cfg, snr_db, t, harness._check_snr(snr_db))[0], "select"]
-        calls = []
-        sample_channel, threshold_select = harness.sample_channel, estimator.threshold_select
+        assert_each_draw_precedes_its_detection(monkeypatch, lasso_sweep_config(data_mode, trials=13))
 
-        def sampling(*args):
-            ch = sample_channel(*args)
-            calls.append(ch)
-            return ch
+    def test_random_pilot_sweep_draws_each_channel_just_before_its_detection(self, monkeypatch):
+        monkeypatch.setattr(harness, "LASSO_BATCH", 5)
+        spec = FrameSpec(dims=D, sequence_kind="zadoff_chu", placement="uniform_random")
+        with warnings.catch_warnings():
+            # a full-grid fit on random pilots may use up max_iter; only the calls matter here
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert_each_draw_precedes_its_detection(monkeypatch, lasso_sweep_config(frame=spec, trials=7))
 
-        monkeypatch.setattr(harness, "sample_channel", sampling)
-        monkeypatch.setattr(estimator, "threshold_select", lambda *a: calls.append("select") or threshold_select(*a))
-        keys = []
-        run_trial = harness.run_trial
+    def test_lattice_sweep_without_tf_lasso_draws_each_channel_once(self, monkeypatch):
+        monkeypatch.setattr(harness, "LASSO_BATCH", 5)
+        cfg = lasso_sweep_config(trials=7, estimators=("cdce", "st_ls", "fs_lmmse"))
+        assert_each_draw_precedes_its_detection(monkeypatch, cfg)
 
-        def keyed(c, snr_db, t, *args, **kwargs):
-            keys.append((snr_db, t))
-            return run_trial(c, snr_db, t, *args, **kwargs)
-
-        monkeypatch.setattr(harness, "run_trial", keyed)
-        run_sweep(cfg)
-        assert calls == want
-        assert keys == [(snr_db, t) for snr_db in cfg.snr_grid_db for t in range(cfg.trials)]
+    def test_random_pilot_sweep_is_the_mean_of_run_trial(self):
+        # every row, tf_lasso's too, since a random-pilot sweep solves each
+        # tf_lasso problem on its own as run_trial does
+        spec = FrameSpec(dims=D, sequence_kind="zadoff_chu", placement="uniform_random")
+        cfg = lasso_sweep_config(frame=spec, trials=5, estimators=ESTIMATOR_NAMES)
+        cov = fit_config_covariance(cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rows = run_sweep(cfg, cov)
+            ratios = {snr_db: [run_trial(cfg, snr_db, t, cov) for t in range(cfg.trials)]
+                      for snr_db in cfg.snr_grid_db}
+        assert len(rows) == len(ESTIMATOR_NAMES) * len(cfg.snr_grid_db)
+        for row in rows:
+            values = np.array([result[row.estimator] for result in ratios[row.snr_db]])
+            mean = float(values.mean())
+            se_lin = float(values.std(ddof=1)) / math.sqrt(cfg.trials)
+            stderr = (10.0 / math.log(10.0)) * se_lin / mean
+            assert row.nmse_db.hex() == ratio_db(mean).hex(), row.estimator
+            assert row.stderr_db.hex() == stderr.hex(), row.estimator
 
     def test_tf_lasso_only_sweep_is_the_mean_of_run_trial(self, monkeypatch, solves):
         monkeypatch.setattr(harness, "LASSO_BATCH", 5)
