@@ -5,14 +5,15 @@
 
 Simulates the received vectors of trials 0 .. SOLVES-1 at one SNR point with
 the config's keyed transmit chain, then solves their tf_lasso problems in
-alternating rounds, three ways: one by one with a 1-D vector (the
-single-vector loop), one by one as a (1, MN) stack (the row loop on one row),
-and in chunks of harness.LASSO_BATCH rows (the row loop as run_sweep runs
-it). The single-vector loop is pinned to tests/oracles.py::fista_reference;
-every row of the other ways must lie within rtol 1e-12 / atol 1e-13 of it,
-with the same zero entries, or the script exits 1. Prints, per way, the
-median and quartiles over the rounds of the milliseconds per solve. BLAS
-runs on one thread unless the environment sets otherwise.
+alternating rounds: one by one with a 1-D vector (the single-vector loop),
+one by one as a (1, MN) stack (the row loop on one row), and in chunks of
+harness.LASSO_BATCH rows (the row loop as run_sweep runs it), or of each
+chunk size that --batch lists, so that the sizes alternate in one process.
+The single-vector loop is pinned to tests/oracles.py::fista_reference; every
+row of the other ways must lie within rtol 1e-12 / atol 1e-13 of it, with the
+same zero entries, or the script exits 1. Prints, per way, the median and
+quartiles over the rounds of the milliseconds per solve. BLAS runs on one
+thread unless the environment sets otherwise.
 """
 
 from __future__ import annotations
@@ -44,9 +45,13 @@ def main(argv=None) -> int:
     p.add_argument("--snr", type=float, default=10.0, help="SNR point in dB")
     p.add_argument("--solves", type=int, default=64, help="received vectors, trials 0 .. SOLVES-1")
     p.add_argument("--rounds", type=int, default=15, help="alternating timing rounds, at least 2")
+    p.add_argument("--batch", type=int, nargs="+", default=[harness.LASSO_BATCH],
+                   help="rows per chunk of the row loop, one way per size")
     args = p.parse_args(argv)
     if args.rounds < 2:
         p.error("--rounds must be at least 2: the quartiles need two rounds")
+    if min(args.batch) < 1:
+        p.error("--batch sizes must be positive")
 
     cfg = load_config(args.config)
     if cfg.frame.placement != "lattice":
@@ -55,17 +60,17 @@ def main(argv=None) -> int:
     received = [harness._received(cfg, args.snr, t, n0)[1:] for t in range(args.solves)]
     frame = received[0][0]
     ys = np.stack([vec(y_tf) for _, y_tf in received])
-    batch = harness.LASSO_BATCH
 
     def solve(y):
         return tf_lasso_gains(y, frame, cfg.lasso, cfg.pulse)
 
+    def chunked(batch):
+        return lambda: np.concatenate([solve(ys[i:i + batch]) for i in range(0, len(ys), batch)])
+
     ways = {
         "single-vector loop": lambda: np.stack([solve(y) for y in ys]),
         "row loop, one row": lambda: np.concatenate([solve(ys[i:i + 1]) for i in range(len(ys))]),
-        f"row loop, {batch} rows": lambda: np.concatenate(
-            [solve(ys[i:i + batch]) for i in range(0, len(ys), batch)]
-        ),
+        **{f"row loop, {batch} rows": chunked(batch) for batch in dict.fromkeys(args.batch)},
     }
     want = ways["single-vector loop"]()  # also fills the dictionary cache
     ms = {name: [] for name in ways}

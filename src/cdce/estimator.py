@@ -48,7 +48,9 @@ LS_CONDITION_LIMIT = 1e6
 # columns into one block of Dictionary.gram_blocks. On the all-ones lattice
 # the full-grid Gram's entries between even and odd delays are rounding
 # noise (at most 5.8e-14 of a largest 56 at 8 x 14), and the smallest linked
-# entry is about 2.
+# entry is about 2. A block whose phase-rotated imaginary parts are all at
+# most this times the largest |entry| is stored real; on the all-ones and
+# Walsh lattices they are at most 8.4e-15 of it.
 GRAM_LINK_RTOL = 1e-12
 
 # Dictionaries kept by cached_dictionary. A lattice trial asks it for two
@@ -94,13 +96,25 @@ class Dictionary:
     @cached_property
     def gram_blocks(self) -> tuple:
         """The Gram as diagonal blocks: an order of the columns, and per
-        block its slice of that order and its read-only Gram. The blocks are
-        the connected components of the entries above GRAM_LINK_RTOL times
-        the largest |entry|, so every entry between two blocks is at most
-        that; each block keeps its columns in ascending order. A Gram of one
-        block keeps the natural order (a full slice) and itself."""
+        block its slice of that order, its read-only matrix and its unit
+        phases p. The blocks are the connected components of the entries
+        above GRAM_LINK_RTOL times the largest |entry|, so every entry
+        between two blocks is at most that; each block keeps its columns in
+        ascending order.
+
+        p comes from a spanning-tree walk over those linked entries, which
+        makes each tree entry of diag(p̄)·G·diag(p) real and positive. When
+        every imaginary part of that rotated block is at most GRAM_LINK_RTOL
+        times the largest |entry|, the block is stored as its real part R, a
+        C-contiguous float64 matrix with G = diag(p)·R·diag(p̄) to that
+        bound: so every block of an all-ones or Walsh lattice. Otherwise the
+        block stays the complex Gram slice with p = 1; a Gram of one such
+        block (a Zadoff-Chu lattice, random pilots) keeps the natural order
+        (a full slice) and is the Gram itself."""
         mag = np.abs(self.gram)
-        linked = mag > GRAM_LINK_RTOL * mag.max()
+        bound = GRAM_LINK_RTOL * mag.max()
+        linked = mag > bound
+        phase = np.ones(len(mag), dtype=complex)
         unseen = np.ones(len(mag), dtype=bool)
         parts = []
         while unseen.any():
@@ -108,20 +122,34 @@ class Dictionary:
             part[np.argmax(unseen)] = True
             grown = part
             while grown.any():
+                front = np.flatnonzero(grown)
                 grown = linked[grown].any(axis=0) & ~part
+                new = np.flatnonzero(grown)
+                # each new column is reached through one linked entry from the front
+                via = front[np.argmax(linked[np.ix_(front, new)], axis=0)]
+                link = self.gram[via, new]
+                phase[new] = phase[via] * link.conj() / np.abs(link)
                 part |= grown
             unseen &= ~part
             parts.append(np.flatnonzero(part))
-        if len(parts) == 1:
-            return slice(None), ((slice(None), self.gram),)
-        order = np.concatenate(parts)
+        whole = len(parts) == 1
+        order = slice(None) if whole else np.concatenate(parts)
         blocks, start = [], 0
         for part in parts:
-            block = self.gram[np.ix_(part, part)]
-            block.setflags(write=False)
-            blocks.append((slice(start, start + len(part)), block))
+            rows = slice(None) if whole else slice(start, start + len(part))
+            block = self.gram if whole else self.gram[np.ix_(part, part)]
             start += len(part)
-        order.setflags(write=False)
+            p = phase[part]
+            rotated = p.conj()[:, None] * block * p
+            if np.abs(rotated.imag).max() <= bound:
+                block = np.ascontiguousarray(rotated.real)
+            else:
+                p = np.ones_like(p)
+            block.setflags(write=False)
+            p.setflags(write=False)
+            blocks.append((rows, block, p))
+        if not whole:
+            order.setflags(write=False)
         return order, tuple(blocks)
 
     @property
@@ -280,9 +308,11 @@ def solve_lasso(y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig) -> np.n
     A 1-D ``y`` runs the single-vector loop. A (K, rows) stack of received
     vectors runs one loop over all K rows and returns a (K, cols) array, with
     one RuntimeWarning per row that uses up ``max_iter``. Each row stops at
-    its own solve's iteration and agrees with it to rounding (its matrix
-    product is a gemm, not a gemv). The shape picks the loop because the row
-    loop, run on a single row, is slower per solve.
+    its own solve's iteration and agrees with it to rounding: its matrix
+    product is a gemm on the Gram's blocks, a real one where
+    ``Dictionary.gram_blocks`` finds a block real up to unit phases, with
+    the step folded into the block. The shape picks the loop because the
+    row loop, run on a single row, is slower per solve.
     """
     norm_sq = dictionary.norm_sq
     if norm_sq <= 0:
@@ -353,46 +383,78 @@ def _fista_rows(
     """The FISTA loop on every row of y at once: the last iterates, and the
     last relative change of each row that used up ``max_iter``.
 
-    The live problems are the columns of a (P, K) block, so each iteration
-    is the plain formula with one Gram product, taken block by block on the
-    Gram's diagonal blocks (``Dictionary.gram_blocks``) in their column
-    order. Every live column is at the same iteration, so beta is shared;
-    the stopping norms are per column. A column that meets ``tol`` is stored
-    and leaves the block, so each row stops at its own iteration.
+    The live problems are the columns of a (P, K) block, in the column
+    order of the Gram's diagonal blocks (``Dictionary.gram_blocks``) and
+    rotated into their phases: Dᴴy is multiplied by p̄ once, and the rows
+    by p once at the end. With G = diag(p)·R·diag(p̄), the gradient step,
+    the soft threshold (it keeps phases), the momentum and the stopping
+    norms all commute with that rotation, so each iteration is the plain
+    formula. The step is folded into each block's matrix, v = (I - eps R)
+    z + eps p̄Dᴴy: a real R acts as one real gemm on the (P, 2K) float view
+    of the complex block, half the multiplies of a complex gemm, and a
+    complex block (p = 1) as a complex one. Every live column is at the
+    same iteration, so beta is shared; the stopping rule takes one square
+    root per column of a ratio of squared norms, and each iterate's squared
+    norm is kept for the next iteration's denominator. The (P, K) work arrays are allocated once and
+    updated in place (``soft_threshold`` returns each new iterate); a
+    column that meets ``tol`` is stored and leaves them, compacted so that
+    they stay C-contiguous, and each row stops at its own iteration.
     """
     d = dictionary.matrix
     order, blocks = dictionary.gram_blocks
-    dty = (d.conj().T @ y.T)[order]
+    shift = eps * (d.conj().T @ y.T)[order]
+    steps = []
+    for rows, block, p in blocks:
+        shift[rows] *= p.conj()[:, None]
+        steps.append((rows, np.identity(len(block)) - eps * block))
     out = np.empty((len(y), d.shape[1]), dtype=complex)
     live = np.arange(len(y))
-    h = np.zeros(dty.shape, dtype=complex)
-    z = h
+    h = np.zeros_like(shift)
+    z = np.zeros_like(shift)
+    v = np.empty_like(shift)
+    moved = np.empty_like(shift)
+    h_sq = np.zeros(len(y))
     change = np.full(len(y), math.inf)
     beta = 1.0
     for _ in range(cfg.max_iter):
         if not live.size:
             break
-        gz = np.empty_like(z)
-        for rows, block in blocks:
-            np.matmul(block, z[rows], out=gz[rows])
-        h_new = soft_threshold(z + eps * (dty - gz), gamma)
+        for rows, step in steps:
+            if step.dtype == float:
+                # a real matrix acts on the real and imaginary parts alike
+                np.matmul(step, z[rows].view(float), out=v[rows].view(float))
+            else:
+                np.matmul(step, z[rows], out=v[rows])
+        np.add(v, shift, out=v)
+        h_new = soft_threshold(v, gamma)
         beta_next = (1.0 + math.sqrt(1.0 + 4.0 * beta * beta)) / 2.0
-        moved = h_new - h
-        z = h_new + ((beta - 1.0) / beta_next) * moved
+        np.subtract(h_new, h, out=moved)
+        np.multiply((beta - 1.0) / beta_next, moved, out=z)
+        np.add(h_new, z, out=z)
         beta = beta_next
-        delta = np.linalg.norm(moved, axis=0)
-        denom = np.linalg.norm(h, axis=0)
-        change = np.divide(delta, denom, out=np.where(delta == 0, 0.0, math.inf), where=denom > 0)
-        h = h_new
+        delta_sq = _column_sum_squares(moved)
+        change = np.sqrt(np.divide(delta_sq, h_sq, out=np.where(delta_sq == 0, 0.0, math.inf), where=h_sq > 0))
+        h, h_sq = h_new, _column_sum_squares(h_new)
         done = change < cfg.tol
         if done.any():
             out[live[done]] = h[:, done].T
             keep = ~done
-            live, h, z, dty, change = live[keep], h[:, keep], z[:, keep], dty[:, keep], change[keep]
+            # compress keeps the blocks C-contiguous; h[:, keep] would not
+            live, h_sq, change = live[keep], h_sq[keep], change[keep]
+            h, z, shift = (a.compress(keep, axis=1) for a in (h, z, shift))
+            v, moved = np.empty_like(z), np.empty_like(z)
     out[live] = h.T
+    for rows, _, p in blocks:
+        out[:, rows] *= p
     gains = np.empty_like(out)
     gains[:, order] = out
     return gains, change.tolist()
+
+
+def _column_sum_squares(a: np.ndarray) -> np.ndarray:
+    """re² + im² summed down each column of a C-contiguous complex block."""
+    sums = np.einsum("ij,ij->j", a.view(float), a.view(float))
+    return sums[0::2] + sums[1::2]
 
 
 def cdce_estimate(

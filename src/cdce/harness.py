@@ -48,14 +48,19 @@ NMSE_FLOOR_DB = -200.0
 _COV_SEED_TAG = 0x636F76
 
 # Trials per run_sweep chunk, and so per batched tf_lasso solve on a pilot
-# lattice. Per solve on the 8 x 14 lattice dictionary
-# (scripts/time_fista_loops.py --solves 128 --rounds 5, x86-64, two runs
-# per setting), chunks of 64 rows took 1.22-1.32 ms against
-# 1.55-1.56 ms for chunks of 32 on one BLAS thread, and 1.30-1.33 against
-# 1.43-1.62 ms on two; one-by-one solves took 7.2-8.2 ms. A chunk with
-# tf_lasso holds its trials' channels, frames and received grids, a few KiB
-# each, and the solve's (P, K) blocks, about 1 MiB at 64 rows.
-LASSO_BATCH = 64
+# lattice. Medians per solve on the 8 x 14 lattice dictionary, whose Gram
+# blocks run as real gemms (scripts/time_fista_loops.py --batch 64 96 128,
+# one BLAS thread, x86-64, the sizes alternating in each run), for 64 / 96 /
+# 128 rows: on 500 solves, an acceptance sweep's trials per SNR point (the
+# median of three runs), 0.550 / 0.491 / 0.507 ms on configs/pilot_only.yaml,
+# where 96 rows led in every run, and 0.510 / 0.464 / 0.452 ms on
+# configs/with_data.yaml; on 384 solves (two runs) 0.55-0.57 / 0.47-0.49 /
+# 0.53-0.54 and 0.54-0.55 / 0.49-0.54 / 0.52-0.57 ms. 128 rows led only on
+# 100 solves, a sweep no config runs. One-by-one solves took 4.2-5.4 ms. A
+# chunk with tf_lasso holds its trials' channels and received grids, a few
+# KiB each, one frame on a lattice, and the solve's (P, K) blocks, about
+# 1.5 MiB at 96 rows.
+LASSO_BATCH = 96
 
 # The largest noise variance simulated: noise of this variance squares to at
 # most the largest float, so every NMSE stays finite. MIN_SNR_DB is its SNR.
@@ -237,25 +242,30 @@ def _point(
     ``run_sweep`` describes. ``rest`` is ``cfg`` without tf_lasso, or None
     when tf_lasso is its only estimator."""
     n0 = _check_snr(snr_db)
+    lattice = cfg.frame.placement == "lattice"
     for start in range(0, cfg.trials, LASSO_BATCH):
         trials = range(start, min(start + LASSO_BATCH, cfg.trials))
-        chunk = []
+        chunk, frames = [], []
         for t in trials:
-            rec = _received(cfg, snr_db, t, n0)
+            ch, frame, y_tf = rec = _received(cfg, snr_db, t, n0)
             if rest is not None:
                 for name, value in run_trial(rest, snr_db, t, cov, received=rec).items():
                     ratios[name][t] = value
             if "tf_lasso" in cfg.estimators:
-                chunk.append(rec)
+                chunk.append((ch, y_tf))
+                # every lattice trial's pilot-only grid, and so its
+                # dictionary, is the same: the chunk keeps the first frame
+                if not (lattice and frames):
+                    frames.append(frame)
         if not chunk:
             continue
-        ys = [vec(y_tf) for _, _, y_tf in chunk]
-        if cfg.frame.placement == "lattice":
-            # every trial's pilot-only grid, and so its dictionary, is the same
-            gains = tf_lasso_gains(np.stack(ys), chunk[0][1], cfg.lasso, cfg.pulse)
+        ys = [vec(y_tf) for _, y_tf in chunk]
+        if lattice:
+            gains = tf_lasso_gains(np.stack(ys), frames[0], cfg.lasso, cfg.pulse)
+            frames *= len(chunk)
         else:
-            gains = [tf_lasso_gains(y, frame, cfg.lasso, cfg.pulse) for y, (_, frame, _) in zip(ys, chunk)]
-        for t, (ch, frame, y_tf), row in zip(trials, chunk, gains):
+            gains = [tf_lasso_gains(y, frame, cfg.lasso, cfg.pulse) for y, frame in zip(ys, frames)]
+        for t, (ch, y_tf), frame, row in zip(trials, chunk, frames, gains):
             h_true = effective_tf_channel(ch, cfg.pulse)
             h_hat = tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse, gains=row)
             ratios["tf_lasso"][t] = _ratio(h_hat, h_true, _energy(h_true))
@@ -272,9 +282,10 @@ def run_sweep(cfg: SimConfig, cov: CovarianceModel | None = None) -> list[Result
     gets it (``received=``) for every estimator but tf_lasso; then the
     chunk's tf_lasso problems are solved and scored as run_trial scores
     them. On a pilot lattice every trial's tf_lasso problem shares one
-    dictionary, so they are solved in one batched call; on other frames,
-    one by one. The chain of one trial and its run_trial call run back to
-    back, so each trial's channel is drawn just before its estimators run;
+    dictionary, so they are solved in one batched call, and the chunk keeps
+    only its first trial's frame; on other frames, one by one. The chain of
+    one trial and its run_trial call run back to back, so each trial's
+    channel is drawn just before its estimators run;
     a config whose only estimator is tf_lasso makes no run_trial call.
     Every estimator's row equals, bit for bit, the mean of run_trial's
     results, except a lattice sweep's tf_lasso row, which equals it to

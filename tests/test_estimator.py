@@ -842,7 +842,8 @@ def full_grid_dictionary(shape, sequence_kind="all_ones", placement="lattice", p
 
 
 class TestGramBlocks:
-    # on the all-ones and Walsh lattices even delays never couple to odd ones
+    # on the all-ones and Walsh lattices even delays never couple to odd
+    # ones, and each block is a real matrix up to a diagonal phase similarity
     @pytest.mark.parametrize(
         "shape,sequence_kind,pulse,sizes",
         [
@@ -856,38 +857,79 @@ class TestGramBlocks:
     def test_lattice_gram_is_block_diagonal(self, shape, sequence_kind, pulse, sizes):
         d = full_grid_dictionary(shape, sequence_kind, pulse=pulse)
         order, blocks = d.gram_blocks
+        bound = estimator.GRAM_LINK_RTOL * np.abs(d.gram).max()
         assert sorted(order) == list(range(len(d.gram)))
         permuted = d.gram[np.ix_(order, order)]
         inside = np.zeros(permuted.shape, dtype=bool)
         start = 0
-        for rows, block in blocks:
+        for rows, block, p in blocks:
             assert rows == slice(start, start + len(block))
             assert np.all(np.diff(order[rows]) > 0)
-            assert block.tobytes() == permuted[rows, rows].tobytes()
-            assert not block.flags.writeable
+            assert block.dtype == float and block.flags.c_contiguous
+            np.testing.assert_allclose(np.abs(p), 1.0, rtol=0, atol=1e-15)
+            rebuilt = p[:, None] * block * p.conj()
+            assert np.abs(rebuilt - permuted[rows, rows]).max() <= bound
+            assert not block.flags.writeable and not p.flags.writeable
             inside[rows, rows] = True
             start = rows.stop
-        assert [len(block) for _, block in blocks] == sizes
-        assert np.abs(permuted[~inside]).max() <= estimator.GRAM_LINK_RTOL * np.abs(d.gram).max()
+        assert [len(block) for _, block, _ in blocks] == sizes
+        assert np.abs(permuted[~inside]).max() <= bound
 
     @pytest.mark.parametrize("placement", ["lattice", "uniform_random"])
     def test_zadoff_chu_gram_is_one_block(self, placement):
         d = full_grid_dictionary((8, 14, 2), "zadoff_chu", placement)
-        order, ((rows, block),) = d.gram_blocks
+        order, ((rows, block, p),) = d.gram_blocks
         assert order == rows == slice(None)
         assert block is d.gram
+        assert p.tobytes() == np.ones(len(d.gram), dtype=complex).tobytes()
 
-    # max_iter 270 and 500 stop some rows and exhaust others
+    def test_complex_block_keeps_p_one_beside_a_real_block(self, monkeypatch):
+        # columns of two row-disjoint dictionaries, interleaved: one complex
+        # (no phases make its Gram real), one real up to column phases
+        rng = np.random.default_rng(3)
+        cplx = rng.standard_normal((20, 6)) + 1j * rng.standard_normal((20, 6))
+        real = rng.standard_normal((20, 5)) * np.exp(2j * np.pi * rng.uniform(size=5))
+        matrix = np.zeros((40, 11), dtype=complex)
+        matrix[:20, 0::2], matrix[20:, 1::2] = cplx, real
+        d = Dictionary(matrix=matrix, pairs=tuple((j, 0) for j in range(11)))
+        order, ((rows_c, block_c, p_c), (rows_r, block_r, p_r)) = d.gram_blocks
+        assert order.tolist() == [0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9]
+        assert block_c.dtype == complex and p_c.tobytes() == np.ones(6, dtype=complex).tobytes()
+        assert block_c.tobytes() == d.gram[np.ix_(order[rows_c], order[rows_c])].tobytes()
+        assert block_r.dtype == float
+        rebuilt = p_r[:, None] * block_r * p_r.conj()
+        bound = estimator.GRAM_LINK_RTOL * np.abs(d.gram).max()
+        assert np.abs(rebuilt - d.gram[np.ix_(order[rows_r], order[rows_r])]).max() <= bound
+        y = np.stack([matrix @ (rng.standard_normal(11) * (rng.uniform(size=11) < 0.3)) for _ in range(4)])
+        y += 0.05 * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
+        cfg = LassoConfig(lam=1.0)
+        batch = []
+        widths = threshold_widths(monkeypatch, lambda: batch.append(solve_lasso(y, d, cfg)))
+        iters = [counted_iterations(monkeypatch, lambda: solve_lasso(row, d, cfg)) for row in y]
+        assert stopping_iterations(widths) == sorted(iters)
+        assert np.all((batch[0] == 0).any(axis=1))
+        for row, h in zip(y, batch[0]):
+            ref, converged = fista_reference(row, d.matrix, cfg.lam, cfg.tol, cfg.max_iter)
+            assert converged
+            assert_row_matches(h, ref)
+
+    # max_iter 270, 500 and 275 stop some rows and exhaust others; every
+    # block is real, so the rows run in the blocks' phases
     @pytest.mark.parametrize("cut", [False, True])
     @pytest.mark.parametrize(
-        "shape,sequence_kind,short",
-        [((8, 16, 2), "walsh", 270), ((16, 14, 3), "all_ones", 500)],
-        ids=["walsh-8x16", "16x14"],
+        "shape,sequence_kind,pulse,short",
+        [
+            ((8, 16, 2), "walsh", IDEAL, 270),
+            ((16, 14, 3), "all_ones", IDEAL, 500),
+            ((8, 14, 2), "all_ones", Pulse("rectangular"), 275),
+        ],
+        ids=["walsh-8x16", "16x14", "8x14-rectangular"],
     )
-    def test_rows_match_fista_oracle_across_blocks(self, monkeypatch, shape, sequence_kind, short, cut):
+    def test_rows_match_fista_oracle_across_blocks(self, monkeypatch, shape, sequence_kind, pulse, short, cut):
         # received vectors of three paths each, at five noise levels
-        d = full_grid_dictionary(shape, sequence_kind)
-        assert len(d.gram_blocks[1]) > 1
+        d = full_grid_dictionary(shape, sequence_kind, pulse=pulse)
+        blocks = d.gram_blocks[1]
+        assert len(blocks) > 1 and all(block.dtype == float for _, block, _ in blocks)
         rows, cols = d.matrix.shape
         rng = np.random.default_rng(cols)
         y = np.empty((5, rows), dtype=complex)

@@ -410,6 +410,34 @@ class TestBatchedLassoSweep:
             run_sweep(cfg)
         assert solves == [(112,)] * 3
 
+    @pytest.mark.parametrize("spec", [
+        FrameSpec(dims=D, data_mode="qpsk"),
+        FrameSpec(dims=D, sequence_kind="zadoff_chu", placement="uniform_random"),
+    ], ids=["lattice", "uniform_random"])
+    def test_a_lattice_chunk_keeps_only_its_first_frame(self, monkeypatch, spec):
+        monkeypatch.setattr(harness, "LASSO_BATCH", 5)
+        cfg = lasso_sweep_config(frame=spec, trials=7, snr_grid_db=(10.0,), estimators=("tf_lasso",))
+        drawn, scored = [], []
+        received, tf_lasso = harness._received, harness.tf_lasso
+
+        def drawing(*args):
+            drawn.append(received(*args))
+            return drawn[-1]
+
+        def scoring(y_tf, frame, *args, **kwargs):
+            scored.append(frame)
+            return tf_lasso(y_tf, frame, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "_received", drawing)
+        monkeypatch.setattr(harness, "tf_lasso", scoring)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run_sweep(cfg)
+        frames = [frame for _, frame, _ in drawn]
+        if spec.placement == "lattice":
+            frames = [frames[0]] * 5 + [frames[5]] * 2
+        assert len(scored) == 7 and all(a is b for a, b in zip(scored, frames))
+
     @pytest.mark.parametrize("data_mode", ["none", "qpsk"])
     def test_run_trial_given_its_chain_matches_run_trial(self, monkeypatch, data_mode):
         cfg = lasso_sweep_config(data_mode, estimators=ESTIMATOR_NAMES)
