@@ -62,7 +62,7 @@ def main(argv=None) -> int:
     ys = np.stack([vec(y_tf) for _, y_tf in received])
 
     def solve(y):
-        return tf_lasso_gains(y, frame, cfg.lasso, cfg.pulse)
+        return tf_lasso_gains(y, frame, cfg.lasso)
 
     def chunked(batch):
         return lambda: np.concatenate([solve(ys[i:i + batch]) for i in range(0, len(ys), batch)])

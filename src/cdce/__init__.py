@@ -7,12 +7,10 @@ interpolation, full-size LMMSE, and plain TF-domain sparse recovery.
 
 from .grids import Dims, vec, unvec, dft_matrix, tf_to_dd, tf_to_time, time_to_tf, add_cp, remove_cp
 from .channel import (
-    Pulse,
     PathParams,
     ChannelStats,
     ChannelRealization,
     sample_channel,
-    pulse_af,
     time_channel_matrix,
     apply_channel,
     effective_tf_channel,

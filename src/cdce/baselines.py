@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelStats, Pulse, draw_paths, full_grid_pairs, reconstruct
+from .channel import ChannelStats, draw_paths, full_grid_pairs, reconstruct
 from .estimator import LassoConfig, cached_dictionary, solve_lasso
 from .grids import Dims, vec
 from .pilots import Frame
@@ -98,14 +98,13 @@ class CovarianceModel:
     vector over the search-region bins ``pairs``.
 
     The effective TF channel is that vector mapped through the unit-path
-    atoms of ``pulse`` (see ``reconstruct``), so the model of vec(H_TF) is the
-    same mean and factor lifted by the atoms.
+    atoms (see ``reconstruct``), so the model of vec(H_TF) is the same mean
+    and factor lifted by the atoms.
     """
 
     mean: np.ndarray
     factor: np.ndarray
     pairs: tuple[tuple[int, int], ...]
-    pulse: Pulse
     n_samples: int
 
     @property
@@ -118,7 +117,6 @@ def fit_covariance(
     d: Dims,
     k_samples: int,
     rng: np.random.Generator,
-    pulse: Pulse = Pulse("ideal"),
 ) -> CovarianceModel:
     """Monte Carlo estimate of the mean and covariance factor of the region
     path-gain vector: each sampled path's gain lands in its bin's entry. The
@@ -145,9 +143,7 @@ def fit_covariance(
         r = int(np.sum(sv > sv[0] * 1e-12))
     else:
         r = 0
-    return CovarianceModel(
-        mean=mean, factor=u[:, :r] * sv[:r], pairs=pairs, pulse=pulse, n_samples=k_samples
-    )
+    return CovarianceModel(mean=mean, factor=u[:, :r] * sv[:r], pairs=pairs, n_samples=k_samples)
 
 
 def fs_lmmse(y_tf: np.ndarray, frame: Frame, cov: CovarianceModel, n0: float) -> np.ndarray:
@@ -163,7 +159,7 @@ def fs_lmmse(y_tf: np.ndarray, frame: Frame, cov: CovarianceModel, n0: float) ->
     if n0 < 0:
         raise ValueError(f"n0 must be non-negative, got {n0}")
     d = frame.dims
-    atoms = cached_dictionary(frame.pilot_only_tf, cov.pairs, cov.pulse, d).matrix
+    atoms = cached_dictionary(frame.pilot_only_tf, cov.pairs, d).matrix
     b = atoms @ cov.factor
     resid = vec(y_tf) - atoms @ cov.mean
     if n0 == 0:
@@ -171,14 +167,13 @@ def fs_lmmse(y_tf: np.ndarray, frame: Frame, cov: CovarianceModel, n0: float) ->
     else:
         bh = b.conj().T
         z = np.linalg.solve(bh @ b + n0 * np.eye(cov.rank), bh @ resid)
-    return reconstruct(cov.mean + cov.factor @ z, cov.pairs, cov.pulse, d)
+    return reconstruct(cov.mean + cov.factor @ z, cov.pairs, d)
 
 
 def tf_lasso_gains(
     y: np.ndarray,
     frame: Frame,
     cfg: LassoConfig = LassoConfig(),
-    pulse: Pulse = Pulse("ideal"),
 ) -> np.ndarray:
     """tf_lasso's path gains on ``full_grid_pairs``: ``solve_lasso`` of the
     received vector y against ``frame``'s full-grid dictionary. A (K, MN)
@@ -186,14 +181,13 @@ def tf_lasso_gains(
     gives a (K, MN) array, each row equal to that vector's own solve to
     rounding."""
     d = frame.dims
-    return solve_lasso(y, cached_dictionary(frame.pilot_only_tf, full_grid_pairs(d), pulse, d), cfg)
+    return solve_lasso(y, cached_dictionary(frame.pilot_only_tf, full_grid_pairs(d), d), cfg)
 
 
 def tf_lasso(
     y_tf: np.ndarray,
     frame: Frame,
     cfg: LassoConfig = LassoConfig(),
-    pulse: Pulse = Pulse("ideal"),
     gains: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sparse recovery over the full M x N delay-Doppler dictionary, the
@@ -202,5 +196,5 @@ def tf_lasso(
     ``gains``, when given, are this problem's ``tf_lasso_gains``, solved by
     the caller; only the reconstruction runs then."""
     if gains is None:
-        gains = tf_lasso_gains(vec(y_tf), frame, cfg, pulse)
-    return reconstruct(gains, full_grid_pairs(frame.dims), pulse, frame.dims)
+        gains = tf_lasso_gains(vec(y_tf), frame, cfg)
+    return reconstruct(gains, full_grid_pairs(frame.dims), frame.dims)

@@ -7,9 +7,11 @@ grid's own bins: 0 <= delay < M and -N/2 < doppler <= N/2. The time-domain
 matrix G acts on the CP-extended transmit vector, and each path adds one tap
 to it. The effective TF matrix H_TF, the unitary DFT / CP sandwich of G, is
 the ground truth that every estimator is scored against: the paths' gains on
-their unit-path atoms, summed by ``reconstruct``. Each bin's atom is two
-M x M blocks and a Doppler ramp in closed form, one cached table per
-(dims, pulse); only this module knows that layout.
+their unit-path atoms, summed by ``reconstruct``. The transmit pulse is
+the sample grid's own, whose ambiguity function is a Kronecker delta: a
+path's taps are its gain times its Doppler phase. Each bin's atom is two
+M x M blocks and a Doppler ramp in closed form, one cached table per dims;
+only this module knows that layout.
 """
 
 from __future__ import annotations
@@ -23,13 +25,11 @@ import numpy as np
 from .grids import Dims, dft_matrix, signed_doppler
 
 __all__ = [
-    "Pulse",
     "PathParams",
     "ChannelStats",
     "ChannelRealization",
     "draw_paths",
     "sample_channel",
-    "pulse_af",
     "time_channel_matrix",
     "apply_channel",
     "effective_tf_channel",
@@ -39,23 +39,9 @@ __all__ = [
     "unit_path_tf_channel",
 ]
 
-_PULSE_KINDS = ("ideal", "rectangular")
-
 # Only integer bins have atoms: a delay or Doppler must be a Python or NumPy
 # integer.
 _INTEGER = (int, np.integer)
-
-
-@dataclass(frozen=True)
-class Pulse:
-    """Transmit pulse shape: ``ideal`` (Kronecker AF on the sample grid) or
-    ``rectangular`` (unit-energy boxcar of one sample period)."""
-
-    kind: str = "ideal"
-
-    def __post_init__(self) -> None:
-        if self.kind not in _PULSE_KINDS:
-            raise ValueError(f"pulse kind must be one of {_PULSE_KINDS}, got {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -175,19 +161,6 @@ def sample_channel(
     return ChannelRealization(paths, dims)
 
 
-def pulse_af(nu: float, pulse: Pulse) -> complex:
-    """Pulse ambiguity function at zero lag, A(0, nu) = integral |p(t)|^2 e^{-2j pi nu t} dt,
-    with ``nu`` in cycles per sample.
-
-    At integer delays the pulse enters G only through this value: 1 for the
-    ideal pulse, sinc(nu) e^{-j pi nu} for the unit-energy rectangular pulse
-    on one sample period.
-    """
-    if pulse.kind == "ideal":
-        return 1.0 + 0.0j
-    return np.sinc(nu) * np.exp(-1j * np.pi * nu)
-
-
 @lru_cache(maxsize=None)
 def _payload_indices(d: Dims) -> np.ndarray:
     """Payload-sample index of each CP-extended sample.
@@ -203,19 +176,11 @@ def _payload_indices(d: Dims) -> np.ndarray:
     return phi
 
 
-def _path_taps(d: Dims, pulse: Pulse, gain: complex, delay: int, doppler: int) -> np.ndarray:
-    """The taps G[n + delay, n] of one path, for every transmit sample
-    n < frame_len - delay."""
-    nu = doppler / d.grid_size
-    mod = gain * np.exp(2j * np.pi * nu * _payload_indices(d))
-    return np.conj(pulse_af(nu, pulse)) * mod[: d.frame_len - delay]
-
-
-def time_channel_matrix(ch: ChannelRealization, pulse: Pulse) -> np.ndarray:
+def time_channel_matrix(ch: ChannelRealization) -> np.ndarray:
     """Time-domain channel matrix G on the CP-extended frame.
 
     Each path adds one tap on its delay's sub-diagonal:
-    G[n + l_p, n] += gain_p * exp(2j pi k_p phi(n) / (M N)) * conj(A(0, k_p / (M N)))
+    G[n + l_p, n] += gain_p * exp(2j pi k_p phi(n) / (M N))
     with phi the payload-sample clock; the receive index is the row and the
     transmit index is the column. Delays beyond the CP are valid (dictionary
     atoms reach them); the atom's sub-diagonal band then carries the ISI.
@@ -226,7 +191,8 @@ def time_channel_matrix(ch: ChannelRealization, pulse: Pulse) -> np.ndarray:
     cols = np.arange(t_len)
     for p in ch.paths:
         src = cols[: t_len - p.delay_int]
-        g[src + p.delay_int, src] += _path_taps(d, pulse, p.gain, p.delay_int, p.doppler_int)
+        taps = p.gain * np.exp(2j * np.pi * (p.doppler_int / d.grid_size) * _payload_indices(d))
+        g[src + p.delay_int, src] += taps[: t_len - p.delay_int]
     return g
 
 
@@ -260,14 +226,14 @@ def full_grid_pairs(d: Dims) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _atom_table(d: Dims, pulse: Pulse) -> tuple[np.ndarray, np.ndarray]:
+def _atom_table(d: Dims) -> tuple[np.ndarray, np.ndarray]:
     """Every grid bin's unit-path atom in closed form, in ``full_grid_pairs``
     order: the read-only (MN, 2, M, M) blocks B_b = F_M T_b F_M^H and the
     read-only (MN, N) Doppler ramps e^{2j pi k n / N}.
 
-    With nu = k / MN and a = conj(A(0, nu)), CP-free receive sample i of a
-    symbol holds a e^{2j pi nu j} times payload sample j of the symbol that
-    sent it, taken as symbol 0: j = (i - l) mod M of the same symbol when
+    With nu = k / MN, CP-free receive sample i of a symbol holds
+    e^{2j pi nu j} times payload sample j of the symbol that sent it, taken
+    as symbol 0: j = (i - l) mod M of the same symbol when
     i >= l - cp_len (T_0, the diagonal band), else j = (i - l + cp_len) mod M
     of the previous one (T_1, the sub-diagonal band). A sending symbol n
     multiplies its taps by ramp[n], so atom (l, k) has [0, n] = ramp[n] B_0
@@ -275,9 +241,8 @@ def _atom_table(d: Dims, pulse: Pulse) -> tuple[np.ndarray, np.ndarray]:
     """
     m, size = d.m, d.grid_size
     delay, doppler = np.array(full_grid_pairs(d)).T
-    nu = doppler / size
     i = np.arange(m)
-    taps = (np.exp(2j * np.pi * np.outer(i, nu)) * np.conj(pulse_af(nu, pulse))).T
+    taps = np.exp(2j * np.pi * np.outer(doppler / size, i))
     band = (i < delay[:, None] - d.cp_len).astype(int)
     col = (i - delay[:, None] + band * d.cp_len) % m
     slot = np.arange(size)[:, None]
@@ -291,28 +256,28 @@ def _atom_table(d: Dims, pulse: Pulse) -> tuple[np.ndarray, np.ndarray]:
     return blocks, ramps
 
 
-def _unit_path_atoms(d: Dims, pulse: Pulse, pairs) -> tuple[np.ndarray, np.ndarray]:
+def _unit_path_atoms(d: Dims, pairs) -> tuple[np.ndarray, np.ndarray]:
     """The table's blocks (P, 2, M, M) and ramps (P, N) of the (delay,
     doppler) pairs, in order. Only the grid's own bins have atoms, bin
     (l, k) at slot (k mod N) * M + l; any other pair is rejected before
     the lookup. The full grid's pairs, as the ``full_grid_pairs`` tuple,
     are the table's own order and get the read-only table itself."""
     if pairs == full_grid_pairs(d):
-        return _atom_table(d, pulse)
+        return _atom_table(d)
     _check_bins(pairs, d)
     slots = [doppler % d.n * d.m + delay for delay, doppler in pairs]
-    blocks, ramps = _atom_table(d, pulse)
+    blocks, ramps = _atom_table(d)
     return blocks[slots], ramps[slots]
 
 
-def reconstruct(h: np.ndarray, pairs: tuple[tuple[int, int], ...], pulse: Pulse, d: Dims) -> np.ndarray:
+def reconstruct(h: np.ndarray, pairs: tuple[tuple[int, int], ...], d: Dims) -> np.ndarray:
     """Effective TF channel sum_i h_i H_TF(pairs[i]) of path gains h on the
     unit-path atoms, as its two symbol-block bands: a (2, N, M, M) array
     whose [0, n] is the diagonal block of symbol n and [1, n] the block
     through which symbol n - 1 leaks into symbol n ([1, 0] is zero). Each
     band is one (N x P) @ (P x M^2) product of the gains times the ramps
     with the table's blocks."""
-    blocks, ramps = _unit_path_atoms(d, pulse, pairs)
+    blocks, ramps = _unit_path_atoms(d, pairs)
     weights = (np.asarray(h)[:, None] * ramps).T
     flat = blocks.reshape(len(blocks), 2, d.m * d.m)
     bands = np.zeros((2, d.n, d.m * d.m), dtype=complex)
@@ -321,30 +286,30 @@ def reconstruct(h: np.ndarray, pairs: tuple[tuple[int, int], ...], pulse: Pulse,
     return bands.reshape(2, d.n, d.m, d.m)
 
 
-def atom_columns(x_tf: np.ndarray, pairs: tuple[tuple[int, int], ...], pulse: Pulse, d: Dims) -> np.ndarray:
+def atom_columns(x_tf: np.ndarray, pairs: tuple[tuple[int, int], ...], d: Dims) -> np.ndarray:
     """The (MN, P) matrix whose column i is vec(H_TF(pairs[i]) vec(x_tf)), the
     response of unit path i to the M x N frame: per symbol n, ramp[n] B_0 x_n
     plus ramp[n - 1] B_1 x_{n - 1}."""
-    blocks, ramps = _unit_path_atoms(d, pulse, pairs)
+    blocks, ramps = _unit_path_atoms(d, pairs)
     x = np.asarray(x_tf)
     columns = blocks[:, 0] @ x * ramps[:, None, :]
     columns[:, :, 1:] += blocks[:, 1] @ x[:, :-1] * ramps[:, None, :-1]
     return columns.transpose(2, 1, 0).reshape(d.grid_size, len(blocks))
 
 
-def effective_tf_channel(ch: ChannelRealization, pulse: Pulse) -> np.ndarray:
+def effective_tf_channel(ch: ChannelRealization) -> np.ndarray:
     """Effective TF channel H_TF = (I_N kron F_M R_CP) G (I_N kron A_CP F_M^H)
     of a realization as its two symbol-block bands: the sum of its paths'
     gains times their unit-path atoms (see ``reconstruct``), within 1e-14 of
     the dense sandwich of G, relative in Frobenius norm."""
     pairs = tuple((p.delay_int, p.doppler_int) for p in ch.paths)
-    return reconstruct(np.array([p.gain for p in ch.paths]), pairs, pulse, ch.dims)
+    return reconstruct(np.array([p.gain for p in ch.paths]), pairs, ch.dims)
 
 
-def unit_path_tf_channel(d: Dims, pulse: Pulse, delay: int, doppler: int) -> np.ndarray:
+def unit_path_tf_channel(d: Dims, delay: int, doppler: int) -> np.ndarray:
     """The read-only (2, N, M, M) atom of a unit-gain single path, laid out
     as ``reconstruct``'s bands."""
-    atom = reconstruct(np.ones(1), ((delay, doppler),), pulse, d)
+    atom = reconstruct(np.ones(1), ((delay, doppler),), d)
     atom.setflags(write=False)
     return atom
 

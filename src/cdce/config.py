@@ -14,7 +14,7 @@ import os
 
 import yaml
 
-from .channel import ChannelStats, Pulse
+from .channel import ChannelStats
 from .estimator import LassoConfig
 from .grids import Dims
 from .harness import SimConfig
@@ -98,7 +98,6 @@ _MODE = {"mode": ("data_mode", _data_fill)}
 _TOP = {
     "snr_grid_db": ("snr_grid_db", _nonempty_list(_float, "numbers")),
     "estimators": ("estimators", _nonempty_list(_str, "names")),
-    "pulse": ("pulse", lambda value, where: Pulse(_str(value, where))),
     **_same(_int, "trials", "cov_samples", "base_seed"),
 }
 _SECTIONS = {"dims": _DIMS, "stats": _STATS, "frame": {**_LATTICE, **_FRAME}, "lasso": _LASSO}

@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channel import ChannelStats, Pulse, atom_columns, reconstruct
+from .channel import ChannelStats, atom_columns, reconstruct
 from .grids import Dims, doppler_col, signed_doppler, tf_to_dd, twisted_convolution, unvec, vec
 from .pilots import Frame
 
@@ -228,7 +228,6 @@ def threshold_select(v_dd: np.ndarray, stats: ChannelStats, gamma: float) -> Coa
 def build_dictionary(
     pilot_only_tf: np.ndarray,
     pairs: tuple[tuple[int, int], ...],
-    pulse: Pulse,
     d: Dims,
 ) -> Dictionary:
     """Columns are the vectorized TF responses of unit-gain single paths at
@@ -241,7 +240,7 @@ def build_dictionary(
     if not pairs:
         raise ValueError("cannot build a dictionary from an empty set of pairs")
     pairs = tuple(pairs)
-    matrix = atom_columns(pilot_only_tf, pairs, pulse, d)
+    matrix = atom_columns(pilot_only_tf, pairs, d)
     matrix.setflags(write=False)
     return Dictionary(matrix=matrix, pairs=pairs)
 
@@ -249,21 +248,20 @@ def build_dictionary(
 def cached_dictionary(
     pilot_only_tf: np.ndarray,
     pairs: tuple[tuple[int, int], ...],
-    pulse: Pulse,
     d: Dims,
 ) -> Dictionary:
     """``build_dictionary``, memoised on (pilot-only frame bytes, pairs,
-    pulse, dims) in a functools least-recently-used cache of
-    DICTIONARY_CACHE_SIZE entries, so a frame that repeats across trials
+    dims) in a functools least-recently-used cache of DICTIONARY_CACHE_SIZE
+    entries, so a frame that repeats across trials
     builds its dictionary, Gram and step once."""
     x = vec(pilot_only_tf)
-    return _frame_dictionary(x.dtype.str, x.tobytes(), tuple(pairs), pulse, d)
+    return _frame_dictionary(x.dtype.str, x.tobytes(), tuple(pairs), d)
 
 
 @lru_cache(maxsize=DICTIONARY_CACHE_SIZE)
-def _frame_dictionary(dtype: str, frame_bytes: bytes, pairs, pulse: Pulse, d: Dims) -> Dictionary:
+def _frame_dictionary(dtype: str, frame_bytes: bytes, pairs, d: Dims) -> Dictionary:
     """``build_dictionary`` of the pilot-only frame held in ``frame_bytes``."""
-    return build_dictionary(unvec(np.frombuffer(frame_bytes, dtype=dtype), d.m, d.n), pairs, pulse, d)
+    return build_dictionary(unvec(np.frombuffer(frame_bytes, dtype=dtype), d.m, d.n), pairs, d)
 
 
 def soft_threshold(x: np.ndarray, gamma: float) -> np.ndarray:
@@ -463,7 +461,6 @@ def cdce_estimate(
     stats: ChannelStats,
     n0: float,
     lasso: LassoConfig = LassoConfig(),
-    pulse: Pulse = Pulse("ideal"),
 ) -> ChannelEstimate:
     """Run the full two-stage pipeline on a received TF grid.
 
@@ -485,7 +482,7 @@ def cdce_estimate(
     coarse = threshold_select(scores, stats, gamma)
     h = np.zeros(0, dtype=complex)
     if coarse.p_hat:
-        dictionary = build_dictionary(frame.pilot_only_tf, coarse.pairs, pulse, d)
+        dictionary = build_dictionary(frame.pilot_only_tf, coarse.pairs, d)
         rows, cols = dictionary.matrix.shape
         if rows >= cols and dictionary.cond < LS_CONDITION_LIMIT:
             h = solve_ls(vec(y_tf), dictionary)
@@ -497,5 +494,5 @@ def cdce_estimate(
     return ChannelEstimate(
         h_hat=kept_h,
         pairs=kept_pairs,
-        h_tf_hat=reconstruct(kept_h, kept_pairs, pulse, d),
+        h_tf_hat=reconstruct(kept_h, kept_pairs, d),
     )

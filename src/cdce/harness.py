@@ -26,7 +26,7 @@ from .baselines import (
     tf_lasso,
     tf_lasso_gains,
 )
-from .channel import ChannelStats, Pulse, effective_tf_channel, sample_channel, time_channel_matrix, apply_channel
+from .channel import ChannelStats, effective_tf_channel, sample_channel, time_channel_matrix, apply_channel
 from .estimator import LassoConfig, cdce_estimate
 from .grids import Dims, remove_cp, tf_to_time, time_to_tf, vec
 from .pilots import FrameSpec, assemble_frame
@@ -57,9 +57,9 @@ _COV_SEED_TAG = 0x636F76
 # configs/with_data.yaml; on 384 solves (two runs) 0.55-0.57 / 0.47-0.49 /
 # 0.53-0.54 and 0.54-0.55 / 0.49-0.54 / 0.52-0.57 ms. 128 rows led only on
 # 100 solves, a sweep no config runs. One-by-one solves took 4.2-5.4 ms. A
-# chunk with tf_lasso holds its trials' channels and received grids, a few
-# KiB each, one frame on a lattice, and the solve's (P, K) blocks, about
-# 1.5 MiB at 96 rows.
+# lattice chunk with tf_lasso holds its trials' true bands (28 KiB each at
+# 8 x 14) and received grids, one frame, and the solve's (P, K) blocks,
+# about 1.5 MiB at 96 rows.
 LASSO_BATCH = 96
 
 # The largest noise variance simulated: noise of this variance squares to at
@@ -87,7 +87,6 @@ class SimConfig:
     lasso: LassoConfig = field(default_factory=LassoConfig)
     cov_samples: int = 1000
     base_seed: int = 0
-    pulse: Pulse = field(default_factory=lambda: Pulse("ideal"))
 
     def __post_init__(self) -> None:
         if not self.snr_grid_db:
@@ -169,19 +168,20 @@ def _trial_rngs(cfg: SimConfig, snr_db: float, trial_index: int):
 def fit_config_covariance(cfg: SimConfig) -> CovarianceModel:
     """Fit the channel statistics model with the config's dedicated seed."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.base_seed, _COV_SEED_TAG]))
-    return fit_covariance(cfg.stats, cfg.dims, cfg.cov_samples, rng, pulse=cfg.pulse)
+    return fit_covariance(cfg.stats, cfg.dims, cfg.cov_samples, rng)
 
 
 def _received(cfg: SimConfig, snr_db: float, trial_index: int, n0: float):
-    """One trial's keyed transmit chain: the channel realization, whose atom
-    sum is the truth, the frame, and the received TF grid at noise variance n0."""
+    """One trial's keyed transmit chain: the true channel's bands (see
+    ``effective_tf_channel``), the frame, and the received TF grid at noise
+    variance n0."""
     channel_rng, frame_rng, noise_rng = _trial_rngs(cfg, snr_db, trial_index)
     ch = sample_channel(cfg.stats, cfg.dims, channel_rng)
-    g = time_channel_matrix(ch, cfg.pulse)
+    g = time_channel_matrix(ch)
     frame = assemble_frame(cfg.frame, frame_rng)
     s = tf_to_time(frame.tf, cfg.dims, with_cp=True)
     r = apply_channel(s, g, n0, noise_rng)
-    return ch, frame, time_to_tf(remove_cp(r, cfg.dims), cfg.dims)
+    return effective_tf_channel(ch), frame, time_to_tf(remove_cp(r, cfg.dims), cfg.dims)
 
 
 def _energy(h: np.ndarray) -> float:
@@ -206,21 +206,20 @@ def run_trial(
     estimator against the same received frame, scored on the symbol-block
     bands (see ``effective_tf_channel``) of the truth and every estimate.
 
-    ``received``, when given, must be this trial's transmit chain, as
-    ``_received`` returns it; the trial then runs no chain of its own."""
+    ``received``, when given, must be this trial's truth and transmit
+    chain, as ``_received`` returns them; the trial then builds neither."""
     if trial_index < 0:
         raise ValueError(f"trial_index must be non-negative, got {trial_index}")
     n0 = _check_snr(snr_db)
     if cov is None and "fs_lmmse" in cfg.estimators:
         cov = fit_config_covariance(cfg)
-    ch, frame, y_tf = _received(cfg, snr_db, trial_index, n0) if received is None else received
-    h_true = effective_tf_channel(ch, cfg.pulse)
+    h_true, frame, y_tf = _received(cfg, snr_db, trial_index, n0) if received is None else received
     energy = _energy(h_true)
     out: dict[str, float] = {}
     st_ls_hat = None
     for name in cfg.estimators:
         if name == "cdce":
-            h_hat = cdce_estimate(y_tf, frame, cfg.stats, n0, lasso=cfg.lasso, pulse=cfg.pulse).h_tf_hat
+            h_hat = cdce_estimate(y_tf, frame, cfg.stats, n0, lasso=cfg.lasso).h_tf_hat
         elif name == "fs_lmmse":
             h_hat = fs_lmmse(y_tf, frame, cov, n0)
         elif name in ("st_ls", "st_lmmse"):
@@ -230,45 +229,39 @@ def run_trial(
             snr = math.inf if n0 == 0 else 1.0 / n0
             h_hat = st_ls_hat if name == "st_ls" else st_lmmse(st_ls_hat, snr)
         else:
-            h_hat = tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse)
+            h_hat = tf_lasso(y_tf, frame, cfg.lasso)
         out[name] = _ratio(h_hat, h_true, energy)
     return out
 
 
 def _point(
-    cfg: SimConfig, rest: SimConfig | None, snr_db: float, cov: CovarianceModel | None, ratios: dict
+    cfg: SimConfig, rest: SimConfig | None, batched: bool, snr_db: float, cov: CovarianceModel | None, ratios: dict
 ) -> None:
     """One SNR point of a sweep into ``ratios``, chunk by chunk as
-    ``run_sweep`` describes. ``rest`` is ``cfg`` without tf_lasso, or None
-    when tf_lasso is its only estimator."""
+    ``run_sweep`` describes. ``rest`` is the config run_trial scores, None
+    when it has no estimator; ``batched`` says that tf_lasso is solved per
+    chunk here instead."""
     n0 = _check_snr(snr_db)
-    lattice = cfg.frame.placement == "lattice"
     for start in range(0, cfg.trials, LASSO_BATCH):
         trials = range(start, min(start + LASSO_BATCH, cfg.trials))
-        chunk, frames = [], []
+        truths, grids = [], []
         for t in trials:
-            ch, frame, y_tf = rec = _received(cfg, snr_db, t, n0)
+            h_true, frame, y_tf = rec = _received(cfg, snr_db, t, n0)
             if rest is not None:
                 for name, value in run_trial(rest, snr_db, t, cov, received=rec).items():
                     ratios[name][t] = value
-            if "tf_lasso" in cfg.estimators:
-                chunk.append((ch, y_tf))
+            if batched:
+                truths.append(h_true)
+                grids.append(y_tf)
                 # every lattice trial's pilot-only grid, and so its
                 # dictionary, is the same: the chunk keeps the first frame
-                if not (lattice and frames):
-                    frames.append(frame)
-        if not chunk:
-            continue
-        ys = [vec(y_tf) for _, y_tf in chunk]
-        if lattice:
-            gains = tf_lasso_gains(np.stack(ys), frames[0], cfg.lasso, cfg.pulse)
-            frames *= len(chunk)
-        else:
-            gains = [tf_lasso_gains(y, frame, cfg.lasso, cfg.pulse) for y, frame in zip(ys, frames)]
-        for t, (ch, y_tf), frame, row in zip(trials, chunk, frames, gains):
-            h_true = effective_tf_channel(ch, cfg.pulse)
-            h_hat = tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse, gains=row)
-            ratios["tf_lasso"][t] = _ratio(h_hat, h_true, _energy(h_true))
+                if t == start:
+                    first = frame
+        if batched:
+            gains = tf_lasso_gains(np.stack([vec(y_tf) for y_tf in grids]), first, cfg.lasso)
+            for t, h_true, y_tf, row in zip(trials, truths, grids, gains):
+                h_hat = tf_lasso(y_tf, first, cfg.lasso, gains=row)
+                ratios["tf_lasso"][t] = _ratio(h_hat, h_true, _energy(h_true))
 
 
 def run_sweep(cfg: SimConfig, cov: CovarianceModel | None = None) -> list[ResultRow]:
@@ -278,27 +271,28 @@ def run_sweep(cfg: SimConfig, cov: CovarianceModel | None = None) -> list[Result
     The standard error is propagated to dB with the delta method.
 
     Each SNR point is cut into chunks of LASSO_BATCH trials. In a chunk,
-    each trial's transmit chain runs once, in trial order, and run_trial
-    gets it (``received=``) for every estimator but tf_lasso; then the
-    chunk's tf_lasso problems are solved and scored as run_trial scores
-    them. On a pilot lattice every trial's tf_lasso problem shares one
-    dictionary, so they are solved in one batched call, and the chunk keeps
-    only its first trial's frame; on other frames, one by one. The chain of
-    one trial and its run_trial call run back to back, so each trial's
-    channel is drawn just before its estimators run;
-    a config whose only estimator is tf_lasso makes no run_trial call.
-    Every estimator's row equals, bit for bit, the mean of run_trial's
-    results, except a lattice sweep's tf_lasso row, which equals it to
-    rounding.
+    each trial's truth and transmit chain are built once, in trial order,
+    and run_trial gets them (``received=``). On a pilot lattice every
+    trial's tf_lasso problem shares one dictionary, so run_trial scores
+    every estimator but tf_lasso, and the chunk's tf_lasso problems are
+    solved in one batched call on its first trial's frame and scored
+    against the same truths; on other frames run_trial scores every
+    estimator, tf_lasso one problem at a time. The chain of one trial and
+    its run_trial call run back to back, so each trial's channel is drawn
+    just before its estimators run; a lattice config whose only estimator
+    is tf_lasso makes no run_trial call. Every estimator's row equals, bit
+    for bit, the mean of run_trial's results, except a lattice sweep's
+    tf_lasso row, which equals it to rounding.
     """
     if cov is None and "fs_lmmse" in cfg.estimators:
         cov = fit_config_covariance(cfg)
-    others = tuple(name for name in cfg.estimators if name != "tf_lasso")
+    batched = "tf_lasso" in cfg.estimators and cfg.frame.placement == "lattice"
+    others = tuple(name for name in cfg.estimators if not (batched and name == "tf_lasso"))
     rest = replace(cfg, estimators=others) if others else None
     rows: list[ResultRow] = []
     for snr_db in cfg.snr_grid_db:
         ratios = {name: np.empty(cfg.trials) for name in cfg.estimators}
-        _point(cfg, rest, snr_db, cov, ratios)
+        _point(cfg, rest, batched, snr_db, cov, ratios)
         for name in cfg.estimators:
             samples = ratios[name]
             mean_lin = float(samples.mean())

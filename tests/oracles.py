@@ -1,10 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written the slow, obvious way: explicit scalar loops,
-dense Kronecker products, numerical quadrature, and plain (non-accelerated)
-iterative solvers. None of it imports the implementation being tested beyond
-basic array plumbing, except ``dense_atom``: it builds the dense MN x MN
-atom by its definition from the package's time-domain builder and
+dense Kronecker products, and plain (non-accelerated) iterative solvers.
+None of it imports the implementation being tested beyond basic array
+plumbing, except ``dense_atom``: it builds the dense MN x MN atom by its
+definition from the package's time-domain builder and
 ``dense_effective_tf`` (both pinned to the oracles here), to check the
 closed-form atom table entrywise; and ``fit_covariance_reference``, which
 draws its ensemble through the package's ``sample_channel`` one realization
@@ -15,13 +15,11 @@ import cmath
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from cdce.channel import (
     ChannelRealization,
     ChannelStats,
     PathParams,
-    Pulse,
     sample_channel,
     time_channel_matrix,
 )
@@ -84,38 +82,17 @@ def cross_ambiguity_reference(y_t: np.ndarray, x_t: np.ndarray, m: int, n: int) 
     return v
 
 
-def rect_af_quadrature(tau: float, nu: float, ts: float = 1.0) -> complex:
-    """Numerical evaluation of the pulse ambiguity integral
-    A(tau, nu) = int p(t) p*(t - tau) exp(-2j pi nu (t - tau)) dt
-    for the unit-energy rectangular pulse p = 1/sqrt(ts) on [0, ts)."""
-    lo = max(0.0, tau)
-    hi = ts + min(0.0, tau)
-    if hi <= lo:
-        return 0.0 + 0.0j
-
-    def integrand_re(t):
-        return math.cos(-2.0 * math.pi * nu * (t - tau)) / ts
-
-    def integrand_im(t):
-        return math.sin(-2.0 * math.pi * nu * (t - tau)) / ts
-
-    re, _ = quad(integrand_re, lo, hi, limit=200)
-    im, _ = quad(integrand_im, lo, hi, limit=200)
-    return re + 1j * im
-
-
 def time_channel_oracle(
     paths: list[tuple[complex, int, int]],
     m: int,
     n: int,
     cp_len: int,
-    pulse_kind: str,
 ) -> np.ndarray:
     """Time-domain channel matrix on the CP-extended frame, entry by entry:
-    G[r, c] = sum_p g_p exp(2j pi k_p phi(c) / MN) conj(A(l_p - (r - c), k_p / MN))
+    G[r, c] = sum_p g_p exp(2j pi k_p phi(c) / MN) [r - c = l_p]
     for paths (g_p, l_p, k_p). phi(c) is the payload sample that CP-extended
-    sample c carries; A is a Kronecker delta in the lag for the ideal pulse
-    and the ambiguity quadrature for the rectangular one."""
+    sample c carries; the sample grid's pulse has a Kronecker-delta
+    ambiguity function, so a path reaches only the entries at its own lag."""
     span = m + cp_len
     t_len = span * n
     mn = m * n
@@ -128,14 +105,8 @@ def time_channel_oracle(
         for c in range(t_len):
             acc = 0.0 + 0.0j
             for gain, l, k in paths:
-                tau = l - (r - c)
-                nu = k / mn
-                if pulse_kind == "ideal":
-                    af = 1.0 if tau == 0 else 0.0
-                else:
-                    af = rect_af_quadrature(tau, nu)
-                if af != 0:
-                    acc += gain * cmath.exp(2j * math.pi * k * phi[c] / mn) * af.conjugate()
+                if r - c == l:
+                    acc += gain * cmath.exp(2j * math.pi * k * phi[c] / mn)
             g[r, c] = acc
     return g
 
@@ -286,10 +257,10 @@ def fista_reference(
     return h, False
 
 
-def dense_atom(d: Dims, pulse: Pulse, l: int, k: int) -> np.ndarray:
+def dense_atom(d: Dims, l: int, k: int) -> np.ndarray:
     """The dense MN x MN H_TF of a unit-gain single path at (l, k)."""
     ch = ChannelRealization((PathParams(1.0 + 0.0j, l, k),), d)
-    return dense_effective_tf(time_channel_matrix(ch, pulse), d)
+    return dense_effective_tf(time_channel_matrix(ch), d)
 
 
 def dense_reconstruct_oracle(h: np.ndarray, atoms: list[np.ndarray]) -> np.ndarray:

@@ -17,7 +17,6 @@ from cdce.channel import (
     ChannelRealization,
     ChannelStats,
     PathParams,
-    Pulse,
     apply_channel,
     effective_tf_channel,
     sample_channel,
@@ -61,7 +60,6 @@ pytestmark = pytest.mark.slow
 
 D = Dims(8, 14, 2)
 STATS = ChannelStats()
-IDEAL = Pulse("ideal")
 SNR_GRID = (0.0, 5.0, 10.0, 15.0, 20.0)
 TRIALS = 500
 RUNTIME_BUDGET_S = 600.0
@@ -109,7 +107,7 @@ def data_sweep(data_cov):
 
 
 def received_tf(frame, ch, n0=0.0, rng=None):
-    g = time_channel_matrix(ch, IDEAL)
+    g = time_channel_matrix(ch)
     s = tf_to_time(frame.tf, frame.dims, with_cp=True)
     r = apply_channel(s, g, n0, rng)
     return time_to_tf(remove_cp(r, frame.dims), frame.dims)
@@ -121,7 +119,7 @@ def ls_noise_gain(pairs):
     the pilot responses of the atoms and G_F their Frobenius Gram. Times N0
     and E[1 / sum |g_p|^2] it is the NMSE of the unregularized fit."""
     x = vec(assemble_frame(FrameSpec(dims=D)).pilot_only_tf)
-    atoms = [dense_atom(D, IDEAL, l, k) for l, k in pairs]
+    atoms = [dense_atom(D, l, k) for l, k in pairs]
     a = np.column_stack([t @ x for t in atoms])
     t = np.column_stack([t.ravel() for t in atoms])
     amp = np.linalg.solve(a.conj().T @ a, t.conj().T @ t)
@@ -167,11 +165,11 @@ def test_criterion_2_bound_within_reach_of_stage_two(data_cov):
             ch = sample_channel(STATS, D, channel_rng)
             frame = assemble_frame(cfg.frame, frame_rng)
             y = received_tf(frame, ch, n0, noise_rng)
-            h_true = effective_tf_channel(ch, IDEAL)
+            h_true = effective_tf_channel(ch)
             energy = np.sum(np.abs(h_true) ** 2)
             pairs = tuple((p.delay_int, p.doppler_int) for p in ch.paths)
-            gains = solve_ls(vec(y), build_dictionary(frame.pilot_only_tf, pairs, IDEAL, D))
-            h_oracle = reconstruct(gains, pairs, IDEAL, D)
+            gains = solve_ls(vec(y), build_dictionary(frame.pilot_only_tf, pairs, D))
+            h_oracle = reconstruct(gains, pairs, D)
             oracle.append(np.sum(np.abs(h_oracle - h_true) ** 2) / energy)
             lmmse.append(np.sum(np.abs(fs_lmmse(y, frame, data_cov, n0) - h_true) ** 2) / energy)
         # the frames are the harness's own: trial 0 scores FS-LMMSE identically
@@ -256,7 +254,7 @@ def test_criterion_6_exact_recovery_on_noiseless_three_path_channels():
     for _ in range(100):
         ch = sample_channel(STATS, D, rng)
         y = received_tf(frame, ch)
-        h_true = effective_tf_channel(ch, IDEAL)
+        h_true = effective_tf_channel(ch)
         est = cdce_estimate(y, frame, STATS, n0=0.0)
         err = 10 * np.log10(
             np.sum(np.abs(est.h_tf_hat - h_true) ** 2) / np.sum(np.abs(h_true) ** 2)
@@ -311,7 +309,7 @@ def test_criterion_8_transform_and_property_suite():
         ch = sample_channel(STATS, D, rng)
         frame = assemble_frame(FrameSpec(dims=D, data_mode="qpsk"), rng)
         y_sig = received_tf(frame, ch)
-        y_mat = unvec(bands_to_dense(effective_tf_channel(ch, IDEAL)) @ vec(frame.tf), D.m, D.n)
+        y_mat = unvec(bands_to_dense(effective_tf_channel(ch)) @ vec(frame.tf), D.m, D.n)
         rel = np.linalg.norm(y_sig - y_mat) / np.linalg.norm(y_mat)
         if rel > 1e-10:
             failures.append(f"chain equivalence off by {rel:.1e}")
@@ -328,7 +326,7 @@ def test_criterion_8_transform_and_property_suite():
     ch4 = sample_channel(stats4, d4, np.random.default_rng(81))
     y4 = received_tf(frame4, ch4, n0=0.3, rng=np.random.default_rng(82))
     fact = fs_lmmse(y4, frame4, cov, 0.3)
-    atoms = np.column_stack([vec(dense_atom(d4, cov.pulse, l, k)) for l, k in cov.pairs])
+    atoms = np.column_stack([vec(dense_atom(d4, l, k)) for l, k in cov.pairs])
     dense = dense_fs_lmmse_oracle(
         vec(y4), vec(frame4.pilot_only_tf), atoms @ cov.mean, atoms @ cov.factor, 0.3
     )

@@ -15,7 +15,6 @@ from cdce.channel import (
     ChannelRealization,
     ChannelStats,
     PathParams,
-    Pulse,
     apply_channel,
     effective_tf_channel,
     sample_channel,
@@ -34,11 +33,10 @@ from oracles import (
 )
 
 D = Dims(8, 14, 2)
-IDEAL = Pulse("ideal")
 
 
 def received_tf(frame, ch, n0=0.0, rng=None):
-    g = time_channel_matrix(ch, IDEAL)
+    g = time_channel_matrix(ch)
     s = tf_to_time(frame.tf, frame.dims, with_cp=True)
     r = apply_channel(s, g, n0, rng)
     return time_to_tf(remove_cp(r, frame.dims), frame.dims)
@@ -48,7 +46,7 @@ def lifted(cov, d):
     """Mean and factor of vec(H_TF): the path-gain model mapped through the
     vectorized unit-path atoms."""
     atoms = np.column_stack(
-        [vec(dense_atom(d, cov.pulse, l, k)) for l, k in cov.pairs]
+        [vec(dense_atom(d, l, k)) for l, k in cov.pairs]
     )
     return atoms @ cov.mean, atoms @ cov.factor
 
@@ -199,17 +197,16 @@ class TestFitCovariance:
         with pytest.raises(ValueError, match="2"):
             fit_covariance(ChannelStats(), D, 1, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("pulse", [IDEAL, Pulse("rectangular")], ids=lambda p: p.kind)
-    def test_factor_energy_matches_sample_scatter(self, pulse):
+    def test_factor_energy_matches_sample_scatter(self):
         # the lifted model against the statistics of the sampled vec(H_TF)
         stats = ChannelStats()
         k = 20
-        cov = fit_covariance(stats, D, k, np.random.default_rng(42), pulse=pulse)
+        cov = fit_covariance(stats, D, k, np.random.default_rng(42))
         rng = np.random.default_rng(42)
         samples = np.empty((D.grid_size**2, k), dtype=complex)
         for j in range(k):
             ch = sample_channel(stats, D, rng)
-            samples[:, j] = vec(bands_to_dense(effective_tf_channel(ch, pulse)))
+            samples[:, j] = vec(bands_to_dense(effective_tf_channel(ch)))
         mean = samples.mean(axis=1)
         scatter = (samples - mean[:, None]) / np.sqrt(k)
         lift_mean, lift_factor = lifted(cov, D)
@@ -224,15 +221,13 @@ class TestFitCovariance:
             atol=1e-10 * np.linalg.norm(scatter) ** 2 * np.linalg.norm(probe),
         )
 
-    @pytest.mark.parametrize("pulse", [IDEAL, Pulse("rectangular")], ids=lambda p: p.kind)
     @pytest.mark.parametrize("seed", [0, 5, 0x636F76])
-    def test_matches_the_sample_channel_loop_bit_for_bit(self, seed, pulse):
+    def test_matches_the_sample_channel_loop_bit_for_bit(self, seed):
         for stats, k in ((ChannelStats(), 200), (ChannelStats(n_paths=5, l_max=1, k_max=2), 30)):
-            cov = fit_covariance(stats, D, k, np.random.default_rng(seed), pulse=pulse)
+            cov = fit_covariance(stats, D, k, np.random.default_rng(seed))
             mean, factor = fit_covariance_reference(stats, D, k, np.random.default_rng(seed))
             np.testing.assert_array_equal(cov.mean, mean)
             np.testing.assert_array_equal(cov.factor, factor)
-            assert cov.pulse == pulse
 
     def test_rank_saturates_at_region_size(self):
         stats = ChannelStats()
@@ -251,8 +246,8 @@ class TestFitCovariance:
         cov = fit_covariance(ChannelStats(), D, 5, np.random.default_rng(0))
         assert cov.rank == 0
         np.testing.assert_allclose(
-            reconstruct(cov.mean, cov.pairs, cov.pulse, D),
-            effective_tf_channel(fixed, IDEAL),
+            reconstruct(cov.mean, cov.pairs, D),
+            effective_tf_channel(fixed),
             atol=1e-12,
         )
 
@@ -291,13 +286,12 @@ class TestFsLmmse:
             mean=mean,
             factor=np.zeros((stats.region_size, 0)),
             pairs=stats.region_pairs,
-            pulse=IDEAL,
             n_samples=3,
         )
         rng = np.random.default_rng(4)
         y = rng.standard_normal((D.m, D.n)) + 1j * rng.standard_normal((D.m, D.n))
         np.testing.assert_array_equal(
-            fs_lmmse(y, frame, cov, 1.0), reconstruct(mean, stats.region_pairs, IDEAL, D)
+            fs_lmmse(y, frame, cov, 1.0), reconstruct(mean, stats.region_pairs, D)
         )
 
     def test_overwhelming_noise_returns_prior_mean(self, small_setup, full_pilot_frame4):
@@ -312,7 +306,7 @@ class TestFsLmmse:
         d4, stats4, cov, _ = small_setup
         ch = sample_channel(stats4, d4, np.random.default_rng(13))
         y = received_tf(full_pilot_frame4, ch)
-        h_true = effective_tf_channel(ch, IDEAL)
+        h_true = effective_tf_channel(ch)
         est = fs_lmmse(y, full_pilot_frame4, cov, 0.0)
         assert nmse_db(est, h_true) < -60.0
 
@@ -338,7 +332,7 @@ class TestTfLasso:
             paths=(PathParams(gain=0.7 + 0.2j, delay_int=1, doppler_int=-2),), dims=D
         )
         y = received_tf(fr, ch)
-        h_true = effective_tf_channel(ch, IDEAL)
+        h_true = effective_tf_channel(ch)
         est = tf_lasso(y, fr, cfg=LassoConfig(lam=0.01, tol=1e-10, max_iter=5000))
         assert nmse_db(est, h_true) < -60.0
 

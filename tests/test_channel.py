@@ -9,12 +9,10 @@ from cdce.channel import (
     ChannelRealization,
     ChannelStats,
     PathParams,
-    Pulse,
     apply_channel,
     atom_columns,
     effective_tf_channel,
     full_grid_pairs,
-    pulse_af,
     sample_channel,
     time_channel_matrix,
     reconstruct,
@@ -37,13 +35,10 @@ from oracles import (
     dense_atom,
     dense_effective_tf,
     dense_effective_tf_oracle,
-    rect_af_quadrature,
     time_channel_oracle,
 )
 
 D = Dims(8, 14, 2)
-IDEAL = Pulse("ideal")
-RECT = Pulse("rectangular")
 
 
 def payload_clock(d):
@@ -103,25 +98,21 @@ class TestTypes:
         with pytest.raises(ValueError, match="must be integer bins"):
             PathParams(1.0, delay, doppler)
         with pytest.raises(ValueError, match="must be integer bins"):
-            channel._unit_path_atoms(D, IDEAL, [(delay, doppler)])
+            channel._unit_path_atoms(D, [(delay, doppler)])
 
     def test_numpy_integer_bins_accepted(self):
         np.testing.assert_array_equal(
-            effective_tf_channel(single_path(0.5, np.int64(1), np.int32(-2)), IDEAL),
-            effective_tf_channel(single_path(0.5, 1, -2), IDEAL),
+            effective_tf_channel(single_path(0.5, np.int64(1), np.int32(-2))),
+            effective_tf_channel(single_path(0.5, 1, -2)),
         )
-        blocks, ramps = channel._unit_path_atoms(D, IDEAL, [(np.int64(1), np.int32(-2))])
-        want_blocks, want_ramps = channel._unit_path_atoms(D, IDEAL, [(1, -2)])
+        blocks, ramps = channel._unit_path_atoms(D, [(np.int64(1), np.int32(-2))])
+        want_blocks, want_ramps = channel._unit_path_atoms(D, [(1, -2)])
         np.testing.assert_array_equal(blocks, want_blocks)
         np.testing.assert_array_equal(ramps, want_ramps)
 
     def test_doppler_beyond_half_grid_rejected(self):
         with pytest.raises(ValueError):
             single_path(1.0, 0, 8)
-
-    def test_unknown_pulse_kind(self):
-        with pytest.raises(ValueError):
-            Pulse("gaussian")
 
 
 class TestSampleChannel:
@@ -162,55 +153,33 @@ class TestSampleChannel:
             )
 
 
-class TestPulseAf:
-    def test_zero_lag_is_unity(self):
-        assert pulse_af(0.0, IDEAL) == pytest.approx(1.0)
-        assert pulse_af(0.0, RECT) == pytest.approx(1.0)
-
-    def test_ideal_pulse_is_kronecker(self):
-        assert pulse_af(0.5, IDEAL) == 1.0
-        assert pulse_af(3.0, IDEAL) == 1.0
-
-    # Lag 0 is the only point of the triangle 1 - |tau| that an integer-delay
-    # path evaluates.
-    @pytest.mark.parametrize("tau", [0.0])
-    def test_rect_zero_doppler_is_triangle(self, tau):
-        assert rect_af_quadrature(tau, 0.0) == pytest.approx(1.0 - abs(tau), abs=1e-10)
-        assert pulse_af(0.0, RECT) == pytest.approx(1.0 - abs(tau), abs=1e-12)
-
-    @pytest.mark.parametrize("nu",[-2.0, -0.4, 0.1, 1.7])
-    def test_rect_matches_quadrature(self, nu):
-        assert pulse_af(nu, RECT) == pytest.approx(rect_af_quadrature(0.0, nu), abs=1e-10)
-
-
 class TestTimeChannelMatrix:
     def test_identity_path(self):
-        g = time_channel_matrix(single_path(1.0, 0, 0), IDEAL)
+        g = time_channel_matrix(single_path(1.0, 0, 0))
         np.testing.assert_allclose(g, np.eye(D.frame_len), atol=1e-12)
 
     def test_unit_delay_is_subdiagonal(self):
-        g = time_channel_matrix(single_path(1.0, 1, 0), IDEAL)
+        g = time_channel_matrix(single_path(1.0, 1, 0))
         np.testing.assert_allclose(g, np.eye(D.frame_len, k=-1), atol=1e-12)
 
     def test_unit_doppler_is_payload_clock_diagonal(self):
-        g = time_channel_matrix(single_path(1.0, 0, 1), IDEAL)
+        g = time_channel_matrix(single_path(1.0, 0, 1))
         phases = np.exp(2j * np.pi * payload_clock(D) / D.grid_size)
         np.testing.assert_allclose(g, np.diag(phases), atol=1e-12)
 
     def test_doppler_acts_as_per_sample_modulation(self):
-        g = time_channel_matrix(single_path(1.0, 0, 2), IDEAL)
+        g = time_channel_matrix(single_path(1.0, 0, 2))
         s = tf_to_time(random_frame(D, 5), D, with_cp=True)
         modulated = s * np.exp(2j * np.pi * 2 * payload_clock(D) / D.grid_size)
         np.testing.assert_allclose(g @ s, modulated, atol=1e-12)
 
     def test_gain_scales_linearly(self):
-        g1 = time_channel_matrix(single_path(1.0, 2, -3), IDEAL)
-        g2 = time_channel_matrix(single_path(0.5 - 0.25j, 2, -3), IDEAL)
+        g1 = time_channel_matrix(single_path(1.0, 2, -3))
+        g2 = time_channel_matrix(single_path(0.5 - 0.25j, 2, -3))
         np.testing.assert_allclose(g2, (0.5 - 0.25j) * g1, atol=1e-12)
 
-    @pytest.mark.parametrize("pulse", [IDEAL, RECT], ids=lambda p: p.kind)
     @pytest.mark.parametrize("d", [D, Dims(6, 5, 3)], ids=str)
-    def test_matches_entrywise_oracle(self, d, pulse):
+    def test_matches_entrywise_oracle(self, d):
         rng = np.random.default_rng(d.grid_size)
         paths = tuple(
             PathParams(
@@ -221,10 +190,10 @@ class TestTimeChannelMatrix:
             for _ in range(4)
         )
         np.testing.assert_allclose(
-            time_channel_matrix(ChannelRealization(paths, d), pulse),
+            time_channel_matrix(ChannelRealization(paths, d)),
             time_channel_oracle(
                 [(p.gain, p.delay_int, p.doppler_int) for p in paths],
-                d.m, d.n, d.cp_len, pulse.kind,
+                d.m, d.n, d.cp_len,
             ),
             rtol=0,
             atol=1e-12,
@@ -235,8 +204,8 @@ class TestTimeChannelMatrix:
         b = single_path(-0.3j, 2, -1)
         both = ChannelRealization(paths=a.paths + b.paths, dims=D)
         np.testing.assert_allclose(
-            time_channel_matrix(both, IDEAL),
-            time_channel_matrix(a, IDEAL) + time_channel_matrix(b, IDEAL),
+            time_channel_matrix(both),
+            time_channel_matrix(a) + time_channel_matrix(b),
             atol=1e-12,
         )
 
@@ -251,7 +220,7 @@ class TestApplyChannel:
     def test_cp_absorbs_unit_delay(self):
         x = random_frame(D, 6)
         s = tf_to_time(x, D, with_cp=True)
-        g = time_channel_matrix(single_path(1.0, 1, 0), IDEAL)
+        g = time_channel_matrix(single_path(1.0, 1, 0))
         payload = unvec(remove_cp(apply_channel(s, g, 0.0), D), D.m, D.n)
         original = unvec(tf_to_time(x, D), D.m, D.n)
         np.testing.assert_allclose(payload, np.roll(original, 1, axis=0), atol=1e-12)
@@ -271,8 +240,8 @@ class TestApplyChannel:
             apply_channel(np.zeros(4, dtype=complex), np.eye(4), 1.0)
 
 
-def dense_h_tf(ch, pulse=IDEAL):
-    return bands_to_dense(effective_tf_channel(ch, pulse))
+def dense_h_tf(ch):
+    return bands_to_dense(effective_tf_channel(ch))
 
 
 class TestEffectiveTfChannel:
@@ -288,7 +257,7 @@ class TestEffectiveTfChannel:
     def test_chain_equivalence(self, seed):
         rng = np.random.default_rng(seed)
         ch = sample_channel(ChannelStats(), D, rng)
-        g = time_channel_matrix(ch, IDEAL)
+        g = time_channel_matrix(ch)
         x = random_frame(D, seed + 1)
         via_matrix = unvec(dense_h_tf(ch) @ vec(x), D.m, D.n)
         via_signal = time_to_tf(
@@ -299,25 +268,24 @@ class TestEffectiveTfChannel:
     def test_matches_dense_kronecker_oracle(self):
         rng = np.random.default_rng(11)
         ch = sample_channel(ChannelStats(), D, rng)
-        g = time_channel_matrix(ch, IDEAL)
+        g = time_channel_matrix(ch)
         np.testing.assert_allclose(
             dense_h_tf(ch), dense_effective_tf_oracle(g, D.m, D.n, D.cp_len), atol=1e-10
         )
 
-    @pytest.mark.parametrize("kind", ["ideal", "rectangular"])
     @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
-    def test_bands_are_the_dense_blocks_within_1e_14(self, shape, kind):
+    def test_bands_are_the_dense_blocks_within_1e_14(self, shape):
         # a unit-gain path at every delay of the grid, at both Doppler edges:
         # the bands are the dense blocks within 1e-14 (the closed-form atoms
         # do not round as the dense sandwich does), and every other block of
         # the dense sandwich is exactly zero
-        d, pulse = Dims(*shape), Pulse(kind)
+        d = Dims(*shape)
         m = d.m
         for l in range(d.m):
             for k in (-((d.n - 1) // 2), 1, d.n // 2):
                 ch = ChannelRealization((PathParams(1.0, l, k),), d)
-                g = time_channel_matrix(ch, pulse)
-                bands = effective_tf_channel(ch, pulse)
+                g = time_channel_matrix(ch)
+                bands = effective_tf_channel(ch)
                 dense = dense_effective_tf(g, d)
                 kron = dense_effective_tf_oracle(g, d.m, d.n, d.cp_len)
                 assert bands.shape == (2, d.n, m, m)
@@ -329,18 +297,17 @@ class TestEffectiveTfChannel:
                         if c not in (r, r - 1):
                             assert not kron[r * m:(r + 1) * m, c * m:(c + 1) * m].any()
 
-    @pytest.mark.parametrize("kind", ["ideal", "rectangular"])
     @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
-    def test_random_channels_match_the_dense_sandwich(self, shape, kind):
+    def test_random_channels_match_the_dense_sandwich(self, shape):
         # three paths with complex gains: the closed-form atom sum rounds
         # differently from the dense sandwich of G, but only at the last bits
-        d, pulse = Dims(*shape), Pulse(kind)
+        d = Dims(*shape)
         stats = ChannelStats(n_paths=3, l_max=d.cp_len, k_max=(d.n - 1) // 2)
         rng = np.random.default_rng(d.frame_len)
         for _ in range(20):
             ch = sample_channel(stats, d, rng)
-            dense = dense_effective_tf(time_channel_matrix(ch, pulse), d)
-            err = np.linalg.norm(dense_h_tf(ch, pulse) - dense) / np.linalg.norm(dense)
+            dense = dense_effective_tf(time_channel_matrix(ch), d)
+            err = np.linalg.norm(dense_h_tf(ch) - dense) / np.linalg.norm(dense)
             assert err <= 1e-14
 
     @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
@@ -357,7 +324,7 @@ class TestEffectiveTfChannel:
 
     def test_ici_exactly_when_doppler_nonzero(self):
         for k, expect_ici in ((0, False), (2, True)):
-            bands = effective_tf_channel(single_path(1.0, 1, k), IDEAL)
+            bands = effective_tf_channel(single_path(1.0, 1, k))
             off = 0.0
             for block in bands[0]:
                 off += np.sum(np.abs(block - np.diag(np.diag(block))) ** 2)
@@ -377,21 +344,20 @@ class TestEffectiveTfChannel:
 
 
 class TestUnitPathCache:
-    @pytest.mark.parametrize("kind", ["ideal", "rectangular"])
     @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
-    def test_bands_are_the_dense_atom_within_1e_14(self, shape, kind):
+    def test_bands_are_the_dense_atom_within_1e_14(self, shape):
         # every bin's closed-form atom is its dense atom's two bands, entrywise
         # within 1e-14, and the dense atom's symbol blocks are symbol 0's
         # (diagonal) and symbol 1's (sub-diagonal) times the Doppler ramp;
         # [1, 0] and every other dense block are exactly zero
-        d, pulse = Dims(*shape), Pulse(kind)
+        d = Dims(*shape)
         m = d.m
         for l in range(d.m):
             for kc in range(d.n):
                 k = signed_doppler(kc, d.n)
                 ramp = np.exp(2j * np.pi * k * np.arange(d.n) / d.n)
-                bands = unit_path_tf_channel(d, pulse, l, k)
-                dense = dense_atom(d, pulse, l, k)
+                bands = unit_path_tf_channel(d, l, k)
+                dense = dense_atom(d, l, k)
                 assert bands.shape == (2, d.n, m, m)
                 assert not bands[1, 0].any()
                 for r in range(d.n):
@@ -409,8 +375,8 @@ class TestUnitPathCache:
     def test_lookups_are_counted_like_lru_cache(self):
         # one table lookup per call, whatever the number of pairs
         channel._atom_table.cache_clear()
-        reconstruct(np.ones(3), ((0, 1), (2, -3), (0, 1)), IDEAL, D)
-        unit_path_tf_channel(D, IDEAL, 2, -3)
+        reconstruct(np.ones(3), ((0, 1), (2, -3), (0, 1)), D)
+        unit_path_tf_channel(D, 2, -3)
         info = unit_path_tf_channel.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
@@ -418,20 +384,19 @@ class TestUnitPathCache:
     def test_delay_of_one_symbol_rejected(self, shape):
         d = Dims(*shape)
         with pytest.raises(ValueError, match="delay"):
-            unit_path_tf_channel(d, IDEAL, d.m + d.cp_len, 0)
+            unit_path_tf_channel(d, d.m + d.cp_len, 0)
 
-    @pytest.mark.parametrize("kind", ["ideal", "rectangular"])
     @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
-    def test_grid_bins_sit_at_their_arithmetic_slots(self, shape, kind):
+    def test_grid_bins_sit_at_their_arithmetic_slots(self, shape):
         # bin (l, k) at slot (k mod N) M + l of the table, and the bins in any
         # order look up the same blocks and ramps
-        d, pulse = Dims(*shape), Pulse(kind)
+        d = Dims(*shape)
         pairs = full_grid_pairs(d)
-        blocks, ramps = channel._atom_table(d, pulse)
+        blocks, ramps = channel._atom_table(d)
         assert blocks.shape == (d.grid_size, 2, d.m, d.m) and ramps.shape == (d.grid_size, d.n)
         order = np.random.default_rng(d.grid_size).permutation(len(pairs))
         shuffled = [pairs[i] for i in order]
-        got_blocks, got_ramps = channel._unit_path_atoms(d, pulse, shuffled)
+        got_blocks, got_ramps = channel._unit_path_atoms(d, shuffled)
         np.testing.assert_array_equal(got_blocks, blocks[order])
         np.testing.assert_array_equal(got_ramps, ramps[order])
         for slot, (l, k) in enumerate(pairs):
@@ -439,24 +404,23 @@ class TestUnitPathCache:
             ramp = np.exp(2j * np.pi * k * np.arange(d.n) / d.n)
             np.testing.assert_allclose(ramps[slot], ramp, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("kind", ["ideal", "rectangular"])
     @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
-    def test_full_grid_pairs_look_up_the_table_itself(self, shape, kind):
+    def test_full_grid_pairs_look_up_the_table_itself(self, shape):
         # the full_grid_pairs tuple is the table's own order, so it gets the
         # read-only table with no copy; the same pairs as a list are checked
         # and gathered, and give the same bytes
-        d, pulse = Dims(*shape), Pulse(kind)
+        d = Dims(*shape)
         pairs = full_grid_pairs(d)
-        fast = channel._unit_path_atoms(d, pulse, pairs)
-        gathered = channel._unit_path_atoms(d, pulse, list(pairs))
-        for got, table, want in zip(fast, channel._atom_table(d, pulse), gathered):
+        fast = channel._unit_path_atoms(d, pairs)
+        gathered = channel._unit_path_atoms(d, list(pairs))
+        for got, table, want in zip(fast, channel._atom_table(d), gathered):
             assert got is table
             assert got.tobytes() == want.tobytes()
         rng = np.random.default_rng(d.grid_size)
         h = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
         x = rng.standard_normal((d.m, d.n)) + 1j * rng.standard_normal((d.m, d.n))
-        assert reconstruct(h, pairs, pulse, d).tobytes() == reconstruct(h, list(pairs), pulse, d).tobytes()
-        assert atom_columns(x, pairs, pulse, d).tobytes() == atom_columns(x, list(pairs), pulse, d).tobytes()
+        assert reconstruct(h, pairs, d).tobytes() == reconstruct(h, list(pairs), d).tobytes()
+        assert atom_columns(x, pairs, d).tobytes() == atom_columns(x, list(pairs), d).tobytes()
 
     @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
     def test_bins_off_the_grid_rejected(self, shape):
@@ -469,23 +433,23 @@ class TestUnitPathCache:
         for (l, k), named in off:
             pairs = ((0, 0), (l, k))
             with pytest.raises(ValueError, match=named):
-                unit_path_tf_channel(d, IDEAL, l, k)
+                unit_path_tf_channel(d, l, k)
             with pytest.raises(ValueError, match=named):
-                reconstruct(np.ones(2), pairs, IDEAL, d)
+                reconstruct(np.ones(2), pairs, d)
             with pytest.raises(ValueError, match=named):
                 ChannelRealization((PathParams(1.0, 0, 0), PathParams(0.5, l, k)), d)
         assert unit_path_tf_channel.cache_info() == before
 
     def test_matches_explicit_construction(self):
-        h_tf = reconstruct(np.ones(1), ((2, -3),), IDEAL, D)
-        np.testing.assert_allclose(bands_to_dense(h_tf), dense_atom(D, IDEAL, 2, -3), rtol=0, atol=1e-14)
+        h_tf = reconstruct(np.ones(1), ((2, -3),), D)
+        np.testing.assert_allclose(bands_to_dense(h_tf), dense_atom(D, 2, -3), rtol=0, atol=1e-14)
 
     def test_cached_array_is_readonly(self):
-        for array in (unit_path_tf_channel(D, IDEAL, 1, 1), *channel._atom_table(D, IDEAL)):
+        for array in (unit_path_tf_channel(D, 1, 1), *channel._atom_table(D)):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 0
 
     def test_delay_spread_unchecked_for_dictionary_use(self):
-        h_tf = reconstruct(np.ones(1), ((5, 0),), IDEAL, D)
+        h_tf = reconstruct(np.ones(1), ((5, 0),), D)
         assert h_tf.shape == (2, D.n, D.m, D.m)

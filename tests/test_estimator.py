@@ -10,7 +10,6 @@ from cdce.channel import (
     ChannelRealization,
     ChannelStats,
     PathParams,
-    Pulse,
     apply_channel,
     effective_tf_channel,
     full_grid_pairs,
@@ -48,7 +47,6 @@ from oracles import (
 )
 
 D = Dims(8, 14, 2)
-IDEAL = Pulse("ideal")
 STATS = ChannelStats()
 
 
@@ -60,7 +58,7 @@ def make_channel(path_list):
 
 
 def received_tf(frame, ch, n0=0.0, rng=None):
-    g = time_channel_matrix(ch, IDEAL)
+    g = time_channel_matrix(ch)
     s = tf_to_time(frame.tf, D, with_cp=True)
     r = apply_channel(s, g, n0, rng)
     return time_to_tf(remove_cp(r, D), D)
@@ -165,7 +163,7 @@ class TestTwistedConvolution:
         detected = 0
         for _ in range(20):
             fr = assemble_frame(spec, rng)
-            g = time_channel_matrix(sample_channel(STATS, D, rng), IDEAL)
+            g = time_channel_matrix(sample_channel(STATS, D, rng))
             r = apply_channel(tf_to_time(fr.tf, D, with_cp=True), g, n0, rng)
             y_dd = tf_to_dd(time_to_tf(remove_cp(r, D), D), D)
             x_dd = tf_to_dd(fr.pilot_only_tf, D)
@@ -306,12 +304,12 @@ class TestThresholdSelect:
 
 class TestBuildDictionary:
     def test_identity_pair_column_is_the_pilot(self, frame):
-        d = build_dictionary(frame.pilot_only_tf, ((0, 0),), IDEAL, D)
+        d = build_dictionary(frame.pilot_only_tf, ((0, 0),), D)
         np.testing.assert_allclose(d.matrix[:, 0], vec(frame.pilot_only_tf), atol=1e-12)
 
     def test_columns_preserve_pilot_energy(self, frame):
         pairs = tuple((l, k) for l in range(3) for k in (-3, 0, 2))
-        d = build_dictionary(frame.pilot_only_tf, pairs, IDEAL, D)
+        d = build_dictionary(frame.pilot_only_tf, pairs, D)
         energy = np.sum(np.abs(frame.pilot_only_tf) ** 2)
         for j in range(d.matrix.shape[1]):
             assert np.sum(np.abs(d.matrix[:, j]) ** 2) == pytest.approx(energy, rel=1e-10)
@@ -319,41 +317,40 @@ class TestBuildDictionary:
     def test_column_linearity_against_received_signal(self, frame):
         gain = 0.3 - 0.8j
         y = received_tf(frame, make_channel([(gain, 2, -3)]))
-        d = build_dictionary(frame.pilot_only_tf, ((2, -3),), IDEAL, D)
+        d = build_dictionary(frame.pilot_only_tf, ((2, -3),), D)
         np.testing.assert_allclose(vec(y), gain * d.matrix[:, 0], atol=1e-10)
 
-    @pytest.mark.parametrize("kind", ["ideal", "rectangular"])
     @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
-    def test_columns_match_dense_atom_products(self, shape, kind):
+    def test_columns_match_dense_atom_products(self, shape):
         # the band products sum only the non-zero terms of the dense ones
-        d, pulse = Dims(*shape), Pulse(kind)
+        d = Dims(*shape)
         pairs = tuple((l, signed_doppler(kc, d.n)) for kc in range(d.n) for l in range(d.m))
         rng = np.random.default_rng(d.grid_size)
         x_tf = rng.standard_normal((d.m, d.n)) + 1j * rng.standard_normal((d.m, d.n))
-        matrix = build_dictionary(x_tf, pairs, pulse, d).matrix
+        matrix = build_dictionary(x_tf, pairs, d).matrix
         for j, (l, k) in enumerate(pairs):
-            dense = dense_atom(d, pulse, l, k) @ vec(x_tf)
+            dense = dense_atom(d, l, k) @ vec(x_tf)
             assert np.linalg.norm(matrix[:, j] - dense) <= 1e-14 * np.linalg.norm(dense)
 
     def test_empty_coarse_rejected(self, frame):
         with pytest.raises(ValueError, match="empty"):
-            build_dictionary(frame.pilot_only_tf, (), IDEAL, D)
+            build_dictionary(frame.pilot_only_tf, (), D)
 
 
 class TestDictionaryCache:
     def test_repeated_frame_returns_the_cached_dictionary(self, frame):
         pairs = STATS.region_pairs
-        first = cached_dictionary(frame.pilot_only_tf, pairs, IDEAL, D)
-        assert cached_dictionary(frame.pilot_only_tf.copy(), pairs, IDEAL, D) is first
-        other = cached_dictionary(2.0 * frame.pilot_only_tf, pairs, IDEAL, D)
+        first = cached_dictionary(frame.pilot_only_tf, pairs, D)
+        assert cached_dictionary(frame.pilot_only_tf.copy(), pairs, D) is first
+        other = cached_dictionary(2.0 * frame.pilot_only_tf, pairs, D)
         np.testing.assert_array_equal(other.matrix, 2.0 * first.matrix)
         np.testing.assert_array_equal(
-            first.matrix, build_dictionary(frame.pilot_only_tf, pairs, IDEAL, D).matrix
+            first.matrix, build_dictionary(frame.pilot_only_tf, pairs, D).matrix
         )
 
     def test_cached_matrix_and_gram_are_read_only(self, frame):
         for build in (build_dictionary, cached_dictionary):
-            d = build(frame.pilot_only_tf, STATS.region_pairs, IDEAL, D)
+            d = build(frame.pilot_only_tf, STATS.region_pairs, D)
             with pytest.raises(ValueError):
                 d.matrix[0, 0] = 1.0
             with pytest.raises(ValueError):
@@ -363,7 +360,7 @@ class TestDictionaryCache:
         spec = FrameSpec(dims=D, sequence_kind="zadoff_chu", placement="uniform_random")
         rng = np.random.default_rng(50)
         for _ in range(50):
-            cached_dictionary(assemble_frame(spec, rng).pilot_only_tf, STATS.region_pairs, IDEAL, D)
+            cached_dictionary(assemble_frame(spec, rng).pilot_only_tf, STATS.region_pairs, D)
             assert estimator._frame_dictionary.cache_info().currsize <= estimator.DICTIONARY_CACHE_SIZE
         assert estimator._frame_dictionary.cache_info().currsize == estimator.DICTIONARY_CACHE_SIZE
 
@@ -388,22 +385,21 @@ class TestDictionaryCache:
 
 
 class TestReconstruct:
-    @pytest.mark.parametrize("kind", ["ideal", "rectangular"])
     @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
-    def test_whole_grid_matches_dense_oracle(self, shape, kind):
-        d, pulse = Dims(*shape), Pulse(kind)
+    def test_whole_grid_matches_dense_oracle(self, shape):
+        d = Dims(*shape)
         pairs = tuple((l, signed_doppler(kc, d.n)) for kc in range(d.n) for l in range(d.m))
-        atoms = [dense_atom(d, pulse, l, k) for l, k in pairs]
+        atoms = [dense_atom(d, l, k) for l, k in pairs]
         rng = np.random.default_rng(d.grid_size)
         h = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
         h[rng.random(len(pairs)) < 0.3] = 0.0
         # a sum of every bin's closed-form atom: within 1e-14 of the oracle's sum in
         # Frobenius norm, relative
-        bands = reconstruct(h, pairs, pulse, d)
+        bands = reconstruct(h, pairs, d)
         dense = dense_reconstruct_oracle(h, atoms)
         assert bands.shape == (2, d.n, d.m, d.m)
         assert np.linalg.norm(bands_to_dense(bands) - dense) <= 1e-14 * np.linalg.norm(dense)
-        assert not reconstruct(np.zeros(len(pairs), dtype=complex), pairs, pulse, d).any()
+        assert not reconstruct(np.zeros(len(pairs), dtype=complex), pairs, d).any()
 
     @pytest.mark.parametrize("shape", [(8, 14, 2), (6, 5, 3)])
     def test_any_pairs_match_dense_oracle(self, shape):
@@ -413,10 +409,10 @@ class TestReconstruct:
         rng = np.random.default_rng(d.frame_len)
         edges = ((d.m - 1, 1), (0, 0), (0, d.n // 2), (d.m - 1, -((d.n - 1) // 2)))
         for pairs in (((1, 0), (2, 0), (3, 0)), ((2, -1), (0, 2), (1, 1)), edges, ((1, 1), (1, 1)), ()):
-            atoms = [dense_atom(d, IDEAL, l, k) for l, k in pairs] or [np.zeros((d.grid_size,) * 2)]
+            atoms = [dense_atom(d, l, k) for l, k in pairs] or [np.zeros((d.grid_size,) * 2)]
             h = rng.standard_normal(len(pairs)) + 1j * rng.standard_normal(len(pairs))
             np.testing.assert_allclose(
-                bands_to_dense(reconstruct(h, pairs, IDEAL, d)), dense_reconstruct_oracle(h, atoms),
+                bands_to_dense(reconstruct(h, pairs, d)), dense_reconstruct_oracle(h, atoms),
                 rtol=1e-14, atol=1e-14,
             )
 
@@ -520,7 +516,7 @@ class TestSolveLs:
     def test_noiseless_three_path_gains(self, frame):
         paths = [(0.5 + 0.1j, 0, 1), (-0.3 + 0.4j, 1, -2), (0.25, 2, 3)]
         y = received_tf(frame, make_channel(paths))
-        d = build_dictionary(frame.pilot_only_tf, ((0, 1), (1, -2), (2, 3)), IDEAL, D)
+        d = build_dictionary(frame.pilot_only_tf, ((0, 1), (1, -2), (2, 3)), D)
         np.testing.assert_allclose(
             solve_ls(vec(y), d), [0.5 + 0.1j, -0.3 + 0.4j, 0.25], atol=1e-10
         )
@@ -628,7 +624,7 @@ class TestSolveLasso:
         n0 = 10.0 ** (-snr_db / 10.0)
         y = received_tf(frame, sample_channel(STATS, D, rng), n0=n0, rng=rng)
         pairs = tuple((l, signed_doppler(kc, D.n)) for kc in range(D.n) for l in range(D.m))
-        d = build_dictionary(frame.pilot_only_tf, pairs, IDEAL, D)
+        d = build_dictionary(frame.pilot_only_tf, pairs, D)
         cfg = LassoConfig()
         ref, converged = fista_reference(vec(y), d.matrix, cfg.lam, cfg.tol, cfg.max_iter)
         assert converged
@@ -659,8 +655,8 @@ class TestSolveLasso:
 
     def test_solves_on_a_cached_dictionary_return_independent_arrays(self, frame):
         pairs = tuple((l, signed_doppler(kc, D.n)) for kc in range(D.n) for l in range(D.m))
-        d = cached_dictionary(frame.pilot_only_tf, pairs, IDEAL, D)
-        assert cached_dictionary(frame.pilot_only_tf, pairs, IDEAL, D) is d
+        d = cached_dictionary(frame.pilot_only_tf, pairs, D)
+        assert cached_dictionary(frame.pilot_only_tf, pairs, D) is d
         rng = np.random.default_rng(4)
         ys = [vec(received_tf(frame, sample_channel(STATS, D, rng), n0=0.1, rng=rng)) for _ in range(2)]
         first = solve_lasso(ys[0], d, LassoConfig())
@@ -689,7 +685,7 @@ class TestSolveLasso:
             (0, 1), (0, -1), (0, 2), (1, -2), (1, 3), (1, -3),
             (2, 0), (2, 1), (2, 2), (2, 3),
         ]
-        d = build_dictionary(frame.pilot_only_tf, tuple(true_pairs + spurious), IDEAL, D)
+        d = build_dictionary(frame.pilot_only_tf, tuple(true_pairs + spurious), D)
         h = solve_lasso(vec(y), d, LassoConfig())
         for j, pair in enumerate(d.pairs):
             if pair in true_pairs:
@@ -812,7 +808,7 @@ class TestSolveLassoRows:
 
     def test_rows_match_on_a_lattice_full_grid_frame(self, monkeypatch, frame):
         pairs = tuple((l, signed_doppler(kc, D.n)) for kc in range(D.n) for l in range(D.m))
-        d = build_dictionary(frame.pilot_only_tf, pairs, IDEAL, D)
+        d = build_dictionary(frame.pilot_only_tf, pairs, D)
         rng = np.random.default_rng(8)
         y = np.stack([
             vec(received_tf(frame, sample_channel(STATS, D, rng), n0=n0, rng=rng))
@@ -834,28 +830,27 @@ class TestSolveLassoRows:
         assert h.shape == (0, d.matrix.shape[1])
 
 
-def full_grid_dictionary(shape, sequence_kind="all_ones", placement="lattice", pulse=IDEAL):
+def full_grid_dictionary(shape, sequence_kind="all_ones", placement="lattice"):
     d = Dims(*shape)
     spec = FrameSpec(dims=d, sequence_kind=sequence_kind, placement=placement)
     frame = assemble_frame(spec, np.random.default_rng(0))
-    return build_dictionary(frame.pilot_only_tf, full_grid_pairs(d), pulse, d)
+    return build_dictionary(frame.pilot_only_tf, full_grid_pairs(d), d)
 
 
 class TestGramBlocks:
     # on the all-ones and Walsh lattices even delays never couple to odd
     # ones, and each block is a real matrix up to a diagonal phase similarity
     @pytest.mark.parametrize(
-        "shape,sequence_kind,pulse,sizes",
+        "shape,sequence_kind,sizes",
         [
-            ((8, 14, 2), "all_ones", IDEAL, [56, 56]),
-            ((8, 14, 2), "all_ones", Pulse("rectangular"), [56, 56]),
-            ((16, 14, 3), "all_ones", IDEAL, [84, 84, 56]),
-            ((8, 16, 2), "walsh", IDEAL, [64, 64]),
+            ((8, 14, 2), "all_ones", [56, 56]),
+            ((16, 14, 3), "all_ones", [84, 84, 56]),
+            ((8, 16, 2), "walsh", [64, 64]),
         ],
-        ids=["8x14-ideal", "8x14-rectangular", "16x14", "walsh-8x16"],
+        ids=["8x14", "16x14", "walsh-8x16"],
     )
-    def test_lattice_gram_is_block_diagonal(self, shape, sequence_kind, pulse, sizes):
-        d = full_grid_dictionary(shape, sequence_kind, pulse=pulse)
+    def test_lattice_gram_is_block_diagonal(self, shape, sequence_kind, sizes):
+        d = full_grid_dictionary(shape, sequence_kind)
         order, blocks = d.gram_blocks
         bound = estimator.GRAM_LINK_RTOL * np.abs(d.gram).max()
         assert sorted(order) == list(range(len(d.gram)))
@@ -917,17 +912,17 @@ class TestGramBlocks:
     # block is real, so the rows run in the blocks' phases
     @pytest.mark.parametrize("cut", [False, True])
     @pytest.mark.parametrize(
-        "shape,sequence_kind,pulse,short",
+        "shape,sequence_kind,short",
         [
-            ((8, 16, 2), "walsh", IDEAL, 270),
-            ((16, 14, 3), "all_ones", IDEAL, 500),
-            ((8, 14, 2), "all_ones", Pulse("rectangular"), 275),
+            ((8, 16, 2), "walsh", 270),
+            ((16, 14, 3), "all_ones", 500),
+            ((8, 14, 2), "all_ones", 275),
         ],
-        ids=["walsh-8x16", "16x14", "8x14-rectangular"],
+        ids=["walsh-8x16", "16x14", "8x14"],
     )
-    def test_rows_match_fista_oracle_across_blocks(self, monkeypatch, shape, sequence_kind, pulse, short, cut):
+    def test_rows_match_fista_oracle_across_blocks(self, monkeypatch, shape, sequence_kind, short, cut):
         # received vectors of three paths each, at five noise levels
-        d = full_grid_dictionary(shape, sequence_kind, pulse=pulse)
+        d = full_grid_dictionary(shape, sequence_kind)
         blocks = d.gram_blocks[1]
         assert len(blocks) > 1 and all(block.dtype == float for _, block, _ in blocks)
         rows, cols = d.matrix.shape
@@ -961,7 +956,7 @@ class TestCdceEstimate:
         ch = make_channel([(gain, 2, -3)])
         y = received_tf(frame, ch)
         est = cdce_estimate(y, frame, STATS, n0=0.0)
-        h_true = effective_tf_channel(ch, IDEAL)
+        h_true = effective_tf_channel(ch)
         assert est.h_tf_hat.shape == h_true.shape == (2, D.n, D.m, D.m)
         err = np.linalg.norm(est.h_tf_hat - h_true) / np.linalg.norm(h_true)
         assert err < 1e-8
@@ -1039,7 +1034,7 @@ class TestCdceEstimate:
         y = received_tf(frame, make_channel([(0.9, 1, 1)]))
         built = []
 
-        def build(pilot_only_tf, pairs, pulse, d):
+        def build(pilot_only_tf, pairs, d):
             built.append(Dictionary(matrix=conditioned(d.grid_size, len(pairs), cond), pairs=tuple(pairs)))
             return built[-1]
 
@@ -1067,5 +1062,5 @@ class TestCdceEstimate:
         est = cdce_estimate(y, frame, STATS, n0=1e-4)
         rebuilt = np.zeros((D.grid_size, D.grid_size), dtype=complex)
         for g, pair in zip(est.h_hat, est.pairs):
-            rebuilt += g * dense_atom(D, IDEAL, *pair)
+            rebuilt += g * dense_atom(D, *pair)
         np.testing.assert_allclose(bands_to_dense(est.h_tf_hat), rebuilt, atol=1e-12)

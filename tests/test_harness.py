@@ -12,7 +12,6 @@ import cdce.harness as harness
 from cdce.baselines import st_ls
 from cdce.channel import (
     ChannelStats,
-    Pulse,
     apply_channel,
     effective_tf_channel,
     sample_channel,
@@ -90,7 +89,6 @@ class TestSimConfig:
         cfg = make_config()
         assert cfg.frame.data_mode == "none"
         assert cfg.base_seed == 0
-        assert cfg.pulse == Pulse("ideal")
 
     @pytest.mark.parametrize(
         "overrides",
@@ -139,9 +137,9 @@ class TestRunTrial:
         channel_rng, frame_rng, noise_rng = harness._trial_rngs(cfg, 5.0, 2)
         ch = sample_channel(cfg.stats, D, channel_rng)
         frame = assemble_frame(cfg.frame, frame_rng)
-        r = apply_channel(tf_to_time(frame.tf, D, with_cp=True), time_channel_matrix(ch, cfg.pulse), n0, noise_rng)
+        r = apply_channel(tf_to_time(frame.tf, D, with_cp=True), time_channel_matrix(ch), n0, noise_rng)
         y = time_to_tf(remove_cp(r, D), D)
-        h_true = effective_tf_channel(ch, cfg.pulse)
+        h_true = effective_tf_channel(ch)
         h_hat = st_ls(y, frame) / (1.0 + n0)
         want = np.sum(np.abs(h_hat - h_true) ** 2) / np.sum(np.abs(h_true) ** 2)
         assert ratios[0] == pytest.approx(want, rel=1e-12)
@@ -259,17 +257,18 @@ def dense_trial(cfg, snr_db, t, cov):
     np.interp loop's grid, and fs_lmmse's bands scattered into a matrix."""
     d = cfg.dims
     n0 = harness._check_snr(snr_db)
-    ch, frame, y_tf = harness._received(cfg, snr_db, t, n0)
-    h_true = dense_effective_tf(time_channel_matrix(ch, cfg.pulse), d)
+    _, frame, y_tf = harness._received(cfg, snr_db, t, n0)
+    ch = sample_channel(cfg.stats, d, harness._trial_rngs(cfg, snr_db, t)[0])
+    h_true = dense_effective_tf(time_channel_matrix(ch), d)
 
     def summed(gains, pairs):
-        return dense_reconstruct_oracle(gains, [dense_atom(d, cfg.pulse, l, k) for l, k in pairs])
+        return dense_reconstruct_oracle(gains, [dense_atom(d, l, k) for l, k in pairs])
 
     mask = frame.pilot_mask
     ratios = np.where(mask, y_tf / np.where(mask, frame.pilot_only_tf, 1), 0)
     single_tap = np.diag(vec(interpolate_grid_loop(ratios, mask)))
-    est = cdce_estimate(y_tf, frame, cfg.stats, n0, lasso=cfg.lasso, pulse=cfg.pulse)
-    gains = baselines.tf_lasso_gains(vec(y_tf), frame, cfg.lasso, cfg.pulse)
+    est = cdce_estimate(y_tf, frame, cfg.stats, n0, lasso=cfg.lasso)
+    gains = baselines.tf_lasso_gains(vec(y_tf), frame, cfg.lasso)
     estimates = {
         "cdce": summed(est.h_hat, est.pairs) if est.pairs else np.zeros_like(h_true),
         "fs_lmmse": bands_to_dense(baselines.fs_lmmse(y_tf, frame, cov, n0)),
@@ -339,13 +338,16 @@ def assert_each_draw_precedes_its_detection(monkeypatch, cfg):
     """A tracer scores each threshold_select against the latest
     sample_channel, so a sweep must draw trial t's channel right before
     trial t's detection, once, in trial order; the benchmark times the sweep
-    between its run_trial calls, one per trial."""
+    between its run_trial calls, one per trial. The trial's truth is built
+    once, right after the draw, and every estimator is scored against it."""
     want = []
     for snr_db in cfg.snr_grid_db:
         for t in range(cfg.trials):
-            want += [harness._received(cfg, snr_db, t, harness._check_snr(snr_db))[0], "select"]
+            ch = harness.sample_channel(cfg.stats, cfg.dims, harness._trial_rngs(cfg, snr_db, t)[0])
+            want += [ch, ("truth", ch), "select"]
     calls = []
     sample_channel, threshold_select = harness.sample_channel, estimator.threshold_select
+    effective_tf_channel = harness.effective_tf_channel
 
     def sampling(*args):
         ch = sample_channel(*args)
@@ -353,6 +355,8 @@ def assert_each_draw_precedes_its_detection(monkeypatch, cfg):
         return ch
 
     monkeypatch.setattr(harness, "sample_channel", sampling)
+    monkeypatch.setattr(harness, "effective_tf_channel",
+                        lambda ch: calls.append(("truth", ch)) or effective_tf_channel(ch))
     monkeypatch.setattr(estimator, "threshold_select", lambda *a: calls.append("select") or threshold_select(*a))
     keys = []
     run_trial = harness.run_trial
@@ -401,14 +405,27 @@ class TestBatchedLassoSweep:
                 assert row.nmse_db.hex() == harness.ratio_db(mean).hex()
                 assert row.stderr_db.hex() == stderr.hex()
 
-    def test_random_pilot_sweep_solves_trial_by_trial(self, solves):
+    def test_random_pilot_sweep_solves_trial_by_trial(self, monkeypatch, solves):
+        # off the lattice, each run_trial call solves and scores its own
+        # trial's tf_lasso problem
         spec = FrameSpec(dims=D, sequence_kind="zadoff_chu", placement="uniform_random")
         cfg = lasso_sweep_config(frame=spec, trials=3, snr_grid_db=(10.0,))
+        calls = []
+        run_trial = harness.run_trial
+
+        def counted(c, snr_db, t, *args, **kwargs):
+            before = len(solves)
+            out = run_trial(c, snr_db, t, *args, **kwargs)
+            calls.append((t, len(solves) - before, sorted(out)))
+            return out
+
+        monkeypatch.setattr(harness, "run_trial", counted)
         with warnings.catch_warnings():
             # a full-grid fit on random pilots may use up max_iter; only the calls matter here
             warnings.simplefilter("ignore", RuntimeWarning)
             run_sweep(cfg)
         assert solves == [(112,)] * 3
+        assert calls == [(t, 1, ["cdce", "tf_lasso"]) for t in range(3)]
 
     @pytest.mark.parametrize("spec", [
         FrameSpec(dims=D, data_mode="qpsk"),
@@ -417,8 +434,8 @@ class TestBatchedLassoSweep:
     def test_a_lattice_chunk_keeps_only_its_first_frame(self, monkeypatch, spec):
         monkeypatch.setattr(harness, "LASSO_BATCH", 5)
         cfg = lasso_sweep_config(frame=spec, trials=7, snr_grid_db=(10.0,), estimators=("tf_lasso",))
-        drawn, scored = [], []
-        received, tf_lasso = harness._received, harness.tf_lasso
+        drawn, scored, truths = [], [], []
+        received, tf_lasso, ratio = harness._received, harness.tf_lasso, harness._ratio
 
         def drawing(*args):
             drawn.append(received(*args))
@@ -430,6 +447,8 @@ class TestBatchedLassoSweep:
 
         monkeypatch.setattr(harness, "_received", drawing)
         monkeypatch.setattr(harness, "tf_lasso", scoring)
+        monkeypatch.setattr(harness, "_ratio",
+                            lambda h_hat, h_true, energy: truths.append(h_true) or ratio(h_hat, h_true, energy))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             run_sweep(cfg)
@@ -437,6 +456,8 @@ class TestBatchedLassoSweep:
         if spec.placement == "lattice":
             frames = [frames[0]] * 5 + [frames[5]] * 2
         assert len(scored) == 7 and all(a is b for a, b in zip(scored, frames))
+        # each score is against the truth its trial's chain built
+        assert len(truths) == 7 and all(a is h_true for a, (h_true, _, _) in zip(truths, drawn))
 
     @pytest.mark.parametrize("data_mode", ["none", "qpsk"])
     def test_run_trial_given_its_chain_matches_run_trial(self, monkeypatch, data_mode):
@@ -505,11 +526,11 @@ class TestBatchedLassoSweep:
     def test_tf_lasso_without_gains_solves(self, soft_thresholds):
         cfg = lasso_sweep_config(trials=1, snr_grid_db=(10.0,))
         _, frame, y_tf = harness._received(cfg, 10.0, 0, harness._check_snr(10.0))
-        solved = baselines.tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse)
+        solved = baselines.tf_lasso(y_tf, frame, cfg.lasso)
         assert len(soft_thresholds) > 0
-        gains = baselines.tf_lasso_gains(vec(y_tf), frame, cfg.lasso, cfg.pulse)
+        gains = baselines.tf_lasso_gains(vec(y_tf), frame, cfg.lasso)
         soft_thresholds.clear()
-        given = baselines.tf_lasso(y_tf, frame, cfg.lasso, cfg.pulse, gains=gains)
+        given = baselines.tf_lasso(y_tf, frame, cfg.lasso, gains=gains)
         assert soft_thresholds == []
         assert given.tobytes() == solved.tobytes()
 
