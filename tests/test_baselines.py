@@ -221,7 +221,8 @@ class TestFitCovariance:
             atol=1e-10 * np.linalg.norm(scatter) ** 2 * np.linalg.norm(probe),
         )
 
-    @pytest.mark.parametrize("seed", [0, 5, 0x636F76])
+    # the ids name the sample grid's ("ideal") pulse, the only one modelled
+    @pytest.mark.parametrize("seed", [0, 5, 0x636F76], ids=lambda s: f"{s}-ideal")
     def test_matches_the_sample_channel_loop_bit_for_bit(self, seed):
         for stats, k in ((ChannelStats(), 200), (ChannelStats(n_paths=5, l_max=1, k_max=2), 30)):
             cov = fit_covariance(stats, D, k, np.random.default_rng(seed))

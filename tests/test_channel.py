@@ -40,6 +40,11 @@ from oracles import (
 
 D = Dims(8, 14, 2)
 
+# The atom cases run on the sample grid's own ("ideal") pulse, the channel
+# model's only one, and their ids name it as they did beside the deleted
+# rectangular pulse.
+IDEAL_SHAPE_IDS = [f"shape{i}-ideal" for i in range(4)]
+
 
 def payload_clock(d):
     """Payload sample index of every CP-extended sample: CP samples inherit
@@ -178,7 +183,7 @@ class TestTimeChannelMatrix:
         g2 = time_channel_matrix(single_path(0.5 - 0.25j, 2, -3))
         np.testing.assert_allclose(g2, (0.5 - 0.25j) * g1, atol=1e-12)
 
-    @pytest.mark.parametrize("d", [D, Dims(6, 5, 3)], ids=str)
+    @pytest.mark.parametrize("d", [D, Dims(6, 5, 3)], ids=lambda d: f"{d}-ideal")
     def test_matches_entrywise_oracle(self, d):
         rng = np.random.default_rng(d.grid_size)
         paths = tuple(
@@ -273,7 +278,9 @@ class TestEffectiveTfChannel:
             dense_h_tf(ch), dense_effective_tf_oracle(g, D.m, D.n, D.cp_len), atol=1e-10
         )
 
-    @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
+    @pytest.mark.parametrize(
+        "shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)], ids=IDEAL_SHAPE_IDS
+    )
     def test_bands_are_the_dense_blocks_within_1e_14(self, shape):
         # a unit-gain path at every delay of the grid, at both Doppler edges:
         # the bands are the dense blocks within 1e-14 (the closed-form atoms
@@ -297,7 +304,9 @@ class TestEffectiveTfChannel:
                         if c not in (r, r - 1):
                             assert not kron[r * m:(r + 1) * m, c * m:(c + 1) * m].any()
 
-    @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
+    @pytest.mark.parametrize(
+        "shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)], ids=IDEAL_SHAPE_IDS
+    )
     def test_random_channels_match_the_dense_sandwich(self, shape):
         # three paths with complex gains: the closed-form atom sum rounds
         # differently from the dense sandwich of G, but only at the last bits
@@ -344,7 +353,9 @@ class TestEffectiveTfChannel:
 
 
 class TestUnitPathCache:
-    @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
+    @pytest.mark.parametrize(
+        "shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)], ids=IDEAL_SHAPE_IDS
+    )
     def test_bands_are_the_dense_atom_within_1e_14(self, shape):
         # every bin's closed-form atom is its dense atom's two bands, entrywise
         # within 1e-14, and the dense atom's symbol blocks are symbol 0's
@@ -386,7 +397,9 @@ class TestUnitPathCache:
         with pytest.raises(ValueError, match="delay"):
             unit_path_tf_channel(d, d.m + d.cp_len, 0)
 
-    @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
+    @pytest.mark.parametrize(
+        "shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)], ids=IDEAL_SHAPE_IDS
+    )
     def test_grid_bins_sit_at_their_arithmetic_slots(self, shape):
         # bin (l, k) at slot (k mod N) M + l of the table, and the bins in any
         # order look up the same blocks and ramps
@@ -404,7 +417,9 @@ class TestUnitPathCache:
             ramp = np.exp(2j * np.pi * k * np.arange(d.n) / d.n)
             np.testing.assert_allclose(ramps[slot], ramp, rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
+    @pytest.mark.parametrize(
+        "shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)], ids=IDEAL_SHAPE_IDS
+    )
     def test_full_grid_pairs_look_up_the_table_itself(self, shape):
         # the full_grid_pairs tuple is the table's own order, so it gets the
         # read-only table with no copy; the same pairs as a list are checked

@@ -47,6 +47,12 @@ from oracles import (
 )
 
 D = Dims(8, 14, 2)
+
+# The atom cases run on the sample grid's own ("ideal") pulse, the channel
+# model's only one, and their ids name it as they did beside the deleted
+# rectangular pulse.
+IDEAL_SHAPE_IDS = [f"shape{i}-ideal" for i in range(4)]
+
 STATS = ChannelStats()
 
 
@@ -320,7 +326,9 @@ class TestBuildDictionary:
         d = build_dictionary(frame.pilot_only_tf, ((2, -3),), D)
         np.testing.assert_allclose(vec(y), gain * d.matrix[:, 0], atol=1e-10)
 
-    @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
+    @pytest.mark.parametrize(
+        "shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)], ids=IDEAL_SHAPE_IDS
+    )
     def test_columns_match_dense_atom_products(self, shape):
         # the band products sum only the non-zero terms of the dense ones
         d = Dims(*shape)
@@ -385,7 +393,9 @@ class TestDictionaryCache:
 
 
 class TestReconstruct:
-    @pytest.mark.parametrize("shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)])
+    @pytest.mark.parametrize(
+        "shape", [(8, 14, 2), (4, 4, 0), (6, 5, 3), (3, 7, 1)], ids=IDEAL_SHAPE_IDS
+    )
     def test_whole_grid_matches_dense_oracle(self, shape):
         d = Dims(*shape)
         pairs = tuple((l, signed_doppler(kc, d.n)) for kc in range(d.n) for l in range(d.m))
@@ -847,7 +857,7 @@ class TestGramBlocks:
             ((16, 14, 3), "all_ones", [84, 84, 56]),
             ((8, 16, 2), "walsh", [64, 64]),
         ],
-        ids=["8x14", "16x14", "walsh-8x16"],
+        ids=["8x14-ideal", "16x14", "walsh-8x16"],
     )
     def test_lattice_gram_is_block_diagonal(self, shape, sequence_kind, sizes):
         d = full_grid_dictionary(shape, sequence_kind)
