@@ -5,15 +5,17 @@
 
 Simulates the received vectors of trials 0 .. SOLVES-1 at one SNR point with
 the config's keyed transmit chain, then solves their tf_lasso problems in
-alternating rounds: one by one with a 1-D vector (the single-vector loop),
-one by one as a (1, MN) stack (the row loop on one row), and in chunks of
-harness.LASSO_BATCH rows (the row loop as run_sweep runs it), or of each
-chunk size that --batch lists, so that the sizes alternate in one process.
-The single-vector loop is pinned to tests/oracles.py::fista_reference; every
-row of the other ways must lie within rtol 1e-12 / atol 1e-13 of it, with the
-same zero entries, or the script exits 1. Prints, per way, the median and
-quartiles over the rounds of the milliseconds per solve. BLAS runs on one
-thread unless the environment sets otherwise.
+alternating rounds: one by one with a 1-D vector (the single-vector loop, on
+the dictionary's whole step matrix), one by one as a (1, MN) stack (the row
+loop on one row, block by block), and in chunks of harness.LASSO_BATCH rows
+(the row loop as run_sweep runs it), or of each chunk size that --batch
+lists, so that the sizes alternate in one process. tests/test_estimator.py
+holds both loops to tests/oracles.py::fista_reference within rtol 1e-12 /
+atol 1e-13; here every row of the other ways must lie within that bound of
+the single-vector loop's solve, with the same zero entries, or the script
+exits 1. Prints, per way, the median and quartiles over the rounds of the
+milliseconds per solve. BLAS runs on one thread unless the environment sets
+otherwise.
 """
 
 from __future__ import annotations

@@ -74,10 +74,29 @@ class CoarseEstimate:
 
 
 @dataclass(frozen=True)
+class FistaOperator:
+    """FISTA's gradient step on a dictionary, read-only, in the column
+    ``order`` of ``Dictionary.gram_blocks`` and rotated by its unit
+    ``phases`` p (in that order): with G = diag(p)·R·diag(p̄) blockwise, the
+    step z + eps·(p̄Dᴴy - R z) is (I - eps R) z + eps·p̄Dᴴy. ``blocks`` holds
+    (rows, I - eps R) per Gram block, and ``whole`` the same blocks as one
+    P x P matrix S, zero between them: real when every block is real, else
+    complex (I - eps G itself when the Gram is one complex block)."""
+
+    order: slice | np.ndarray
+    phases: np.ndarray
+    eps: float
+    blocks: tuple[tuple[slice, np.ndarray], ...]
+    whole: np.ndarray
+
+
+@dataclass(frozen=True)
 class Dictionary:
     """TF response dictionary restricted to a candidate support, with its
     Gram matrix and the Gram's eigenvalues computed on first use: they give
-    FISTA's step (``norm_sq``) and the least-squares gate (``cond``)."""
+    FISTA's step (``norm_sq``) and the least-squares gate (``cond``). The
+    Gram's blocks and FISTA's step-folded operator on them are cached the
+    same way."""
 
     matrix: np.ndarray
     pairs: tuple[tuple[int, int], ...]
@@ -151,6 +170,28 @@ class Dictionary:
         if not whole:
             order.setflags(write=False)
         return order, tuple(blocks)
+
+    @cached_property
+    def fista_operator(self) -> FistaOperator:
+        """FISTA's gradient step in the rotated coordinates of
+        ``gram_blocks``, with the step eps = 1/``norm_sq`` folded in.
+        Needs a positive ``norm_sq``."""
+        order, blocks = self.gram_blocks
+        eps = 1.0 / self.norm_sq
+        steps = tuple((rows, np.identity(len(block)) - eps * block) for rows, block, _ in blocks)
+        for _, step in steps:
+            step.setflags(write=False)
+        if len(steps) == 1:
+            whole = steps[0][1]
+        else:
+            dtype = float if all(step.dtype == float for _, step in steps) else complex
+            whole = np.zeros((len(self.gram), len(self.gram)), dtype=dtype)
+            for rows, step in steps:
+                whole[rows, rows] = step
+            whole.setflags(write=False)
+        phases = np.concatenate([p for _, _, p in blocks])
+        phases.setflags(write=False)
+        return FistaOperator(order=order, phases=phases, eps=eps, blocks=steps, whole=whole)
 
     @property
     def norm_sq(self) -> float:
@@ -300,27 +341,25 @@ def solve_lasso(y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig) -> np.n
     (an underestimate would make the iteration diverge), per-step threshold
     lambda times the step, Nesterov momentum from beta_0 = 1, stopping on the
     relative change of the iterate. Using up ``max_iter`` without meeting
-    ``tol`` emits a RuntimeWarning and returns the last iterate. The Gram and
-    the step come with the dictionary.
+    ``tol`` emits a RuntimeWarning and returns the last iterate. The Gram,
+    the step and the step-folded operator (``Dictionary.fista_operator``)
+    come with the dictionary.
 
     A 1-D ``y`` runs the single-vector loop. A (K, rows) stack of received
     vectors runs one loop over all K rows and returns a (K, cols) array, with
-    one RuntimeWarning per row that uses up ``max_iter``. Each row stops at
-    its own solve's iteration and agrees with it to rounding: its matrix
-    product is a gemm on the Gram's blocks, a real one where
-    ``Dictionary.gram_blocks`` finds a block real up to unit phases, with
-    the step folded into the block. The shape picks the loop because the
-    row loop, run on a single row, is slower per solve.
+    one RuntimeWarning per row that uses up ``max_iter``. Both loops run the
+    plain formula in the operator's rotated coordinates, a vector on its
+    whole step matrix and a stack block by block, so every solve agrees with
+    the plain loop to rounding and stops at its iteration. The shape picks
+    the loop because the row loop, run on a single row, is slower per solve.
     """
-    norm_sq = dictionary.norm_sq
-    if norm_sq <= 0:
+    if dictionary.norm_sq <= 0:
         raise ValueError("degenerate dictionary with zero spectral norm")
-    eps = 1.0 / norm_sq
-    gamma = cfg.lam * eps
+    gamma = cfg.lam * dictionary.fista_operator.eps
     if np.ndim(y) == 2:
-        h, stalled = _fista_rows(np.asarray(y), dictionary, cfg, eps, gamma)
+        h, stalled = _fista_rows(np.asarray(y), dictionary, cfg, gamma)
     else:
-        h, stalled = _fista_vector(y, dictionary, cfg, eps, gamma)
+        h, stalled = _fista_vector(y, dictionary, cfg, gamma)
     for change in stalled:
         warnings.warn(
             f"FISTA did not converge: lam={cfg.lam:g}, max_iter={cfg.max_iter} used up "
@@ -332,33 +371,38 @@ def solve_lasso(y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig) -> np.n
 
 
 def _fista_vector(
-    y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig, eps: float, gamma: float
+    y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig, gamma: float
 ) -> tuple[np.ndarray, list[float]]:
     """The FISTA loop on one received vector: the last iterate, and its last
     relative change if it used up ``max_iter`` (else nothing).
 
-    Both norms of the stopping rule are numpy's own formula,
-    sqrt(re.re + im.im). The work vectors are allocated once per solve and
-    updated in place with the operands in the order of the plain formula
-    (with fused multiply-add, a complex product is not bitwise commutative),
-    and the iterate change feeds both the momentum and the stopping rule, so
-    every iterate equals the plain loop's.
+    It runs in the rotated coordinates of ``Dictionary.fista_operator``:
+    eps Dᴴy is permuted into the blocks' order and multiplied by p̄ once,
+    each gradient step is v = S z + eps p̄Dᴴy on the whole step matrix S,
+    and the last iterate is multiplied by p and permuted back once. A real S
+    acts as one real matmul on the (P, 2) float view of the complex vector,
+    half the multiplies of a complex gemv. The soft threshold keeps phases,
+    and the momentum and both norms of the stopping rule (numpy's own
+    formula, sqrt(re.re + im.im)) do not see them. The work vectors are
+    allocated once per solve and updated in place; ``soft_threshold``
+    returns each new iterate.
     """
-    d = dictionary.matrix
-    gram = dictionary.gram
-    dty = d.conj().T @ y
-    h = np.zeros(d.shape[1], dtype=complex)
+    op = dictionary.fista_operator
+    shift = op.eps * (dictionary.matrix.conj().T @ y)[op.order] * op.phases.conj()
+    h = np.zeros(len(shift), dtype=complex)
     z = h.copy()
     v = np.empty_like(h)
     moved = np.empty_like(h)
     moved_re, moved_im = moved.real, moved.imag
+    if op.whole.dtype == float:
+        # a real matrix acts on the real and imaginary parts alike
+        z_in, v_out = z.view(float).reshape(-1, 2), v.view(float).reshape(-1, 2)
+    else:
+        z_in, v_out = z, v
     beta = 1.0
     for _ in range(cfg.max_iter):
-        # v = z + eps * (dty - gram @ z)
-        np.matmul(gram, z, out=v)
-        np.subtract(dty, v, out=v)
-        np.multiply(eps, v, out=v)
-        np.add(z, v, out=v)
+        np.matmul(op.whole, z_in, out=v_out)
+        np.add(v, shift, out=v)
         h_new = soft_threshold(v, gamma)
         beta_next = (1.0 + math.sqrt(1.0 + 4.0 * beta * beta)) / 2.0
         # z = h_new + ((beta - 1) / beta_next) * (h_new - h)
@@ -371,41 +415,32 @@ def _fista_vector(
         h = h_new
         change = delta / denom if denom > 0 else (0.0 if delta == 0 else math.inf)
         if change < cfg.tol:
-            return h, []
-    return h, [change]
+            return _unrotate(h, op), []
+    return _unrotate(h, op), [change]
 
 
 def _fista_rows(
-    y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig, eps: float, gamma: float
+    y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig, gamma: float
 ) -> tuple[np.ndarray, list[float]]:
     """The FISTA loop on every row of y at once: the last iterates, and the
     last relative change of each row that used up ``max_iter``.
 
-    The live problems are the columns of a (P, K) block, in the column
-    order of the Gram's diagonal blocks (``Dictionary.gram_blocks``) and
-    rotated into their phases: Dᴴy is multiplied by p̄ once, and the rows
-    by p once at the end. With G = diag(p)·R·diag(p̄), the gradient step,
-    the soft threshold (it keeps phases), the momentum and the stopping
-    norms all commute with that rotation, so each iteration is the plain
-    formula. The step is folded into each block's matrix, v = (I - eps R)
-    z + eps p̄Dᴴy: a real R acts as one real gemm on the (P, 2K) float view
-    of the complex block, half the multiplies of a complex gemm, and a
-    complex block (p = 1) as a complex one. Every live column is at the
-    same iteration, so beta is shared; the stopping rule takes one square
-    root per column of a ratio of squared norms, and each iterate's squared
-    norm is kept for the next iteration's denominator. The (P, K) work arrays are allocated once and
-    updated in place (``soft_threshold`` returns each new iterate); a
-    column that meets ``tol`` is stored and leaves them, compacted so that
-    they stay C-contiguous, and each row stops at its own iteration.
+    The live problems are the columns of a (P, K) block in the rotated
+    coordinates of ``Dictionary.fista_operator``, as in ``_fista_vector``,
+    but the step multiplies block by block: v = (I - eps R) z + eps p̄Dᴴy,
+    a real I - eps R as one real gemm on the (P, 2K) float view of the
+    complex block and a complex one (p = 1) as a complex gemm. Every live
+    column is at the same iteration, so beta is shared; the stopping rule
+    takes one square root per column of a ratio of squared norms, and each
+    iterate's squared norm is kept for the next iteration's denominator. The
+    (P, K) work arrays are allocated once and updated in place
+    (``soft_threshold`` returns each new iterate); a column that meets
+    ``tol`` is stored and leaves them, compacted so that they stay
+    C-contiguous, and each row stops at its own iteration.
     """
-    d = dictionary.matrix
-    order, blocks = dictionary.gram_blocks
-    shift = eps * (d.conj().T @ y.T)[order]
-    steps = []
-    for rows, block, p in blocks:
-        shift[rows] *= p.conj()[:, None]
-        steps.append((rows, np.identity(len(block)) - eps * block))
-    out = np.empty((len(y), d.shape[1]), dtype=complex)
+    op = dictionary.fista_operator
+    shift = op.eps * (dictionary.matrix.conj().T @ y.T)[op.order] * op.phases.conj()[:, None]
+    out = np.empty((len(y), len(shift)), dtype=complex)
     live = np.arange(len(y))
     h = np.zeros_like(shift)
     z = np.zeros_like(shift)
@@ -417,7 +452,7 @@ def _fista_rows(
     for _ in range(cfg.max_iter):
         if not live.size:
             break
-        for rows, step in steps:
+        for rows, step in op.blocks:
             if step.dtype == float:
                 # a real matrix acts on the real and imaginary parts alike
                 np.matmul(step, z[rows].view(float), out=v[rows].view(float))
@@ -442,16 +477,20 @@ def _fista_rows(
             h, z, shift = (a.compress(keep, axis=1) for a in (h, z, shift))
             v, moved = np.empty_like(z), np.empty_like(z)
     out[live] = h.T
-    for rows, _, p in blocks:
-        out[:, rows] *= p
-    gains = np.empty_like(out)
-    gains[:, order] = out
-    return gains, change.tolist()
+    return _unrotate(out, op), change.tolist()
+
+
+def _unrotate(h: np.ndarray, op: FistaOperator) -> np.ndarray:
+    """Iterates in the operator's rotated coordinates (the last axis) as
+    gains: multiplied by p, in the natural column order."""
+    gains = np.empty_like(h)
+    gains[..., op.order] = h * op.phases
+    return gains
 
 
 def _column_sum_squares(a: np.ndarray) -> np.ndarray:
     """re² + im² summed down each column of a C-contiguous complex block."""
-    sums = np.einsum("ij,ij->j", a.view(float), a.view(float))
+    sums = np.ones(len(a)) @ np.square(a.view(float))
     return sums[0::2] + sums[1::2]
 
 

@@ -27,7 +27,7 @@ from .baselines import (
     tf_lasso_gains,
 )
 from .channel import ChannelStats, effective_tf_channel, sample_channel, time_channel_matrix, apply_channel
-from .estimator import LassoConfig, cdce_estimate
+from .estimator import LS_CONDITION_LIMIT, LassoConfig, cached_dictionary, cdce_estimate
 from .grids import Dims, remove_cp, tf_to_time, time_to_tf, vec
 from .pilots import FrameSpec, assemble_frame
 
@@ -56,10 +56,11 @@ _COV_SEED_TAG = 0x636F76
 # where 96 rows led in every run, and 0.510 / 0.464 / 0.452 ms on
 # configs/with_data.yaml; on 384 solves (two runs) 0.55-0.57 / 0.47-0.49 /
 # 0.53-0.54 and 0.54-0.55 / 0.49-0.54 / 0.52-0.57 ms. 128 rows led only on
-# 100 solves, a sweep no config runs. One-by-one solves took 4.2-5.4 ms. A
-# lattice chunk with tf_lasso holds its trials' true bands (28 KiB each at
-# 8 x 14) and received grids, one frame, and the solve's (P, K) blocks,
-# about 1.5 MiB at 96 rows.
+# 100 solves, a sweep no config runs. One-by-one solves of the single-vector
+# loop on the dictionary's whole step matrix took 3.9-4.4 ms (500 solves,
+# one run per config). A lattice chunk with tf_lasso holds its trials' true
+# bands (28 KiB each at 8 x 14) and received grids, one frame, and the
+# solve's (P, K) blocks, about 1.5 MiB at 96 rows.
 LASSO_BATCH = 96
 
 # The largest noise variance simulated: noise of this variance squares to at
@@ -118,6 +119,21 @@ class SimConfig:
             raise ValueError(
                 f"k_max {stats.k_max} must stay below half the Doppler grid (N/2 = {dims.n / 2})"
             )
+        if self.frame.placement == "lattice":
+            # a lattice's pilot-only frame is fixed, so its region dictionary
+            # (the one fs_lmmse solves on, cached here for it) tells at load
+            # whether the lattice can tell every region bin from the others
+            frame = assemble_frame(replace(self.frame, data_mode="none"))
+            cond = cached_dictionary(frame.pilot_only_tf, stats.region_pairs, frame.dims).cond
+            if not cond < LS_CONDITION_LIMIT:
+                lattice = self.frame.lattice
+                raise ValueError(
+                    f"the pilot lattice aliases the search region: its dictionary's condition number "
+                    f"{cond:.3g} is not below {LS_CONDITION_LIMIT:.0e}. A lattice resolves the region when "
+                    f"freq_spacing·(l_max+1) ≤ M and time_spacing·(2·k_max+1) ≤ N; here "
+                    f"{lattice.freq_spacing}·{stats.l_max + 1} against M = {dims.m} and "
+                    f"{lattice.time_spacing}·{2 * stats.k_max + 1} against N = {dims.n}"
+                )
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,21 @@ REPEATED = [
 ]
 
 
+# A lattice too sparse for the search region cannot tell some of its bins
+# apart: every 4th subcarrier at M = 8 sees delays 0 and 2 alike, and two
+# pilot symbols cannot resolve 7 Doppler bins. Its region dictionary is
+# singular.
+ALIASED = [
+    pytest.param(
+        Path(REPO_CONFIG).read_text().replace("freq_spacing: 2", "freq_spacing: 4"),
+        r"invalid config .*aliases the search region.*"
+        r"freq_spacing·\(l_max\+1\) ≤ M and time_spacing·\(2·k_max\+1\) ≤ N; here 4·3 against M = 8",
+        id="pilot_only.yaml with freq_spacing 4",
+    ),
+    ("frame: {time_spacing: 7}", r"invalid config .*aliases the search region.*7·7 against N = 14"),
+]
+
+
 class TestLoadConfig:
     def test_repo_pilot_config(self):
         cfg = load_config(REPO_CONFIG)
@@ -145,7 +160,7 @@ class TestLoadConfig:
             ("snr_grid_db: [-3082]", "invalid config"),
             ("snr_grid_db: [10, -1541.3]", "invalid config"),
             ("mode: with_data\nframe: {freq_spacing: 1}", "invalid frame"),
-        ] + DUPLICATES + REPEATED,
+        ] + DUPLICATES + REPEATED + ALIASED,
     )
     def test_bad_configs_rejected(self, tmp_path, text, fragment):
         path = write_config(tmp_path, text)

@@ -626,7 +626,7 @@ class TestSolveLasso:
                 warnings.simplefilter("always")
                 h = solve_lasso(y, d, LassoConfig(lam=lam, tol=tol, max_iter=max_iter))
             assert len(caught) == (0 if converges else 1)
-            np.testing.assert_array_equal(h, ref)
+            assert_row_matches(h, ref)
 
     @pytest.mark.parametrize("snr_db", [0.0, 5.0, 10.0, 15.0, 20.0])
     def test_matches_fista_oracle_on_a_lattice_full_grid_frame(self, frame, snr_db):
@@ -638,16 +638,14 @@ class TestSolveLasso:
         cfg = LassoConfig()
         ref, converged = fista_reference(vec(y), d.matrix, cfg.lam, cfg.tol, cfg.max_iter)
         assert converged
-        np.testing.assert_array_equal(solve_lasso(vec(y), d, cfg), ref)
+        assert_row_matches(solve_lasso(vec(y), d, cfg), ref)
 
     def test_zero_lambda_matches_fista_oracle(self):
         for seed in range(5):
             y, d, _ = random_lasso_instance(seed, noise=0.05)
             ref, converged = fista_reference(y, d.matrix, 0.0, 1e-6, 5000)
             assert converged
-            np.testing.assert_array_equal(
-                solve_lasso(y, d, LassoConfig(lam=0.0, tol=1e-6, max_iter=5000)), ref
-            )
+            assert_row_matches(solve_lasso(y, d, LassoConfig(lam=0.0, tol=1e-6, max_iter=5000)), ref)
 
     def test_thresholds_once_per_iteration_through_the_module(self, monkeypatch):
         # the benchmark counts FISTA iterations by wrapping this name
@@ -847,6 +845,29 @@ def full_grid_dictionary(shape, sequence_kind="all_ones", placement="lattice"):
     return build_dictionary(frame.pilot_only_tf, full_grid_pairs(d), d)
 
 
+def three_path_rows(d):
+    """Received vectors of three random atoms of d each, at five noise levels."""
+    rows, cols = d.matrix.shape
+    rng = np.random.default_rng(cols)
+    y = np.empty((5, rows), dtype=complex)
+    for row, noise in zip(y, (1.0, 0.3, 0.1, 0.03, 0.01)):
+        support = rng.choice(cols, size=3, replace=False)
+        gains = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / math.sqrt(6)
+        row[:] = d.matrix[:, support] @ gains + noise * (
+            rng.standard_normal(rows) + 1j * rng.standard_normal(rows)) / math.sqrt(2)
+    return y
+
+
+def interleaved_dictionary(rng):
+    """Columns of two row-disjoint dictionaries, interleaved: six of a complex
+    one (no phases make its Gram real), five of one real up to column phases."""
+    cplx = rng.standard_normal((20, 6)) + 1j * rng.standard_normal((20, 6))
+    real = rng.standard_normal((20, 5)) * np.exp(2j * np.pi * rng.uniform(size=5))
+    matrix = np.zeros((40, 11), dtype=complex)
+    matrix[:20, 0::2], matrix[20:, 1::2] = cplx, real
+    return Dictionary(matrix=matrix, pairs=tuple((j, 0) for j in range(11)))
+
+
 class TestGramBlocks:
     # on the all-ones and Walsh lattices even delays never couple to odd
     # ones, and each block is a real matrix up to a diagonal phase similarity
@@ -889,14 +910,9 @@ class TestGramBlocks:
         assert p.tobytes() == np.ones(len(d.gram), dtype=complex).tobytes()
 
     def test_complex_block_keeps_p_one_beside_a_real_block(self, monkeypatch):
-        # columns of two row-disjoint dictionaries, interleaved: one complex
-        # (no phases make its Gram real), one real up to column phases
         rng = np.random.default_rng(3)
-        cplx = rng.standard_normal((20, 6)) + 1j * rng.standard_normal((20, 6))
-        real = rng.standard_normal((20, 5)) * np.exp(2j * np.pi * rng.uniform(size=5))
-        matrix = np.zeros((40, 11), dtype=complex)
-        matrix[:20, 0::2], matrix[20:, 1::2] = cplx, real
-        d = Dictionary(matrix=matrix, pairs=tuple((j, 0) for j in range(11)))
+        d = interleaved_dictionary(rng)
+        matrix = d.matrix
         order, ((rows_c, block_c, p_c), (rows_r, block_r, p_r)) = d.gram_blocks
         assert order.tolist() == [0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9]
         assert block_c.dtype == complex and p_c.tobytes() == np.ones(6, dtype=complex).tobytes()
@@ -931,18 +947,10 @@ class TestGramBlocks:
         ids=["walsh-8x16", "16x14", "8x14"],
     )
     def test_rows_match_fista_oracle_across_blocks(self, monkeypatch, shape, sequence_kind, short, cut):
-        # received vectors of three paths each, at five noise levels
         d = full_grid_dictionary(shape, sequence_kind)
         blocks = d.gram_blocks[1]
         assert len(blocks) > 1 and all(block.dtype == float for _, block, _ in blocks)
-        rows, cols = d.matrix.shape
-        rng = np.random.default_rng(cols)
-        y = np.empty((5, rows), dtype=complex)
-        for row, noise in zip(y, (1.0, 0.3, 0.1, 0.03, 0.01)):
-            support = rng.choice(cols, size=3, replace=False)
-            gains = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / math.sqrt(6)
-            row[:] = d.matrix[:, support] @ gains + noise * (
-                rng.standard_normal(rows) + 1j * rng.standard_normal(rows)) / math.sqrt(2)
+        y = three_path_rows(d)
         cfg = LassoConfig(max_iter=short if cut else 1000)
         refs = [fista_reference(row, d.matrix, cfg.lam, cfg.tol, cfg.max_iter) for row in y]
         with warnings.catch_warnings(record=True) as caught:
@@ -958,6 +966,85 @@ class TestGramBlocks:
         assert len(caught) == stalled and (0 < stalled < len(y)) == cut
         for row, (ref, _) in zip(batch[0], refs):
             assert_row_matches(row, ref)
+
+
+class TestFistaOperator:
+    @pytest.mark.parametrize(
+        "make,dtype",
+        [
+            (lambda: full_grid_dictionary((8, 14, 2)), float),
+            (lambda: full_grid_dictionary((16, 14, 3)), float),
+            (lambda: full_grid_dictionary((8, 16, 2), "walsh"), float),
+            (lambda: full_grid_dictionary((8, 14, 2), "zadoff_chu"), complex),
+            (lambda: full_grid_dictionary((8, 14, 2), "zadoff_chu", "uniform_random"), complex),
+            (lambda: interleaved_dictionary(np.random.default_rng(3)), complex),
+        ],
+        ids=["8x14", "16x14", "walsh-8x16", "zadoff-chu", "random-pilots", "complex-and-real"],
+    )
+    def test_step_is_the_rotated_gram_in_block_order(self, make, dtype):
+        d = make()
+        op = d.fista_operator
+        order, blocks = d.gram_blocks
+        p = op.phases
+        assert op.order is order
+        assert p.tobytes() == np.concatenate([q for _, _, q in blocks]).tobytes()
+        assert op.eps == 1.0 / d.norm_sq
+        assert op.whole.dtype == dtype
+        columns = np.arange(len(p))[order]
+        permuted = d.gram[np.ix_(columns, columns)]
+        want = np.identity(len(p)) - op.eps * (p.conj()[:, None] * permuted * p)
+        assert np.abs(op.whole - want).max() <= estimator.GRAM_LINK_RTOL * op.eps * np.abs(d.gram).max()
+        inside = np.zeros(op.whole.shape, dtype=bool)
+        for (rows, step), (block_rows, block, _) in zip(op.blocks, blocks):
+            assert rows == block_rows and step.dtype == block.dtype
+            assert step.tobytes() == (np.identity(len(block)) - op.eps * block).tobytes()
+            assert op.whole[rows, rows].tobytes() == step.astype(dtype).tobytes()
+            inside[rows, rows] = True
+        assert not op.whole[~inside].any()
+        for array in (op.whole, op.phases, *(step for _, step in op.blocks)):
+            assert not array.flags.writeable
+
+    def test_built_once_per_dictionary(self, frame):
+        d = cached_dictionary(frame.pilot_only_tf, full_grid_pairs(D), D)
+        op = d.fista_operator
+        assert d.fista_operator is op
+        y = np.stack([vec(received_tf(frame, make_channel([(0.7, 1, 2)]), n0=0.1, rng=np.random.default_rng(k)))
+                      for k in range(3)])
+        solve_lasso(y, d, LassoConfig())
+        solve_lasso(y[0], d, LassoConfig())
+        assert d.fista_operator is op
+        assert cached_dictionary(frame.pilot_only_tf, full_grid_pairs(D), D).fista_operator is op
+        with pytest.raises(ValueError, match="read-only"):
+            op.whole[0, 0] = 0.0
+
+    # the 16 x 14 lattice runs three real blocks as one real matrix, and
+    # every solve converges; the Zadoff-Chu lattice's Gram is one complex
+    # block (cond 253), and max_iter 1000 stops one solve and exhausts four
+    @pytest.mark.parametrize(
+        "shape,sequence_kind,stalled",
+        [((16, 14, 3), "all_ones", 0), ((8, 14, 2), "zadoff_chu", 4)],
+        ids=["16x14", "zadoff-chu"],
+    )
+    def test_vector_solves_match_fista_oracle(self, monkeypatch, shape, sequence_kind, stalled):
+        d = full_grid_dictionary(shape, sequence_kind)
+        assert len(d.gram_blocks[1]) == (3 if sequence_kind == "all_ones" else 1)
+        y = three_path_rows(d)
+        cfg = LassoConfig()
+        iters, single = [], []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for row in y:
+                ref, converged = fista_reference(row, d.matrix, cfg.lam, cfg.tol, cfg.max_iter)
+                solved = []
+                iters.append(counted_iterations(monkeypatch, lambda: solved.append(solve_lasso(row, d, cfg))))
+                assert_row_matches(solved[0], ref)
+                assert [w.category for w in caught] == ([] if converged else [RuntimeWarning])
+                single += [str(w.message) for w in caught]
+                caught.clear()
+            widths = threshold_widths(monkeypatch, lambda: solve_lasso(y, d, cfg))
+        assert len(single) == stalled
+        assert sorted(str(w.message) for w in caught) == sorted(single)
+        assert stopping_iterations(widths) == sorted(iters)
 
 
 class TestCdceEstimate:
