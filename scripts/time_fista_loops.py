@@ -6,16 +6,17 @@
 Simulates the received vectors of trials 0 .. SOLVES-1 at one SNR point with
 the config's keyed transmit chain, then solves their tf_lasso problems in
 alternating rounds: one by one with a 1-D vector (the single-vector loop, on
-the dictionary's whole step matrix), one by one as a (1, MN) stack (the row
-loop on one row, block by block), and in chunks of harness.LASSO_BATCH rows
-(the row loop as run_sweep runs it), or of each chunk size that --batch
-lists, so that the sizes alternate in one process. tests/test_estimator.py
-holds both loops to tests/oracles.py::fista_reference within rtol 1e-12 /
-atol 1e-13; here every row of the other ways must lie within that bound of
-the single-vector loop's solve, with the same zero entries, or the script
-exits 1. Prints, per way, the median and quartiles over the rounds of the
-milliseconds per solve. BLAS runs on one thread unless the environment sets
-otherwise.
+the dictionary's one step matrix), one by one as a (1, MN) stack (the row
+loop on one row, on that matrix's diagonal blocks), and in chunks of
+harness.LASSO_BATCH rows (the row loop as run_sweep runs it), or of each
+chunk size that --batch lists, so that the sizes alternate in one process.
+tests/test_estimator.py holds both loops to
+tests/oracles.py::fista_reference within rtol 1e-12 / atol 1e-13, and the
+three ways to each other on trials 0-3 of the lattice configs; here every
+row of the other ways must lie within that bound of the single-vector
+loop's solve, with the same zero entries, or the script exits 1. Prints,
+per way, the median and quartiles over the rounds of the milliseconds per
+solve. BLAS runs on one thread unless the environment sets otherwise.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ def main(argv=None) -> int:
     p.add_argument("--batch", type=int, nargs="+", default=[harness.LASSO_BATCH],
                    help="rows per chunk of the row loop, one way per size")
     args = p.parse_args(argv)
+    if args.solves < 1:
+        p.error("--solves must be positive")
     if args.rounds < 2:
         p.error("--rounds must be at least 2: the quartiles need two rounds")
     if min(args.batch) < 1:

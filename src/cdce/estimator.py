@@ -45,12 +45,12 @@ __all__ = [
 LS_CONDITION_LIMIT = 1e6
 
 # Gram entries at or below this times the largest |entry| do not link two
-# columns into one block of Dictionary.gram_blocks. On the all-ones lattice
-# the full-grid Gram's entries between even and odd delays are rounding
-# noise (at most 5.8e-14 of a largest 56 at 8 x 14), and the smallest linked
-# entry is about 2. A block whose phase-rotated imaginary parts are all at
-# most this times the largest |entry| is stored real; on the all-ones and
-# Walsh lattices they are at most 8.4e-15 of it.
+# columns into one block of Dictionary.fista_operator. On the all-ones
+# lattice the full-grid Gram's entries between even and odd delays are
+# rounding noise (at most 5.8e-14 of a largest 56 at 8 x 14), and the
+# smallest linked entry is about 2. A Gram whose phase-rotated imaginary
+# parts are all at most this times the largest |entry| runs real; on the
+# all-ones and Walsh lattices they are at most 8.4e-15 of it.
 GRAM_LINK_RTOL = 1e-12
 
 # Dictionaries kept by cached_dictionary. A lattice trial asks it for two
@@ -76,12 +76,12 @@ class CoarseEstimate:
 @dataclass(frozen=True)
 class FistaOperator:
     """FISTA's gradient step on a dictionary, read-only, in the column
-    ``order`` of ``Dictionary.gram_blocks`` and rotated by its unit
-    ``phases`` p (in that order): with G = diag(p)·R·diag(p̄) blockwise, the
-    step z + eps·(p̄Dᴴy - R z) is (I - eps R) z + eps·p̄Dᴴy. ``blocks`` holds
-    (rows, I - eps R) per Gram block, and ``whole`` the same blocks as one
-    P x P matrix S, zero between them: real when every block is real, else
-    complex (I - eps G itself when the Gram is one complex block)."""
+    ``order`` of the Gram's blocks and rotated by the unit ``phases`` p (in
+    that order): with G = diag(p)·R·diag(p̄), the step z + eps·(p̄Dᴴy - R z)
+    is S z + eps·p̄Dᴴy. ``whole`` is the one P x P step matrix S: real
+    I - eps R per block, zero between them, or the complex I - eps G as one
+    block with p = 1. ``blocks`` holds (rows, S[rows, rows]) per block,
+    views of S."""
 
     order: slice | np.ndarray
     phases: np.ndarray
@@ -94,9 +94,9 @@ class FistaOperator:
 class Dictionary:
     """TF response dictionary restricted to a candidate support, with its
     Gram matrix and the Gram's eigenvalues computed on first use: they give
-    FISTA's step (``norm_sq``) and the least-squares gate (``cond``). The
-    Gram's blocks and FISTA's step-folded operator on them are cached the
-    same way."""
+    FISTA's step (``norm_sq``) and the least-squares gate (``cond``).
+    FISTA's step-folded operator on the Gram's blocks is cached the same
+    way."""
 
     matrix: np.ndarray
     pairs: tuple[tuple[int, int], ...]
@@ -113,23 +113,21 @@ class Dictionary:
         return np.linalg.eigvalsh(self.gram)
 
     @cached_property
-    def gram_blocks(self) -> tuple:
-        """The Gram as diagonal blocks: an order of the columns, and per
-        block its slice of that order, its read-only matrix and its unit
-        phases p. The blocks are the connected components of the entries
-        above GRAM_LINK_RTOL times the largest |entry|, so every entry
-        between two blocks is at most that; each block keeps its columns in
-        ascending order.
+    def fista_operator(self) -> FistaOperator:
+        """FISTA's gradient step with eps = 1/``norm_sq`` folded in, built in
+        one pass over the Gram. Needs a positive ``norm_sq``.
 
-        p comes from a spanning-tree walk over those linked entries, which
-        makes each tree entry of diag(p̄)·G·diag(p) real and positive. When
-        every imaginary part of that rotated block is at most GRAM_LINK_RTOL
-        times the largest |entry|, the block is stored as its real part R, a
-        C-contiguous float64 matrix with G = diag(p)·R·diag(p̄) to that
-        bound: so every block of an all-ones or Walsh lattice. Otherwise the
-        block stays the complex Gram slice with p = 1; a Gram of one such
-        block (a Zadoff-Chu lattice, random pilots) keeps the natural order
-        (a full slice) and is the Gram itself."""
+        The Gram's blocks are the connected components of its entries above
+        GRAM_LINK_RTOL times the largest |entry|, so every entry between two
+        blocks is at most that; each block keeps its columns in ascending
+        order. A spanning-tree walk over the linked entries gives unit phases
+        p that make each tree entry of diag(p̄)·G·diag(p) real and positive.
+        When every imaginary part of that rotated Gram is at most the same
+        bound, its real part R has G = diag(p)·R·diag(p̄) to that bound, and
+        the step matrix S holds I - eps R per block in the blocks' order, zero
+        between them: so every all-ones or Walsh lattice. Otherwise S is the
+        complex I - eps G, one block in the natural order with p = 1 (a
+        Zadoff-Chu lattice, random pilots)."""
         mag = np.abs(self.gram)
         bound = GRAM_LINK_RTOL * mag.max()
         linked = mag > bound
@@ -151,47 +149,26 @@ class Dictionary:
                 part |= grown
             unseen &= ~part
             parts.append(np.flatnonzero(part))
-        whole = len(parts) == 1
-        order = slice(None) if whole else np.concatenate(parts)
-        blocks, start = [], 0
-        for part in parts:
-            rows = slice(None) if whole else slice(start, start + len(part))
-            block = self.gram if whole else self.gram[np.ix_(part, part)]
-            start += len(part)
-            p = phase[part]
-            rotated = p.conj()[:, None] * block * p
-            if np.abs(rotated.imag).max() <= bound:
-                block = np.ascontiguousarray(rotated.real)
-            else:
-                p = np.ones_like(p)
-            block.setflags(write=False)
-            p.setflags(write=False)
-            blocks.append((rows, block, p))
-        if not whole:
-            order.setflags(write=False)
-        return order, tuple(blocks)
-
-    @cached_property
-    def fista_operator(self) -> FistaOperator:
-        """FISTA's gradient step in the rotated coordinates of
-        ``gram_blocks``, with the step eps = 1/``norm_sq`` folded in.
-        Needs a positive ``norm_sq``."""
-        order, blocks = self.gram_blocks
-        eps = 1.0 / self.norm_sq
-        steps = tuple((rows, np.identity(len(block)) - eps * block) for rows, block, _ in blocks)
-        for _, step in steps:
-            step.setflags(write=False)
-        if len(steps) == 1:
-            whole = steps[0][1]
+        rotated = phase.conj()[:, None] * self.gram * phase
+        if np.abs(rotated.imag).max() <= bound:
+            gram = rotated.real
         else:
-            dtype = float if all(step.dtype == float for _, step in steps) else complex
-            whole = np.zeros((len(self.gram), len(self.gram)), dtype=dtype)
-            for rows, step in steps:
-                whole[rows, rows] = step
-            whole.setflags(write=False)
-        phases = np.concatenate([p for _, _, p in blocks])
-        phases.setflags(write=False)
-        return FistaOperator(order=order, phases=phases, eps=eps, blocks=steps, whole=whole)
+            gram, parts, phase = self.gram, [np.arange(len(mag))], np.ones_like(phase)
+        eps = 1.0 / self.norm_sq
+        whole = np.zeros_like(gram)
+        slices, start = [], 0
+        for part in parts:
+            rows = slice(start, start + len(part))
+            whole[rows, rows] = np.identity(len(part)) - eps * gram[np.ix_(part, part)]
+            slices.append(rows)
+            start = rows.stop
+        order = slice(None) if len(parts) == 1 else np.concatenate(parts)
+        phases = phase[order]
+        for array in (whole, phases, *([] if len(parts) == 1 else [order])):
+            array.setflags(write=False)
+        # views of the read-only S, so read-only themselves
+        blocks = tuple((rows, whole[rows, rows]) for rows in slices)
+        return FistaOperator(order=order, phases=phases, eps=eps, blocks=blocks, whole=whole)
 
     @property
     def norm_sq(self) -> float:
@@ -349,9 +326,10 @@ def solve_lasso(y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig) -> np.n
     vectors runs one loop over all K rows and returns a (K, cols) array, with
     one RuntimeWarning per row that uses up ``max_iter``. Both loops run the
     plain formula in the operator's rotated coordinates, a vector on its
-    whole step matrix and a stack block by block, so every solve agrees with
-    the plain loop to rounding and stops at its iteration. The shape picks
-    the loop because the row loop, run on a single row, is slower per solve.
+    one step matrix S and a stack on S's diagonal blocks, so every solve
+    agrees with the plain loop to rounding and stops at its iteration. The
+    shape picks the loop because the row loop, run on a single row, is
+    slower per solve.
     """
     if dictionary.norm_sq <= 0:
         raise ValueError("degenerate dictionary with zero spectral norm")
@@ -427,9 +405,9 @@ def _fista_rows(
 
     The live problems are the columns of a (P, K) block in the rotated
     coordinates of ``Dictionary.fista_operator``, as in ``_fista_vector``,
-    but the step multiplies block by block: v = (I - eps R) z + eps p̄Dᴴy,
-    a real I - eps R as one real gemm on the (P, 2K) float view of the
-    complex block and a complex one (p = 1) as a complex gemm. Every live
+    but the step multiplies block by block: v = S[rows, rows] z + eps p̄Dᴴy,
+    a real block as one real gemm on the (P, 2K) float view of the complex
+    block and a complex S (p = 1) as one complex gemm. Every live
     column is at the same iteration, so beta is shared; the stopping rule
     takes one square root per column of a ratio of squared norms, and each
     iterate's squared norm is kept for the next iteration's denominator. The

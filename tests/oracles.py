@@ -6,9 +6,11 @@ None of it imports the implementation being tested beyond basic array
 plumbing, except ``dense_atom``: it builds the dense MN x MN atom by its
 definition from the package's time-domain builder and
 ``dense_effective_tf`` (both pinned to the oracles here), to check the
-closed-form atom table entrywise; and ``fit_covariance_reference``, which
+closed-form atom table entrywise; ``fit_covariance_reference``, which
 draws its ensemble through the package's ``sample_channel`` one realization
-at a time, to check the covariance fit's direct draws bit for bit.
+at a time, to check the covariance fit's direct draws bit for bit; and
+``received_tf``, the tests' one transmit chain, run through the package's
+own grid and channel stages.
 """
 
 import cmath
@@ -20,10 +22,11 @@ from cdce.channel import (
     ChannelRealization,
     ChannelStats,
     PathParams,
+    apply_channel,
     sample_channel,
     time_channel_matrix,
 )
-from cdce.grids import Dims, dft_matrix
+from cdce.grids import Dims, dft_matrix, remove_cp, tf_to_time, time_to_tf
 
 
 def unitary_dft(n: int) -> np.ndarray:
@@ -261,6 +264,15 @@ def dense_atom(d: Dims, l: int, k: int) -> np.ndarray:
     """The dense MN x MN H_TF of a unit-gain single path at (l, k)."""
     ch = ChannelRealization((PathParams(1.0 + 0.0j, l, k),), d)
     return dense_effective_tf(time_channel_matrix(ch), d)
+
+
+def received_tf(frame, ch, n0=0.0, rng=None):
+    """The received TF grid of ``frame`` through the channel ``ch``, with
+    complex noise of variance n0 drawn from rng."""
+    g = time_channel_matrix(ch)
+    s = tf_to_time(frame.tf, frame.dims, with_cp=True)
+    r = apply_channel(s, g, n0, rng)
+    return time_to_tf(remove_cp(r, frame.dims), frame.dims)
 
 
 def dense_reconstruct_oracle(h: np.ndarray, atoms: list[np.ndarray]) -> np.ndarray:

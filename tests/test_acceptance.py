@@ -17,10 +17,8 @@ from cdce.channel import (
     ChannelRealization,
     ChannelStats,
     PathParams,
-    apply_channel,
     effective_tf_channel,
     sample_channel,
-    time_channel_matrix,
 )
 from cdce.estimator import (
     LassoConfig,
@@ -40,8 +38,6 @@ from cdce.grids import (
     dft_matrix,
     remove_cp,
     tf_to_dd,
-    tf_to_time,
-    time_to_tf,
     unvec,
     vec,
 )
@@ -54,7 +50,14 @@ from cdce.pilots import (
     pilot_dd_image,
 )
 
-from oracles import bands_to_dense, dense_atom, dense_fs_lmmse_oracle, ista_reference, lasso_certificate_gap
+from oracles import (
+    bands_to_dense,
+    dense_atom,
+    dense_fs_lmmse_oracle,
+    ista_reference,
+    lasso_certificate_gap,
+    received_tf,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -104,13 +107,6 @@ def data_cov():
 def data_sweep(data_cov):
     rows = run_sweep(sweep_config("with_data"), data_cov)
     return by_key(rows)
-
-
-def received_tf(frame, ch, n0=0.0, rng=None):
-    g = time_channel_matrix(ch)
-    s = tf_to_time(frame.tf, frame.dims, with_cp=True)
-    r = apply_channel(s, g, n0, rng)
-    return time_to_tf(remove_cp(r, frame.dims), frame.dims)
 
 
 def ls_noise_gain(pairs):

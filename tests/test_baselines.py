@@ -15,13 +15,11 @@ from cdce.channel import (
     ChannelRealization,
     ChannelStats,
     PathParams,
-    apply_channel,
     effective_tf_channel,
     sample_channel,
-    time_channel_matrix,
 )
 from cdce.estimator import LassoConfig, reconstruct
-from cdce.grids import Dims, remove_cp, tf_to_time, time_to_tf, unvec, vec
+from cdce.grids import Dims, unvec, vec
 from cdce.pilots import Frame, FrameSpec, Lattice, assemble_frame
 
 from oracles import (
@@ -30,16 +28,10 @@ from oracles import (
     dense_fs_lmmse_oracle,
     fit_covariance_reference,
     interpolate_grid_loop,
+    received_tf,
 )
 
 D = Dims(8, 14, 2)
-
-
-def received_tf(frame, ch, n0=0.0, rng=None):
-    g = time_channel_matrix(ch)
-    s = tf_to_time(frame.tf, frame.dims, with_cp=True)
-    r = apply_channel(s, g, n0, rng)
-    return time_to_tf(remove_cp(r, frame.dims), frame.dims)
 
 
 def lifted(cov, d):

@@ -1,11 +1,14 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cdce.estimator as estimator
+from cdce import harness
+from cdce.baselines import tf_lasso_gains
 from cdce.channel import (
     ChannelRealization,
     ChannelStats,
@@ -32,6 +35,7 @@ from cdce.estimator import (
     threshold_select,
     twisted_convolution,
 )
+from cdce.config import load_config
 from cdce.grids import Dims, _twist_tables, remove_cp, tf_to_dd, tf_to_time, time_to_tf, vec
 from cdce.pilots import Frame, FrameSpec, Lattice, assemble_frame
 
@@ -43,10 +47,13 @@ from oracles import (
     fista_reference,
     ista_reference,
     lasso_certificate_gap,
+    received_tf,
     twisted_convolution_reference,
 )
 
 D = Dims(8, 14, 2)
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 # The atom cases run on the sample grid's own ("ideal") pulse, the channel
 # model's only one, and their ids name it as they did beside the deleted
@@ -61,13 +68,6 @@ def make_channel(path_list):
         paths=tuple(PathParams(gain=g, delay_int=l, doppler_int=k) for g, l, k in path_list),
         dims=D,
     )
-
-
-def received_tf(frame, ch, n0=0.0, rng=None):
-    g = time_channel_matrix(ch)
-    s = tf_to_time(frame.tf, D, with_cp=True)
-    r = apply_channel(s, g, n0, rng)
-    return time_to_tf(remove_cp(r, D), D)
 
 
 @pytest.fixture(scope="module")
@@ -870,7 +870,8 @@ def interleaved_dictionary(rng):
 
 class TestGramBlocks:
     # on the all-ones and Walsh lattices even delays never couple to odd
-    # ones, and each block is a real matrix up to a diagonal phase similarity
+    # ones, and the Gram is a real matrix up to a diagonal phase similarity:
+    # the operator runs it as real blocks, each a view of the one step matrix
     @pytest.mark.parametrize(
         "shape,sequence_kind,sizes",
         [
@@ -882,45 +883,55 @@ class TestGramBlocks:
     )
     def test_lattice_gram_is_block_diagonal(self, shape, sequence_kind, sizes):
         d = full_grid_dictionary(shape, sequence_kind)
-        order, blocks = d.gram_blocks
+        op = d.fista_operator
+        order, p = op.order, op.phases
         bound = estimator.GRAM_LINK_RTOL * np.abs(d.gram).max()
         assert sorted(order) == list(range(len(d.gram)))
+        assert op.whole.dtype == float and op.whole.flags.c_contiguous
+        np.testing.assert_allclose(np.abs(p), 1.0, rtol=0, atol=1e-15)
         permuted = d.gram[np.ix_(order, order)]
         inside = np.zeros(permuted.shape, dtype=bool)
         start = 0
-        for rows, block, p in blocks:
-            assert rows == slice(start, start + len(block))
+        for rows, step in op.blocks:
+            assert rows == slice(start, start + len(step))
             assert np.all(np.diff(order[rows]) > 0)
-            assert block.dtype == float and block.flags.c_contiguous
-            np.testing.assert_allclose(np.abs(p), 1.0, rtol=0, atol=1e-15)
-            rebuilt = p[:, None] * block * p.conj()
+            assert np.shares_memory(step, op.whole) and not step.flags.writeable
+            # S = I - eps R on the block, so R = (I - S) / eps
+            block = (np.identity(len(step)) - step) / op.eps
+            rebuilt = p[rows, None] * block * p[rows].conj()
             assert np.abs(rebuilt - permuted[rows, rows]).max() <= bound
-            assert not block.flags.writeable and not p.flags.writeable
             inside[rows, rows] = True
             start = rows.stop
-        assert [len(block) for _, block, _ in blocks] == sizes
+        assert [len(step) for _, step in op.blocks] == sizes
         assert np.abs(permuted[~inside]).max() <= bound
+        assert not op.whole[~inside].any()
+        for array in (order, p, op.whole):
+            assert not array.flags.writeable
 
     @pytest.mark.parametrize("placement", ["lattice", "uniform_random"])
     def test_zadoff_chu_gram_is_one_block(self, placement):
         d = full_grid_dictionary((8, 14, 2), "zadoff_chu", placement)
-        order, ((rows, block, p),) = d.gram_blocks
-        assert order == rows == slice(None)
-        assert block is d.gram
-        assert p.tobytes() == np.ones(len(d.gram), dtype=complex).tobytes()
+        op = d.fista_operator
+        ((rows, step),) = op.blocks
+        assert op.order == slice(None) and rows == slice(0, len(d.gram))
+        assert np.shares_memory(step, op.whole) and not step.flags.writeable
+        assert op.whole.tobytes() == (np.identity(len(d.gram)) - op.eps * d.gram).tobytes()
+        assert op.phases.tobytes() == np.ones(len(d.gram), dtype=complex).tobytes()
 
     def test_complex_block_keeps_p_one_beside_a_real_block(self, monkeypatch):
+        # the Gram has a complex block beside a real one; no phases make the
+        # whole of it real, so it runs as one complex block in the natural
+        # order with p = 1
         rng = np.random.default_rng(3)
         d = interleaved_dictionary(rng)
         matrix = d.matrix
-        order, ((rows_c, block_c, p_c), (rows_r, block_r, p_r)) = d.gram_blocks
-        assert order.tolist() == [0, 2, 4, 6, 8, 10, 1, 3, 5, 7, 9]
-        assert block_c.dtype == complex and p_c.tobytes() == np.ones(6, dtype=complex).tobytes()
-        assert block_c.tobytes() == d.gram[np.ix_(order[rows_c], order[rows_c])].tobytes()
-        assert block_r.dtype == float
-        rebuilt = p_r[:, None] * block_r * p_r.conj()
-        bound = estimator.GRAM_LINK_RTOL * np.abs(d.gram).max()
-        assert np.abs(rebuilt - d.gram[np.ix_(order[rows_r], order[rows_r])]).max() <= bound
+        assert not d.gram[0::2, 1::2].any()
+        op = d.fista_operator
+        ((rows, step),) = op.blocks
+        assert op.order == slice(None) and rows == slice(0, 11)
+        assert np.shares_memory(step, op.whole) and not step.flags.writeable
+        assert op.phases.tobytes() == np.ones(11, dtype=complex).tobytes()
+        assert op.whole.tobytes() == (np.identity(11) - op.eps * d.gram).tobytes()
         y = np.stack([matrix @ (rng.standard_normal(11) * (rng.uniform(size=11) < 0.3)) for _ in range(4)])
         y += 0.05 * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
         cfg = LassoConfig(lam=1.0)
@@ -948,8 +959,8 @@ class TestGramBlocks:
     )
     def test_rows_match_fista_oracle_across_blocks(self, monkeypatch, shape, sequence_kind, short, cut):
         d = full_grid_dictionary(shape, sequence_kind)
-        blocks = d.gram_blocks[1]
-        assert len(blocks) > 1 and all(block.dtype == float for _, block, _ in blocks)
+        op = d.fista_operator
+        assert len(op.blocks) > 1 and op.whole.dtype == float
         y = three_path_rows(d)
         cfg = LassoConfig(max_iter=short if cut else 1000)
         refs = [fista_reference(row, d.matrix, cfg.lam, cfg.tol, cfg.max_iter) for row in y]
@@ -984,21 +995,21 @@ class TestFistaOperator:
     def test_step_is_the_rotated_gram_in_block_order(self, make, dtype):
         d = make()
         op = d.fista_operator
-        order, blocks = d.gram_blocks
         p = op.phases
-        assert op.order is order
-        assert p.tobytes() == np.concatenate([q for _, _, q in blocks]).tobytes()
         assert op.eps == 1.0 / d.norm_sq
         assert op.whole.dtype == dtype
-        columns = np.arange(len(p))[order]
-        permuted = d.gram[np.ix_(columns, columns)]
-        want = np.identity(len(p)) - op.eps * (p.conj()[:, None] * permuted * p)
+        columns = np.arange(len(p))[op.order]
+        rotated = p.conj()[:, None] * d.gram[np.ix_(columns, columns)] * p
+        want = np.identity(len(p)) - op.eps * rotated
         assert np.abs(op.whole - want).max() <= estimator.GRAM_LINK_RTOL * op.eps * np.abs(d.gram).max()
+        # each block is bytewise I - eps times the real part of the rotated Gram
+        # (the Gram itself when complex), and S is zero between blocks
+        if dtype == float:
+            want = np.identity(len(p)) - op.eps * rotated.real
         inside = np.zeros(op.whole.shape, dtype=bool)
-        for (rows, step), (block_rows, block, _) in zip(op.blocks, blocks):
-            assert rows == block_rows and step.dtype == block.dtype
-            assert step.tobytes() == (np.identity(len(block)) - op.eps * block).tobytes()
-            assert op.whole[rows, rows].tobytes() == step.astype(dtype).tobytes()
+        for rows, step in op.blocks:
+            assert step.tobytes() == want[rows, rows].tobytes()
+            assert np.shares_memory(step, op.whole)
             inside[rows, rows] = True
         assert not op.whole[~inside].any()
         for array in (op.whole, op.phases, *(step for _, step in op.blocks)):
@@ -1027,7 +1038,7 @@ class TestFistaOperator:
     )
     def test_vector_solves_match_fista_oracle(self, monkeypatch, shape, sequence_kind, stalled):
         d = full_grid_dictionary(shape, sequence_kind)
-        assert len(d.gram_blocks[1]) == (3 if sequence_kind == "all_ones" else 1)
+        assert len(d.fista_operator.blocks) == (3 if sequence_kind == "all_ones" else 1)
         y = three_path_rows(d)
         cfg = LassoConfig()
         iters, single = [], []
@@ -1045,6 +1056,32 @@ class TestFistaOperator:
         assert len(single) == stalled
         assert sorted(str(w.message) for w in caught) == sorted(single)
         assert stopping_iterations(widths) == sorted(iters)
+
+    # tf_lasso on the keyed received vectors of trials 0-3 at 10 dB, solved
+    # one by one as vectors (on the one step matrix), one by one as one-row
+    # stacks and as one four-row stack (block by block): pilot-only and
+    # data-filled at 8 x 14 (two real 56-atom blocks) and the 16 x 16
+    # AF-study lattice (two real 128-atom blocks)
+    @pytest.mark.parametrize(
+        "config,sizes",
+        [("pilot_only", [56, 56]), ("with_data", [56, 56]), ("af_study", [128, 128])],
+        ids=["pilot_only", "with_data", "af_study"],
+    )
+    def test_loops_agree_on_the_config_frames(self, config, sizes):
+        cfg = load_config(CONFIG_DIR / f"{config}.yaml", env={})
+        n0 = harness._check_snr(10.0)
+        received = [harness._received(cfg, 10.0, t, n0)[1:] for t in range(4)]
+        frame = received[0][0]
+        ys = np.stack([vec(y_tf) for _, y_tf in received])
+        op = cached_dictionary(frame.pilot_only_tf, full_grid_pairs(cfg.dims), cfg.dims).fista_operator
+        assert op.whole.dtype == float and [len(step) for _, step in op.blocks] == sizes
+        want = np.stack([tf_lasso_gains(y, frame, cfg.lasso) for y in ys])
+        for gains in (
+            np.concatenate([tf_lasso_gains(ys[i:i + 1], frame, cfg.lasso) for i in range(len(ys))]),
+            tf_lasso_gains(ys, frame, cfg.lasso),
+        ):
+            np.testing.assert_allclose(gains, want, rtol=1e-12, atol=1e-13)
+            np.testing.assert_array_equal(gains == 0, want == 0)
 
 
 class TestCdceEstimate:
