@@ -1,45 +1,38 @@
 #!/usr/bin/env python3
-"""Compare the per-trial NMSE, the sweep rows, the cold set-up time and the
-trial throughput of the working tree's cdce against another git revision's.
+"""Compare the per-trial NMSE, the sweep rows and the benchmark's end-to-end
+metrics of the working tree against another git revision's.
 
     python3 scripts/compare_trials.py --base HEAD~1 --tag frame_cache
     python3 scripts/compare_trials.py --base HEAD~1 --tag band_trial --drift
 
-The revision's src/ is extracted with `git archive` into a temporary
-directory. For each workload config, each of ROUNDS rounds runs one process
-per side, each with one BLAS thread, alternating which side goes first.
-A process times its cold set-up (config load, covariance fit when an
-estimator needs it, one warm-up trial), then `run_trial` on fixed keys
-(base_seed 7, every SNR point, the workload's trials per SNR point from
-WORKLOADS), then `run_sweep` over the same keys, so the trial figures are
-throughput with the caches filled. The host's speed drifts on a shared
-machine, so each process samples it with bench/calibration.py's kernel
-before and after the set-up and every 0.3 s or so of the trials and of the
-sweep (calibration.SAMPLE_EVERY_S), and divides each stretch by its
-slowness as bench/run.py does.
-Every trial's NMSE of every configured estimator must be bit-identical
-between the sides and across rounds; each side's sweep rows (nmse_db and
-stderr_db) must repeat themselves bit for bit across rounds, and each
-process's sweep rows must be the linear mean of its own `run_trial`
-results. Both hold exactly, except for a lattice sweep's tf_lasso rows,
-whose gains are solved in batches: those agree with the mean within
-LASSO_ROW_TOL_DB, and so may differ between the sides by as much, since a
-change can reorder the batched solve without moving any trial. Every other
-sweep row must be bit-identical between the sides. Otherwise the script
-exits 1 and writes nothing. It
-then writes BENCH_<tag>.json at the repo root: per side, normalized set-up
-seconds, trials per second of the `run_trial` calls and of the sweep
-(median and quartiles over the rounds, with the median speed-up and the
-rounds the working tree won), every run's raw and normalized figures, the
-largest |change| in dB of a batched tf_lasso row between the sides, the
-git revisions, and the numpy and Python versions.
+Each side's TREE_PATHS are extracted with `git archive` into a fresh
+directory: the revision's, and the working tree's tracked files as `git
+stash create` records them (untracked files there stop the script). For
+each workload of bench/common.py, in each of ROUNDS rounds, alternating
+which side goes first, each side runs from its own tree an NMSE worker
+(`run_trial` on fixed keys, base_seed 7, NMSE_TRIALS per SNR point, then
+`run_sweep` on the same keys) and `bench/run.py --workload W --seed <round>
+--seconds <run_seconds of BENCHMARK.json> --trace 0`, whose last line must
+read `"correct": true` with no failed trial.
+
+Every trial's NMSE and every sweep row (nmse_db and stderr_db) must be
+bit-identical between the sides and across rounds, and each worker's sweep
+rows the linear mean of its own `run_trial` results. A lattice sweep's
+tf_lasso rows, whose gains are solved in batches, need only agree with that
+mean, and with the other side's rows, within LASSO_ROW_TOL_DB, since a
+change can reorder the batched solve without moving any trial. Otherwise,
+or when a benchmark run fails, the script exits 1 and writes nothing.
+
+It then writes BENCH_<tag>.json at the repo root: per workload, the sweep
+rows, the largest |change| in dB of a batched tf_lasso row between the
+sides, every pair's benchmark results and, per end-to-end metric of
+BENCHMARK.json, the figures of pair_summary. It exits 0 whatever they read.
 
 With --drift the sides may differ, for a change that reorders a sum on
-purpose. Each side must still repeat itself bit for bit across rounds, and
-its sweep rows must still be the linear mean of its own trials, as above. The report
-then gives, per workload and estimator, how many trials, sweep-row
-nmse_db values and stderr_db values moved between the sides and the largest
-|change| in dB of each, and the script exits 0.
+purpose; each side must still repeat itself across rounds and give the
+linear mean as above. The report then gives, per workload and estimator,
+how many trials, sweep-row nmse_db values and stderr_db values moved
+between the sides and the largest |change| in dB of each.
 """
 
 from __future__ import annotations
@@ -56,20 +49,13 @@ import subprocess
 import sys
 import tarfile
 import tempfile
-import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_DIR = os.path.join(ROOT, "bench")
-
-# workload name -> (config relative to the repo root, trials per SNR point).
-# A random_pilots trial takes about a fifth of a lattice trial, so it runs
-# five times the trials: at 40 per SNR point its throughput, on unchanged
-# code, spread from 365 to 469 trials/s across rounds.
-WORKLOADS = {
-    "random_pilots": ("bench/configs/random_pilots.yaml", 200),
-    "pilot_lattice": ("configs/pilot_only.yaml", 40),
-    "data_lattice": ("configs/with_data.yaml", 40),
-}
+# What a side runs: its package, its benchmark and the configs both read.
+TREE_PATHS = ("src", "bench", "configs", "BENCHMARK.json")
+# NMSE worker trials per SNR point, by workload: the counts the script has
+# always used, so its NMSE keys match earlier reports.
+NMSE_TRIALS = {"random_pilots": 200, "pilot_lattice": 40, "data_lattice": 40}
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 BASE_SEED = 7
 ROUNDS = 10
@@ -79,46 +65,23 @@ LASSO_ROW_TOL_DB = 1e-9
 
 
 def worker(src: str, config: str, trials_per_snr: str) -> None:
-    """Time a cold set-up, then run_trial over every key of the config's SNR
-    grid, then run_sweep over the same keys, with the cdce package under
-    `src`, sampling the host's speed around all three; check that the sweep
-    rows are the linear mean of the trials, and print the NMSE of each trial,
-    the sweep rows and the timings as JSON."""
+    """Run run_trial over every key of the config's SNR grid, then run_sweep
+    over the same keys, with the cdce package under `src`; check that the
+    sweep rows are the linear mean of the trials, and print the NMSE of each
+    trial and the sweep rows as JSON."""
     sys.path.insert(0, src)
-    sys.path.append(BENCH_DIR)
     import numpy as np
     import cdce
-    from calibration import Calibration, Segments, segment_slowness
     from cdce import config as cdce_config, harness
-    from run import ticking
 
     expected = os.path.join(src, "cdce", "__init__.py")
     if os.path.realpath(cdce.__file__) != os.path.realpath(expected):
         raise SystemExit(f"error: imported cdce from {cdce.__file__}, expected {expected}")
     per_snr = int(trials_per_snr)
-    with Calibration(dict(os.environ)) as cal:
-        before = cal.slowness()
-        t0 = time.perf_counter()
-        cfg = dataclasses.replace(cdce_config.load_config(config, env={}),
-                                  base_seed=BASE_SEED, trials=per_snr)
-        cov = harness.fit_config_covariance(cfg) if "fs_lmmse" in cfg.estimators else None
-        harness.run_trial(cfg, cfg.snr_grid_db[0], 0, cov)
-        setup_s = time.perf_counter() - t0
-        setup_slowness = segment_slowness(before, cal.slowness(), setup_s)
-        results = []
-        trials = Segments(cal)
-        trials.start()
-        for snr_db in cfg.snr_grid_db:
-            for t in range(per_snr):
-                results.append(harness.run_trial(cfg, snr_db, t, cov))
-                trials.tick()
-        trials.finish()
-
-        sweep = Segments(cal)
-        with ticking(harness, sweep):
-            sweep.start()
-            rows = harness.run_sweep(cfg, cov)
-            sweep.finish()
+    cfg = dataclasses.replace(cdce_config.load_config(config, env={}), base_seed=BASE_SEED, trials=per_snr)
+    cov = harness.fit_config_covariance(cfg) if "fs_lmmse" in cfg.estimators else None
+    results = [harness.run_trial(cfg, snr_db, t, cov) for snr_db in cfg.snr_grid_db for t in range(per_snr)]
+    rows = harness.run_sweep(cfg, cov)
     # run_sweep solves a lattice chunk's tf_lasso problems in one batched call
     batched = ["tf_lasso"] if "tf_lasso" in cfg.estimators and cfg.frame.placement == "lattice" else []
     for row in rows:
@@ -128,21 +91,8 @@ def worker(src: str, config: str, trials_per_snr: str) -> None:
         if not abs(row.nmse_db - harness.ratio_db(mean)) <= tol:
             raise SystemExit(f"error: sweep row {row.estimator} at {row.snr_db} dB gives {row.nmse_db!r} dB, "
                              f"the mean of its run_trial results {harness.ratio_db(mean)!r} dB")
-    n = len(results)
     json.dump({
-        "trials": n,
-        "setup_s": setup_s,
-        "setup_slowness": setup_slowness,
-        "setup_s_normalized": setup_s / setup_slowness,
-        "trials_s": trials.seconds,
-        "trials_s_normalized": trials.normalized,
-        "trials_per_s": n / trials.seconds,
-        "trials_per_s_normalized": n / trials.normalized,
-        "sweep_s": sweep.seconds,
-        "sweep_s_normalized": sweep.normalized,
-        "sweep_trials_per_s": n / sweep.seconds,
-        "sweep_trials_per_s_normalized": n / sweep.normalized,
-        "host_slowness": cal.median_slowness(),
+        "trials": len(results),
         "estimators": list(cfg.estimators),
         "batched": batched,
         "numpy": np.__version__,
@@ -151,27 +101,50 @@ def worker(src: str, config: str, trials_per_snr: str) -> None:
     }, sys.stdout)
 
 
-def run_side(src: str, config: str, trials_per_snr: int) -> dict:
+def run_worker(tree: str, config: str, trials_per_snr: int) -> dict:
+    src = os.path.join(tree, "src")
     env = {k: v for k, v in os.environ.items() if k != "CDCE_BASE_SEED"}
     env.update({var: "1" for var in BLAS_VARS})
     env["PYTHONPATH"] = src
-    cmd = [sys.executable, os.path.abspath(__file__), "--worker", src, config, str(trials_per_snr)]
-    out = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, check=False)
+    cmd = [sys.executable, os.path.abspath(__file__), "--worker", src, os.path.join(tree, config),
+           str(trials_per_snr)]
+    out = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, check=False)
     if out.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} exited {out.returncode}:\n{out.stderr}")
     return json.loads(out.stdout)
+
+
+def run_bench(tree: str, workload: str, seed: int, seconds: float, metrics: list[str]) -> dict:
+    """One `bench/run.py --trace 0` run of the tree's own benchmark: its last
+    line, with each end-to-end metric's value by name. Exits 1 unless that
+    line reads correct with no failed trial."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", f"{seconds:g}", "--trace", "0"]
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
+    lines = out.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {}
+    if out.returncode != 0 or result.get("correct") is not True or result.get("failed") != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} in {tree} exited {out.returncode}, last lines:\n"
+                         + "\n".join(lines[-5:]) + f"\n{out.stderr[-2000:]}")
+    missing = set(metrics) - set(result["metrics"])
+    if missing:
+        raise SystemExit(f"error: {' '.join(cmd)} in {tree} reported no {sorted(missing)}")
+    return dict(result, metrics={name: result["metrics"][name]["value"] for name in metrics})
 
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
-def extract_src(rev: str, dest: str) -> str:
-    archive = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
+def extract_tree(rev: str, dest: str) -> str:
+    archive = subprocess.run(["git", "archive", "--format=tar", rev, *TREE_PATHS], cwd=ROOT,
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
-    return os.path.join(dest, "src")
+    return dest
 
 
 def db(ratio: float) -> float:
@@ -229,6 +202,33 @@ def summary(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def pair_summary(pairs: list[tuple[float, float]], metric: dict) -> dict:
+    """The declaration of one end-to-end metric of BENCHMARK.json, with both
+    sides' medians and quartiles over its (base, head) pairs, the change's
+    relative median move, the pairs the change won (ties count for neither),
+    and the two flags of the pair rules: worse beyond the metric's bound, and
+    unresolved."""
+    if metric["better"] not in ("higher", "lower"):
+        raise SystemExit(f"error: {metric['name']}: better is {metric['better']!r}, not higher or lower")
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    base, head = [b for b, _ in pairs], [h for _, h in pairs]
+    b, h = summary(base), summary(head)
+    change = (h["median"] - b["median"]) / b["median"]
+    clear_win = min(sign * x for x in head) > max(sign * x for x in base)
+    return {
+        "unit": metric["unit"],
+        "better": metric["better"],
+        "bound": metric["bound"],
+        "base": b,
+        "head": h,
+        "median_change": change,
+        "pairs": len(pairs),
+        "head_wins": sum(sign * (y - x) > 0 for x, y in pairs),
+        "worse_beyond_bound": -sign * change > metric["bound"],
+        "unresolved": (b["q3"] - b["q1"]) / b["median"] > metric["bound"] and not clear_win,
+    }
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--base", help="git revision to compare the working tree against")
@@ -244,33 +244,44 @@ def main(argv=None) -> int:
     if not args.base or not args.tag:
         p.error("--base and --tag are required")
 
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    from common import WORKLOADS
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    seconds, end_to_end = spec["run_seconds"], spec["end_to_end"]
+    names = [m["name"] for m in end_to_end]
     base_rev = git("rev-parse", args.base)
-    head_src = os.path.join(ROOT, "src")
+    status = git("status", "--porcelain", "--", *TREE_PATHS).splitlines()
+    if any(line.startswith("??") for line in status):
+        raise SystemExit(f"error: untracked files under {', '.join(TREE_PATHS)}; add or ignore them")
     report = {
         "tag": args.tag,
         "base": {"ref": args.base, "rev": base_rev},
-        "head": {"rev": git("rev-parse", "HEAD"), "src_modified": bool(git("status", "--porcelain", "--", "src"))},
+        "head": {"rev": git("rev-parse", "HEAD"), "modified": bool(status)},
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
-        "blas_threads": 1,
         "base_seed": BASE_SEED,
         "rounds": ROUNDS,
+        "run_seconds": seconds,
         "drift_mode": args.drift,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"base": extract_src(base_rev, tmp), "head": head_src}
-        for name, (config_rel, per_snr) in WORKLOADS.items():
-            config = os.path.join(ROOT, config_rel)
-            runs = {"base": [], "head": []}
+        # from the repository root itself, identical code read slower lattice trial latencies
+        trees = {side: extract_tree(rev, os.path.join(tmp, side))
+                 for side, rev in (("base", base_rev), ("head", git("stash", "create") or "HEAD"))}
+        for name, workload in WORKLOADS.items():
+            per_snr = NMSE_TRIALS[name]
             # each side's first run; its sweep rows are checked against its
             # own, and its trials also against the other side's without --drift
             firsts = {}
+            pairs = []
             for r in range(ROUNDS):
                 order = ("base", "head") if r % 2 == 0 else ("head", "base")
                 for side in order:
-                    run = run_side(sides[side], config, per_snr)
+                    run = run_worker(trees[side], workload.config, per_snr)
                     report.setdefault("numpy", run["numpy"])
                     first = firsts.setdefault(side, run)
                     reference = first if args.drift else next(iter(firsts.values()))
@@ -282,28 +293,21 @@ def main(argv=None) -> int:
                         diff = next(a for a, b in zip(run["sweep_rows"], first["sweep_rows"]) if a != b)
                         raise SystemExit(f"error: {name}: {side} round {r} sweep row {diff} differs "
                                          f"from the first run's")
-                    runs[side].append({key: value for key, value in run.items()
-                                       if key not in ("nmse", "sweep_rows", "numpy")})
-                base, head = runs["base"][-1], runs["head"][-1]
-                print(f"{name} round {r} (normalized): set-up base {base['setup_s_normalized']:.4f} s, "
-                      f"head {head['setup_s_normalized']:.4f} s; run_trial base "
-                      f"{base['trials_per_s_normalized']:.1f}, head {head['trials_per_s_normalized']:.1f} "
-                      f"trials/s; sweep base {base['sweep_trials_per_s_normalized']:.1f}, "
-                      f"head {head['sweep_trials_per_s_normalized']:.1f} trials/s", file=sys.stderr)
+                runs = {side: run_bench(trees[side], name, r, seconds, names) for side in order}
+                pairs.append({"seed": r, "first": order[0], **runs})
+                print(f"{name} round {r}, {order[0]} first: " + "; ".join(
+                    f"{m} {runs['base']['metrics'][m]:.4g} -> {runs['head']['metrics'][m]:.4g}" for m in names),
+                    file=sys.stderr)
 
-            def figures(key):
-                return [summary([run[key] for run in runs[side]]) for side in ("base", "head")]
-
-            rate_base, rate_head = figures("trials_per_s_normalized")
-            sweep_base, sweep_head = figures("sweep_trials_per_s_normalized")
-            setup_base, setup_head = figures("setup_s_normalized")
-            pairs = list(zip(runs["base"], runs["head"]))
             reference = firsts["head"]
             moved = drift(firsts["base"], reference) if args.drift else None
             gap = None if args.drift else batched_row_gap(firsts["base"], reference)
             same_rows = firsts["base"]["sweep_rows"] == reference["sweep_rows"]
+            metrics = {m["name"]: pair_summary([(pair["base"]["metrics"][m["name"]],
+                                                 pair["head"]["metrics"][m["name"]]) for pair in pairs], m)
+                       for m in end_to_end}
             report["workloads"][name] = {
-                "config": config_rel,
+                "config": workload.config,
                 "trials_per_snr": per_snr,
                 "estimators": reference["estimators"],
                 "trials": reference["trials"],
@@ -312,25 +316,20 @@ def main(argv=None) -> int:
                 "sweep_rows": reference["sweep_rows"],
                 **({} if same_rows else {"base_sweep_rows": firsts["base"]["sweep_rows"]}),
                 **({"drift": moved} if moved else {"batched_row_max_abs_delta_db": gap}),
-                "setup_s": {"base": setup_base, "head": setup_head},
-                "setup_ratio_median": setup_head["median"] / setup_base["median"],
-                "setup_head_wins": sum(h["setup_s_normalized"] < b["setup_s_normalized"] for b, h in pairs),
-                "trials_per_s": {"base": rate_base, "head": rate_head},
-                "speedup_median": rate_head["median"] / rate_base["median"],
-                "head_wins": sum(h["trials_per_s_normalized"] > b["trials_per_s_normalized"] for b, h in pairs),
-                "sweep_trials_per_s": {"base": sweep_base, "head": sweep_head},
-                "sweep_speedup_median": sweep_head["median"] / sweep_base["median"],
-                "sweep_head_wins": sum(h["sweep_trials_per_s_normalized"] > b["sweep_trials_per_s_normalized"]
-                                       for b, h in pairs),
-                "runs": runs,
+                "metrics": metrics,
+                "pairs": pairs,
             }
-            if moved:
-                for est, m in moved.items():
-                    print(f"{name} drift {est}: {m['trials_moved']} of {m['trials']} trials moved, "
-                          f"max {m['trial_max_abs_delta_db']:.3g} dB; {m['sweep_rows_moved']} of "
-                          f"{m['sweep_rows']} sweep rows moved, max {m['sweep_row_max_abs_delta_db']:.3g} dB; "
-                          f"{m['stderr_moved']} standard errors moved, max {m['stderr_max_abs_delta_db']:.3g} dB",
-                          file=sys.stderr)
+            for metric, s in metrics.items():
+                flags = [flag for flag in ("worse_beyond_bound", "unresolved") if s[flag]]
+                print(f"{name} {metric}: median {s['base']['median']:.4g} -> {s['head']['median']:.4g} "
+                      f"({s['median_change']:+.1%}), head wins {s['head_wins']} of {s['pairs']}"
+                      + "".join(f", {flag}" for flag in flags), file=sys.stderr)
+            for est, m in (moved or {}).items():
+                print(f"{name} drift {est}: {m['trials_moved']} of {m['trials']} trials moved, "
+                      f"max {m['trial_max_abs_delta_db']:.3g} dB; {m['sweep_rows_moved']} of "
+                      f"{m['sweep_rows']} sweep rows moved, max {m['sweep_row_max_abs_delta_db']:.3g} dB; "
+                      f"{m['stderr_moved']} standard errors moved, max {m['stderr_max_abs_delta_db']:.3g} dB",
+                      file=sys.stderr)
     path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
