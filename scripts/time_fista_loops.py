@@ -17,6 +17,14 @@ row of the other ways must lie within that bound of the single-vector
 loop's solve, with the same zero entries, or the script exits 1. Prints,
 per way, the median and quartiles over the rounds of the milliseconds per
 solve. BLAS runs on one thread unless the environment sets otherwise.
+
+Solves timed back to back read up to about 20 % faster than the same solve
+inside harness.run_trial, where it follows other work such as the full-grid
+reconstruct's complex gemm, after which small numpy calls run slower. On
+trials 0-47 of configs/with_data.yaml at 10 dB (one BLAS thread, x86-64) a
+single-vector solve took 3.45 ms back to back and 3.83 ms with a full-grid
+reconstruct before each solve. The cause is not isolated. Use bench/run.py
+for a figure of a whole trial.
 """
 
 from __future__ import annotations

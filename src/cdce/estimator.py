@@ -325,11 +325,12 @@ def solve_lasso(y: np.ndarray, dictionary: Dictionary, cfg: LassoConfig) -> np.n
     A 1-D ``y`` runs the single-vector loop. A (K, rows) stack of received
     vectors runs one loop over all K rows and returns a (K, cols) array, with
     one RuntimeWarning per row that uses up ``max_iter``. Both loops run the
-    plain formula in the operator's rotated coordinates, a vector on its
-    one step matrix S and a stack on S's diagonal blocks, so every solve
-    agrees with the plain loop to rounding and stops at its iteration. The
-    shape picks the loop because the row loop, run on a single row, is
-    slower per solve.
+    plain formula in the operator's rotated coordinates, a vector on a copy
+    of its one step matrix S with the shift eps p̄Dᴴy as extra columns,
+    [S | shift], and a stack on S's diagonal blocks, so every solve agrees
+    with the plain loop to rounding and stops at its iteration. The shape
+    picks the loop because the row loop, run on a single row, is slower per
+    solve.
     """
     if dictionary.norm_sq <= 0:
         raise ValueError("degenerate dictionary with zero spectral norm")
@@ -357,30 +358,39 @@ def _fista_vector(
     It runs in the rotated coordinates of ``Dictionary.fista_operator``:
     eps Dᴴy is permuted into the blocks' order and multiplied by p̄ once,
     each gradient step is v = S z + eps p̄Dᴴy on the whole step matrix S,
-    and the last iterate is multiplied by p and permuted back once. A real S
-    acts as one real matmul on the (P, 2) float view of the complex vector,
-    half the multiplies of a complex gemv. The soft threshold keeps phases,
-    and the momentum and both norms of the stopping rule (numpy's own
-    formula, sqrt(re.re + im.im)) do not see them. The work vectors are
-    allocated once per solve and updated in place; ``soft_threshold``
-    returns each new iterate.
+    and the last iterate is multiplied by p and permuted back once. The
+    step is one matmul of [S | shift], a copy of S with the shift as extra
+    columns made once per solve, by a work block whose first P rows are z
+    and whose last rows are fixed units, so the product adds the shift. A
+    real S acts on the (P + 2, 2) float view of the complex block, half the
+    multiplies of a complex gemv: the shift's real and imaginary parts are
+    two columns, and the unit rows 1 and 1j add them to v's real and
+    imaginary parts. A complex S takes the shift as one column and one unit
+    row. The soft threshold keeps phases, and the momentum and both norms
+    of the stopping rule do not see them. The rule takes each squared norm
+    in one ``np.vdot`` and one square root of their ratio, and keeps each
+    iterate's squared norm for the next iteration's denominator. The work
+    arrays are allocated once per solve and updated in place;
+    ``soft_threshold`` returns each new iterate.
     """
     op = dictionary.fista_operator
     shift = op.eps * (dictionary.matrix.conj().T @ y)[op.order] * op.phases.conj()
     h = np.zeros(len(shift), dtype=complex)
-    z = h.copy()
     v = np.empty_like(h)
     moved = np.empty_like(h)
-    moved_re, moved_im = moved.real, moved.imag
     if op.whole.dtype == float:
         # a real matrix acts on the real and imaginary parts alike
-        z_in, v_out = z.view(float).reshape(-1, 2), v.view(float).reshape(-1, 2)
+        step = np.hstack((op.whole, shift.view(float).reshape(-1, 2)))
+        block = np.concatenate((h, [1.0, 1j]))
+        z_in, v_out = block.view(float).reshape(-1, 2), v.view(float).reshape(-1, 2)
     else:
-        z_in, v_out = z, v
-    beta = 1.0
+        step = np.hstack((op.whole, shift[:, None]))
+        block = np.concatenate((h, [1.0]))
+        z_in, v_out = block, v
+    z = block[:len(h)]
+    beta, h_sq = 1.0, 0.0
     for _ in range(cfg.max_iter):
-        np.matmul(op.whole, z_in, out=v_out)
-        np.add(v, shift, out=v)
+        np.matmul(step, z_in, out=v_out)
         h_new = soft_threshold(v, gamma)
         beta_next = (1.0 + math.sqrt(1.0 + 4.0 * beta * beta)) / 2.0
         # z = h_new + ((beta - 1) / beta_next) * (h_new - h)
@@ -388,10 +398,9 @@ def _fista_vector(
         np.multiply((beta - 1.0) / beta_next, moved, out=z)
         np.add(h_new, z, out=z)
         beta = beta_next
-        delta = math.sqrt(moved_re.dot(moved_re) + moved_im.dot(moved_im))
-        denom = math.sqrt(h.real.dot(h.real) + h.imag.dot(h.imag))
-        h = h_new
-        change = delta / denom if denom > 0 else (0.0 if delta == 0 else math.inf)
+        delta_sq = np.vdot(moved, moved).real
+        change = math.sqrt(delta_sq / h_sq) if h_sq > 0 else (0.0 if delta_sq == 0 else math.inf)
+        h, h_sq = h_new, np.vdot(h_new, h_new).real
         if change < cfg.tol:
             return _unrotate(h, op), []
     return _unrotate(h, op), [change]

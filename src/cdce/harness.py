@@ -57,10 +57,12 @@ _COV_SEED_TAG = 0x636F76
 # configs/with_data.yaml; on 384 solves (two runs) 0.55-0.57 / 0.47-0.49 /
 # 0.53-0.54 and 0.54-0.55 / 0.49-0.54 / 0.52-0.57 ms. 128 rows led only on
 # 100 solves, a sweep no config runs. One-by-one solves of the single-vector
-# loop on the dictionary's whole step matrix took 3.9-4.4 ms (500 solves,
-# one run per config). A lattice chunk with tf_lasso holds its trials' true
-# bands (28 KiB each at 8 x 14) and received grids, one frame, and the
-# solve's (P, K) blocks, about 1.5 MiB at 96 rows.
+# loop, one matmul of [S | shift] per iteration, took 3.47 ms on
+# configs/pilot_only.yaml and 3.43 ms on configs/with_data.yaml (medians of
+# 7 rounds of 500 solves, one run per config; the same run read 0.60 and
+# 0.57 ms per solve in 96-row chunks). A lattice chunk with tf_lasso holds
+# its trials' true bands (28 KiB each at 8 x 14) and received grids, one
+# frame, and the solve's (P, K) blocks, about 1.5 MiB at 96 rows.
 LASSO_BATCH = 96
 
 # The largest noise variance simulated: noise of this variance squares to at
@@ -112,12 +114,24 @@ class SimConfig:
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
         stats, dims = self.stats, self.dims
+        if stats.n_paths < 3:
+            # ||h||² of P Gaussian gains is near zero like a Gamma(P) variable
+            raise ValueError(
+                f"n_paths {stats.n_paths} is below 3: each trial's NMSE divides by ||h||², and "
+                f"E[1/||h||²] is finite only from 2 paths and E[1/||h||⁴] only from 3, so below "
+                f"3 paths the sweep's stderr_db estimates nothing"
+            )
         if stats.l_max > dims.cp_len:
             raise ValueError(f"l_max {stats.l_max} exceeds the CP length {dims.cp_len}")
         if 2 * stats.k_max >= dims.n:
             # on even N, Doppler +N/2 and -N/2 are one DD column
             raise ValueError(
                 f"k_max {stats.k_max} must stay below half the Doppler grid (N/2 = {dims.n / 2})"
+            )
+        if self.frame.placement == "uniform_random" and self.frame.n_pilots < stats.region_size:
+            raise ValueError(
+                f"{self.frame.n_pilots} randomly placed pilots cannot resolve a search region of "
+                f"{stats.region_size} bins: a frame needs at least one pilot per region bin"
             )
         if self.frame.placement == "lattice":
             # a lattice's pilot-only frame is fixed, so its region dictionary
@@ -201,8 +215,8 @@ def _received(cfg: SimConfig, snr_db: float, trial_index: int, n0: float):
 
 
 def _energy(h: np.ndarray) -> float:
-    """The squared Frobenius norm of a channel's bands."""
-    return float(np.sum(np.abs(h) ** 2))
+    """The squared Frobenius norm of a channel's bands, in one BLAS call."""
+    return float(np.vdot(h, h).real)
 
 
 def _ratio(h_hat: np.ndarray, h_true: np.ndarray, energy: float) -> float:

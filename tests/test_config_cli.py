@@ -68,6 +68,24 @@ ALIASED = [
 ]
 
 
+# Fewer pilots than region bins cannot resolve the region, wherever they
+# sit: 8 random pilots against 3 x 7 = 21 bins.
+TOO_FEW_RANDOM_PILOTS = [
+    ("frame: {placement: uniform_random, sequence: zadoff_chu, freq_spacing: 4, time_spacing: 4}",
+     r"invalid config .*8 randomly placed pilots cannot resolve a search region of 21 bins"),
+]
+
+
+# Below 3 paths a trial's NMSE, which divides by ||h||², has an infinite
+# variance (2 paths) or no mean (1 path).
+TOO_FEW_PATHS = [
+    (f"stats: {{n_paths: {n}}}",
+     rf"invalid config .*n_paths {n} is below 3: .*E\[1/\|\|h\|\|²\] is finite only from 2 paths "
+     r"and E\[1/\|\|h\|\|⁴\] only from 3, so below 3 paths the sweep's stderr_db estimates nothing")
+    for n in (1, 2)
+]
+
+
 class TestLoadConfig:
     def test_repo_pilot_config(self):
         cfg = load_config(REPO_CONFIG)
@@ -160,7 +178,7 @@ class TestLoadConfig:
             ("snr_grid_db: [-3082]", "invalid config"),
             ("snr_grid_db: [10, -1541.3]", "invalid config"),
             ("mode: with_data\nframe: {freq_spacing: 1}", "invalid frame"),
-        ] + DUPLICATES + REPEATED + ALIASED,
+        ] + DUPLICATES + REPEATED + ALIASED + TOO_FEW_RANDOM_PILOTS + TOO_FEW_PATHS,
     )
     def test_bad_configs_rejected(self, tmp_path, text, fragment):
         path = write_config(tmp_path, text)
@@ -168,6 +186,12 @@ class TestLoadConfig:
             load_config(path)
         if fragment.startswith("invalid"):
             assert path in str(caught.value)
+
+    def test_random_pilot_benchmark_config_loads(self):
+        # 56 random pilots against 21 region bins
+        cfg = load_config(str(CONFIG_DIR.parent / "bench" / "configs" / "random_pilots.yaml"), env={})
+        assert cfg.frame.placement == "uniform_random"
+        assert cfg.frame.n_pilots == 56 and cfg.stats.region_size == 21
 
     def test_empty_file_is_the_dataclass_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, ""), env={})

@@ -1028,6 +1028,23 @@ class TestFistaOperator:
         with pytest.raises(ValueError, match="read-only"):
             op.whole[0, 0] = 0.0
 
+    # the single-vector loop multiplies a copy of S with the shift as extra
+    # columns; the cached S keeps its bytes, real (two blocks on the all-ones
+    # lattice) and complex (one block on a Zadoff-Chu lattice)
+    @pytest.mark.parametrize("sequence_kind,dtype", [("all_ones", float), ("zadoff_chu", complex)])
+    def test_vector_solve_leaves_the_step_matrix_untouched(self, sequence_kind, dtype):
+        d = full_grid_dictionary((8, 14, 2), sequence_kind)
+        op = d.fista_operator
+        assert op.whole.dtype == dtype
+        before = op.whole.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for row in three_path_rows(d):
+                solve_lasso(row, d, LassoConfig())
+        assert d.fista_operator is op
+        assert op.whole.tobytes() == before
+        assert not op.whole.flags.writeable
+
     # the 16 x 14 lattice runs three real blocks as one real matrix, and
     # every solve converges; the Zadoff-Chu lattice's Gram is one complex
     # block (cond 253), and max_iter 1000 stops one solve and exhausts four

@@ -83,6 +83,17 @@ class TestNmseDb:
         h = np.ones((4, 4), dtype=complex)
         assert nmse_db(h + 1e-200, h) == -200.0
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_energy_is_the_sum_of_squared_magnitudes(self, seed):
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal((2, D.n, D.m, D.m)) + 1j * rng.standard_normal((2, D.n, D.m, D.m))
+        energy = harness._energy(h)
+        assert type(energy) is float
+        assert energy == pytest.approx(float(np.sum(np.abs(h) ** 2)), rel=1e-15, abs=0)
+
+    def test_energy_of_zero_bands_is_exactly_zero(self):
+        assert harness._energy(np.zeros((2, D.n, D.m, D.m), dtype=complex)) == 0.0
+
 
 class TestSimConfig:
     def test_defaults(self):
