@@ -68,15 +68,14 @@ def _interpolate_grid(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def st_ls(y_tf: np.ndarray, frame: Frame) -> np.ndarray:
-    """Single-tap least squares: divide by the pilots on the lattice,
-    interpolate bilinearly, return the diagonal TF channel estimate as its
-    symbol-block bands (see ``reconstruct``), zero off the diagonal."""
+    """Single-tap least squares: divide by the pilots at their positions,
+    the non-zero entries of the pilot-only grid, interpolate bilinearly,
+    return the diagonal TF channel estimate as its symbol-block bands (see
+    ``reconstruct``), zero off the diagonal."""
     d = frame.dims
-    mask = frame.pilot_mask
+    mask = frame.pilot_only_tf != 0
     if not mask.any():
         raise ValueError("the frame carries no pilots")
-    if np.any(frame.pilot_only_tf[mask] == 0):
-        raise ValueError("a pilot position holds a zero symbol, cannot divide")
     ratios = np.zeros_like(y_tf)
     ratios[mask] = y_tf[mask] / frame.pilot_only_tf[mask]
     bands = np.zeros((2, d.n, d.m, d.m), dtype=complex)
@@ -84,12 +83,12 @@ def st_ls(y_tf: np.ndarray, frame: Frame) -> np.ndarray:
     return bands
 
 
-def st_lmmse(st_ls_estimate: np.ndarray, snr: float) -> np.ndarray:
+def st_lmmse(st_ls_estimate: np.ndarray, n0: float) -> np.ndarray:
     """Single-tap LMMSE: the ``st_ls`` estimate of the same received grid
-    shrunk by SNR / (SNR + 1)."""
-    if snr <= 0:
-        raise ValueError(f"snr must be positive, got {snr}")
-    return st_ls_estimate / (1.0 + 1.0 / snr)
+    divided by 1 + N0: the shrink SNR / (SNR + 1) with SNR = 1/N0."""
+    if n0 < 0:
+        raise ValueError(f"n0 must be non-negative, got {n0}")
+    return st_ls_estimate / (1.0 + n0)
 
 
 @dataclass(frozen=True)

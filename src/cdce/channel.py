@@ -87,6 +87,14 @@ class ChannelStats:
                 f"cannot draw {self.n_paths} distinct paths from a region of {self.region_size} bins"
             )
 
+    def check_doppler_grid(self, dims: Dims) -> None:
+        """Reject a region whose Doppler bins reach half the Doppler grid of
+        ``dims``: on even N, Doppler +N/2 and -N/2 are one DD column."""
+        if 2 * self.k_max >= dims.n:
+            raise ValueError(
+                f"k_max {self.k_max} must stay below half the Doppler grid (N/2 = {dims.n / 2})"
+            )
+
     @property
     def per_path_variance(self) -> float:
         return 1.0 / self.n_paths if self.gain_variance is None else self.gain_variance
@@ -135,12 +143,10 @@ def draw_paths(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one random channel's paths as flat indices into
     ``stats.region_pairs`` and complex gains: distinct (delay, Doppler) bins
-    uniform over [0, l_max] x [-k_max, k_max], i.i.d. complex Gaussian gains."""
-    if 2 * stats.k_max >= dims.n:
-        # on even N, Doppler +N/2 and -N/2 are one DD column
-        raise ValueError(
-            f"k_max {stats.k_max} must stay below half the Doppler grid (N/2 = {dims.n / 2})"
-        )
+    uniform over [0, l_max] x [-k_max, k_max], i.i.d. complex Gaussian gains.
+    A region that ``ChannelStats.check_doppler_grid`` rejects raises before
+    any draw."""
+    stats.check_doppler_grid(dims)
     flat = rng.choice(stats.region_size, size=stats.n_paths, replace=False)
     sigma = math.sqrt(stats.per_path_variance / 2.0)
     gains = sigma * (rng.standard_normal(stats.n_paths) + 1j * rng.standard_normal(stats.n_paths))
@@ -276,7 +282,9 @@ def reconstruct(h: np.ndarray, pairs: tuple[tuple[int, int], ...], d: Dims) -> n
     whose [0, n] is the diagonal block of symbol n and [1, n] the block
     through which symbol n - 1 leaks into symbol n ([1, 0] is zero). Each
     band is one (N x P) @ (P x M^2) product of the gains times the ramps
-    with the table's blocks."""
+    with the table's blocks. h must hold exactly one gain per pair."""
+    if len(h) != len(pairs):
+        raise ValueError(f"{len(h)} gains for {len(pairs)} pairs: reconstruct needs one gain per pair")
     blocks, ramps = _unit_path_atoms(d, pairs)
     weights = (np.asarray(h)[:, None] * ramps).T
     flat = blocks.reshape(len(blocks), 2, d.m * d.m)

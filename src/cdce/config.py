@@ -2,10 +2,11 @@
 
 Configs are YAML mappings that mirror SimConfig: sections for the grid, the
 channel statistics, the frame layout and the sparse solver, top-level sweep
-controls, and ``mode`` for the frame's data fill. One table per section maps
-each YAML key to its dataclass field and parser; an absent key keeps its
-dataclass default. Unknown and repeated keys are errors, so a typo cannot
-fall back silently. CDCE_BASE_SEED in the environment overrides the seed.
+controls, and ``mode`` for the frame's data fill, which FrameSpec.data_mode
+takes as spelled. One table per section maps each YAML key to its dataclass
+field and parser; an absent key keeps its dataclass default. Unknown and
+repeated keys are errors, so a typo cannot fall back silently.
+CDCE_BASE_SEED in the environment overrides the seed.
 """
 
 from __future__ import annotations
@@ -72,13 +73,6 @@ def _nonempty_list(parse, noun: str):
     return parse_list
 
 
-def _data_fill(value, where: str) -> str:
-    fills = {"pilot_only": "none", "with_data": "qpsk"}
-    if _str(value, where) not in fills:
-        raise ConfigError(f"{where} must be pilot_only or with_data, got {value!r}")
-    return fills[value]
-
-
 def _same(parse, *keys: str) -> dict:
     return {key: (key, parse) for key in keys}
 
@@ -94,7 +88,7 @@ _FRAME = {
     "placement": ("placement", _str),
 }
 _LASSO = {"lambda": ("lam", _float), "tol": ("tol", _float), "max_iter": ("max_iter", _int)}
-_MODE = {"mode": ("data_mode", _data_fill)}
+_MODE = {"mode": ("data_mode", _str)}
 _TOP = {
     "snr_grid_db": ("snr_grid_db", _nonempty_list(_float, "numbers")),
     "estimators": ("estimators", _nonempty_list(_str, "names")),

@@ -76,14 +76,14 @@ class CoarseEstimate:
 @dataclass(frozen=True)
 class FistaOperator:
     """FISTA's gradient step on a dictionary, read-only, in the column
-    ``order`` of the Gram's blocks and rotated by the unit ``phases`` p (in
-    that order): with G = diag(p)·R·diag(p̄), the step z + eps·(p̄Dᴴy - R z)
-    is S z + eps·p̄Dᴴy. ``whole`` is the one P x P step matrix S: real
-    I - eps R per block, zero between them, or the complex I - eps G as one
-    block with p = 1. ``blocks`` holds (rows, S[rows, rows]) per block,
-    views of S."""
+    ``order`` of the Gram's blocks, an index array, and rotated by the unit
+    ``phases`` p (in that order): with G = diag(p)·R·diag(p̄), the step
+    z + eps·(p̄Dᴴy - R z) is S z + eps·p̄Dᴴy. ``whole`` is the one P x P step
+    matrix S: real I - eps R per block, zero between them, or the complex
+    I - eps G as one block in the natural order 0..P-1 with p = 1.
+    ``blocks`` holds (rows, S[rows, rows]) per block, views of S."""
 
-    order: slice | np.ndarray
+    order: np.ndarray
     phases: np.ndarray
     eps: float
     blocks: tuple[tuple[slice, np.ndarray], ...]
@@ -162,9 +162,9 @@ class Dictionary:
             whole[rows, rows] = np.identity(len(part)) - eps * gram[np.ix_(part, part)]
             slices.append(rows)
             start = rows.stop
-        order = slice(None) if len(parts) == 1 else np.concatenate(parts)
+        order = np.concatenate(parts)
         phases = phase[order]
-        for array in (whole, phases, *([] if len(parts) == 1 else [order])):
+        for array in (whole, phases, order):
             array.setflags(write=False)
         # views of the read-only S, so read-only themselves
         blocks = tuple((rows, whole[rows, rows]) for rows in slices)

@@ -123,11 +123,7 @@ class SimConfig:
             )
         if stats.l_max > dims.cp_len:
             raise ValueError(f"l_max {stats.l_max} exceeds the CP length {dims.cp_len}")
-        if 2 * stats.k_max >= dims.n:
-            # on even N, Doppler +N/2 and -N/2 are one DD column
-            raise ValueError(
-                f"k_max {stats.k_max} must stay below half the Doppler grid (N/2 = {dims.n / 2})"
-            )
+        stats.check_doppler_grid(dims)
         if self.frame.placement == "uniform_random" and self.frame.n_pilots < stats.region_size:
             raise ValueError(
                 f"{self.frame.n_pilots} randomly placed pilots cannot resolve a search region of "
@@ -137,7 +133,7 @@ class SimConfig:
             # a lattice's pilot-only frame is fixed, so its region dictionary
             # (the one fs_lmmse solves on, cached here for it) tells at load
             # whether the lattice can tell every region bin from the others
-            frame = assemble_frame(replace(self.frame, data_mode="none"))
+            frame = assemble_frame(replace(self.frame, data_mode="pilot_only"))
             cond = cached_dictionary(frame.pilot_only_tf, stats.region_pairs, frame.dims).cond
             if not cond < LS_CONDITION_LIMIT:
                 lattice = self.frame.lattice
@@ -256,8 +252,7 @@ def run_trial(
             # ST-LMMSE scales the ST-LS estimate, which is interpolated once
             if st_ls_hat is None:
                 st_ls_hat = st_ls(y_tf, frame)
-            snr = math.inf if n0 == 0 else 1.0 / n0
-            h_hat = st_ls_hat if name == "st_ls" else st_lmmse(st_ls_hat, snr)
+            h_hat = st_ls_hat if name == "st_ls" else st_lmmse(st_ls_hat, n0)
         else:
             h_hat = tf_lasso(y_tf, frame, cfg.lasso)
         out[name] = _ratio(h_hat, h_true, energy)

@@ -2,8 +2,10 @@
 
 Pilots are laid on a rectangular lattice of the TF grid (or on uniformly
 random positions for the randomized-pilot baseline) in column-major scan
-order. The remaining resource elements are either zero (pilot-only frames)
-or unit-energy QPSK data.
+order. The remaining resource elements are either zero (``pilot_only``
+frames) or unit-energy QPSK data (``with_data``). Every pilot symbol has
+modulus sqrt(pilot_power) > 0, so the pilot positions are the non-zero
+entries of a frame's pilot-only grid.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ __all__ = [
 ]
 
 _SEQUENCE_KINDS = ("all_ones", "walsh", "zadoff_chu")
-_DATA_MODES = ("none", "qpsk")
+_DATA_MODES = ("pilot_only", "with_data")
 _PLACEMENTS = ("lattice", "uniform_random")
 
 
@@ -53,22 +55,22 @@ class FrameSpec:
     sequence_kind: str = "all_ones"
     sequence_param: int | None = None
     pilot_power: float = 1.0
-    data_mode: str = "none"
+    data_mode: str = "pilot_only"
     placement: str = "lattice"
 
     def __post_init__(self) -> None:
         if self.sequence_kind not in _SEQUENCE_KINDS:
             raise ValueError(f"sequence kind must be one of {_SEQUENCE_KINDS}")
         if self.data_mode not in _DATA_MODES:
-            raise ValueError(f"data mode must be one of {_DATA_MODES}")
+            raise ValueError(f"mode must be {' or '.join(_DATA_MODES)}, got {self.data_mode!r}")
         if self.placement not in _PLACEMENTS:
             raise ValueError(f"placement must be one of {_PLACEMENTS}")
         if not (math.isfinite(self.pilot_power) and self.pilot_power > 0):
             raise ValueError(f"pilot power must be finite and positive, got {self.pilot_power}")
         if self.lattice.freq_offset >= self.dims.m or self.lattice.time_offset >= self.dims.n:
             raise ValueError("lattice offsets leave no pilot positions")
-        if self.data_mode == "qpsk" and self.n_pilots == self.dims.grid_size:
-            raise ValueError("pilots fill every resource element, leaving none for a qpsk data fill")
+        if self.data_mode == "with_data" and self.n_pilots == self.dims.grid_size:
+            raise ValueError("pilots fill every resource element, leaving none for the with_data qpsk fill")
         # the sequence is built per frame; an impossible length or parameter fails here
         make_pilot_sequence(self.sequence_kind, self.n_pilots, self.sequence_param)
 
@@ -81,11 +83,11 @@ class FrameSpec:
 
 @dataclass(frozen=True)
 class Frame:
-    """Assembled TF frame: full grid, pilot-only grid, and the pilot mask."""
+    """Assembled TF frame: the full grid and the pilot-only grid, whose
+    non-zero entries are the pilot positions."""
 
     tf: np.ndarray
     pilot_only_tf: np.ndarray
-    pilot_mask: np.ndarray
     dims: Dims
 
 
@@ -139,24 +141,22 @@ def _pilot_positions(spec: FrameSpec, rng: np.random.Generator | None) -> tuple[
 def assemble_frame(spec: FrameSpec, rng: np.random.Generator | None = None) -> Frame:
     """Build a frame from its spec.
 
-    QPSK data fill and the uniform_random placement consume randomness and
-    therefore require ``rng``.
+    The with_data QPSK fill and the uniform_random placement consume
+    randomness and therefore require ``rng``.
     """
     d = spec.dims
     rows, cols = _pilot_positions(spec, rng)
     seq = make_pilot_sequence(spec.sequence_kind, rows.size, spec.sequence_param)
     pilot_only = np.zeros((d.m, d.n), dtype=complex)
-    mask = np.zeros((d.m, d.n), dtype=bool)
     pilot_only[rows, cols] = math.sqrt(spec.pilot_power) * seq
-    mask[rows, cols] = True
-    tf = pilot_only.copy()
-    if spec.data_mode == "qpsk":
-        if rng is None:
-            raise ValueError("QPSK data fill needs an rng")
-        bits = rng.integers(0, 2, size=(d.m, d.n, 2))
-        symbols = ((2 * bits[..., 0] - 1) + 1j * (2 * bits[..., 1] - 1)) / math.sqrt(2)
-        tf = np.where(mask, pilot_only, symbols)
-    return Frame(tf=tf, pilot_only_tf=pilot_only, pilot_mask=mask, dims=d)
+    if spec.data_mode == "pilot_only":
+        return Frame(tf=pilot_only.copy(), pilot_only_tf=pilot_only, dims=d)
+    if rng is None:
+        raise ValueError("QPSK data fill needs an rng")
+    bits = rng.integers(0, 2, size=(d.m, d.n, 2))
+    tf = ((2 * bits[..., 0] - 1) + 1j * (2 * bits[..., 1] - 1)) / math.sqrt(2)
+    tf[rows, cols] = pilot_only[rows, cols]
+    return Frame(tf=tf, pilot_only_tf=pilot_only, dims=d)
 
 
 def pilot_dd_image(frame: Frame) -> np.ndarray:

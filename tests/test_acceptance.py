@@ -77,7 +77,7 @@ def report(criterion, ok, detail):
 
 
 def sweep_config(mode):
-    frame = FrameSpec(dims=D, data_mode="none" if mode == "pilot_only" else "qpsk")
+    frame = FrameSpec(dims=D, data_mode=mode)
     return SimConfig(
         dims=D,
         stats=STATS,
@@ -303,7 +303,7 @@ def test_criterion_8_transform_and_property_suite():
 
     for trial in range(5):
         ch = sample_channel(STATS, D, rng)
-        frame = assemble_frame(FrameSpec(dims=D, data_mode="qpsk"), rng)
+        frame = assemble_frame(FrameSpec(dims=D, data_mode="with_data"), rng)
         y_sig = received_tf(frame, ch)
         y_mat = unvec(bands_to_dense(effective_tf_channel(ch)) @ vec(frame.tf), D.m, D.n)
         rel = np.linalg.norm(y_sig - y_mat) / np.linalg.norm(y_mat)
@@ -341,7 +341,7 @@ def test_criterion_9_pilot_sequence_analysis():
 
     def study(kind):
         frame = assemble_frame(FrameSpec(dims=d16, lattice=lattice, sequence_kind=kind))
-        n_pilots = int(frame.pilot_mask.sum())
+        n_pilots = int(np.count_nonzero(frame.pilot_only_tf))
         x_dd = pilot_dd_image(frame)
         energies = np.sort(np.abs(x_dd.ravel()) ** 2)[::-1]
         cum = np.cumsum(energies)

@@ -59,7 +59,7 @@ def interp_masks():
     for d, lattice in ((D, Lattice()), (D, Lattice(freq_spacing=3, time_spacing=2)),
                        (Dims(9, 5, 2), Lattice(freq_spacing=2, time_spacing=2, time_offset=1)),
                        (Dims(6, 11, 1), Lattice(freq_spacing=4, time_spacing=3, freq_offset=1))):
-        masks.append(assemble_frame(FrameSpec(dims=d, lattice=lattice)).pilot_mask)
+        masks.append(assemble_frame(FrameSpec(dims=d, lattice=lattice)).pilot_only_tf != 0)
     for shape, share in (((8, 14), 0.5), ((8, 14), 0.1), ((5, 9), 0.3), ((1, 6), 0.5), ((7, 1), 0.5)):
         mask = rng.random(shape) < share
         mask[rng.integers(shape[0]), rng.integers(shape[1])] = True
@@ -128,11 +128,12 @@ class TestStLs:
         for _ in range(5):
             fr = assemble_frame(spec, rng)
             y = rng.standard_normal((D.m, D.n)) + 1j * rng.standard_normal((D.m, D.n))
-            ratios = np.where(fr.pilot_mask, y / np.where(fr.pilot_mask, fr.pilot_only_tf, 1), 0)
-            dense = np.diag(vec(interpolate_grid_loop(ratios, fr.pilot_mask)))
+            mask = fr.pilot_only_tf != 0
+            ratios = np.where(mask, y / np.where(mask, fr.pilot_only_tf, 1), 0)
+            dense = np.diag(vec(interpolate_grid_loop(ratios, mask)))
             bands = st_ls(y, fr)
             np.testing.assert_array_equal(bands_to_dense(bands), dense)
-            np.testing.assert_array_equal(bands_to_dense(st_lmmse(bands, 4.0)), dense / (1.0 + 1.0 / 4.0))
+            np.testing.assert_array_equal(bands_to_dense(st_lmmse(bands, 0.25)), dense / (1.0 + 0.25))
 
     def test_affine_grid_interpolated_exactly(self):
         d9 = Dims(9, 5, 2)
@@ -145,20 +146,9 @@ class TestStLs:
         h = bands_to_dense(st_ls(x * fr.pilot_only_tf, fr))
         np.testing.assert_allclose(np.diag(h), vec(x), atol=1e-12)
 
-    def test_zero_pilot_symbol_rejected(self, frame):
-        broken = frame.pilot_only_tf.copy()
-        broken[0, 0] = 0.0
-        fake = Frame(
-            tf=broken, pilot_only_tf=broken, pilot_mask=frame.pilot_mask, dims=D
-        )
-        with pytest.raises(ValueError, match="divide"):
-            st_ls(broken, fake)
-
     def test_pilotless_frame_rejected(self):
         zero = np.zeros((D.m, D.n), dtype=complex)
-        fake = Frame(
-            tf=zero, pilot_only_tf=zero, pilot_mask=np.zeros((D.m, D.n), bool), dims=D
-        )
+        fake = Frame(tf=zero, pilot_only_tf=zero, dims=D)
         with pytest.raises(ValueError, match="no pilots"):
             st_ls(zero, fake)
 
@@ -175,13 +165,19 @@ class TestStLmmse:
         rng = np.random.default_rng(2)
         y = rng.standard_normal((D.m, D.n)) + 1j * rng.standard_normal((D.m, D.n))
         np.testing.assert_allclose(
-            st_lmmse(st_ls(y, frame), 1e12), st_ls(y, frame), rtol=1e-9
+            st_lmmse(st_ls(y, frame), 1e-12), st_ls(y, frame), rtol=1e-9
         )
 
-    @pytest.mark.parametrize("snr", [0.0, -1.0])
-    def test_nonpositive_snr_rejected(self, frame, snr):
-        with pytest.raises(ValueError, match="snr"):
-            st_lmmse(st_ls(frame.pilot_only_tf, frame), snr)
+    def test_noiseless_keeps_the_ls_answer(self, frame):
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal((D.m, D.n)) + 1j * rng.standard_normal((D.m, D.n))
+        est = st_ls(y, frame)
+        assert st_lmmse(est, 0.0).tobytes() == est.tobytes()
+
+    @pytest.mark.parametrize("n0", [-1e-3, -1.0])
+    def test_negative_n0_rejected(self, frame, n0):
+        with pytest.raises(ValueError, match="n0"):
+            st_lmmse(st_ls(frame.pilot_only_tf, frame), n0)
 
 
 class TestFitCovariance:
@@ -251,7 +247,7 @@ def small_setup():
     stats4 = ChannelStats(n_paths=2, l_max=2, k_max=1)
     cov = fit_covariance(stats4, d4, 50, np.random.default_rng(7))
     frame4 = assemble_frame(
-        FrameSpec(dims=d4, data_mode="qpsk"), np.random.default_rng(11)
+        FrameSpec(dims=d4, data_mode="with_data"), np.random.default_rng(11)
     )
     return d4, stats4, cov, frame4
 

@@ -11,6 +11,7 @@ from cdce.channel import (
     PathParams,
     apply_channel,
     atom_columns,
+    draw_paths,
     effective_tf_channel,
     full_grid_pairs,
     sample_channel,
@@ -28,6 +29,8 @@ from cdce.grids import (
     unvec,
     vec,
 )
+from cdce.harness import SimConfig
+from cdce.pilots import FrameSpec
 
 from oracles import (
     bands_to_dense,
@@ -124,6 +127,18 @@ class TestSampleChannel:
     def test_doppler_region_must_stay_below_half_grid(self):
         with pytest.raises(ValueError, match="Doppler grid"):
             sample_channel(ChannelStats(k_max=7), D, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("d,k_max", [(D, 7), (Dims(8, 13, 2), 7)])
+    def test_config_and_draw_state_one_doppler_rule(self, d, k_max):
+        # the config check at load and the draw fail on the same rule, in
+        # the same words
+        stats = ChannelStats(k_max=k_max)
+        with pytest.raises(ValueError, match="half the Doppler grid") as drawn:
+            draw_paths(stats, d, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="half the Doppler grid") as loaded:
+            SimConfig(dims=d, stats=stats, frame=FrameSpec(dims=d))
+        assert str(loaded.value) == str(drawn.value)
+        draw_paths(ChannelStats(k_max=(d.n - 1) // 2), d, np.random.default_rng(0))
 
     @given(st.integers(0, 2**32 - 1))
     def test_paths_land_in_region_and_are_distinct(self, seed):

@@ -96,7 +96,7 @@ class TestLoadConfig:
         assert cfg.frame.lattice.freq_spacing == 2
         assert cfg.frame.lattice.time_spacing == 1
         assert cfg.frame.sequence_kind == "all_ones"
-        assert cfg.frame.data_mode == "none"
+        assert cfg.frame.data_mode == "pilot_only"
         assert cfg.snr_grid_db == (0.0, 5.0, 10.0, 15.0, 20.0)
         assert cfg.trials == 500
         assert cfg.estimators == ESTIMATOR_NAMES
@@ -106,7 +106,7 @@ class TestLoadConfig:
 
     def test_repo_data_config_fills_qpsk(self):
         cfg = load_config(DATA_CONFIG)
-        assert cfg.frame.data_mode == "qpsk"
+        assert cfg.frame.data_mode == "with_data"
 
     def test_empty_file_gives_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, ""))
@@ -151,6 +151,10 @@ class TestLoadConfig:
             ("stats: {gain_variance: -1}", "invalid stats"),
             ("frame: {pilot_power: strong}", "number"),
             ("mode: blind", "mode"),
+            # the frame takes mode as the config spells it, so no other name
+            # of a fill loads
+            ("mode: qpsk", "mode must be pilot_only or with_data, got 'qpsk'"),
+            ("mode: none", "mode must be pilot_only or with_data, got 'none'"),
             ("snr_grid_db: []", "non-empty"),
             ("snr_grid_db: 10", "non-empty"),
             ("estimators: []", "non-empty"),

@@ -426,6 +426,14 @@ class TestReconstruct:
                 rtol=1e-14, atol=1e-14,
             )
 
+    @pytest.mark.parametrize("n_gains", [0, 1, 2, 4])
+    def test_one_gain_per_pair(self, n_gains):
+        # one gain would otherwise broadcast over all three atoms; every
+        # count but three is refused, naming both lengths
+        pairs = ((0, 0), (1, 1), (2, -1))
+        with pytest.raises(ValueError, match=f"{n_gains} gains for 3 pairs"):
+            reconstruct(np.ones(n_gains), pairs, D)
+
 
 class TestSoftThreshold:
     def test_shrinks_magnitude(self):
@@ -913,7 +921,9 @@ class TestGramBlocks:
         d = full_grid_dictionary((8, 14, 2), "zadoff_chu", placement)
         op = d.fista_operator
         ((rows, step),) = op.blocks
-        assert op.order == slice(None) and rows == slice(0, len(d.gram))
+        # the one-block order is the natural one, as an index array like any other
+        assert op.order.tobytes() == np.arange(len(d.gram)).tobytes() and rows == slice(0, len(d.gram))
+        assert not op.order.flags.writeable
         assert np.shares_memory(step, op.whole) and not step.flags.writeable
         assert op.whole.tobytes() == (np.identity(len(d.gram)) - op.eps * d.gram).tobytes()
         assert op.phases.tobytes() == np.ones(len(d.gram), dtype=complex).tobytes()
@@ -928,7 +938,7 @@ class TestGramBlocks:
         assert not d.gram[0::2, 1::2].any()
         op = d.fista_operator
         ((rows, step),) = op.blocks
-        assert op.order == slice(None) and rows == slice(0, 11)
+        assert op.order.tobytes() == np.arange(11).tobytes() and rows == slice(0, 11)
         assert np.shares_memory(step, op.whole) and not step.flags.writeable
         assert op.phases.tobytes() == np.ones(11, dtype=complex).tobytes()
         assert op.whole.tobytes() == (np.identity(11) - op.eps * d.gram).tobytes()
@@ -998,8 +1008,7 @@ class TestFistaOperator:
         p = op.phases
         assert op.eps == 1.0 / d.norm_sq
         assert op.whole.dtype == dtype
-        columns = np.arange(len(p))[op.order]
-        rotated = p.conj()[:, None] * d.gram[np.ix_(columns, columns)] * p
+        rotated = p.conj()[:, None] * d.gram[np.ix_(op.order, op.order)] * p
         want = np.identity(len(p)) - op.eps * rotated
         assert np.abs(op.whole - want).max() <= estimator.GRAM_LINK_RTOL * op.eps * np.abs(d.gram).max()
         # each block is bytewise I - eps times the real part of the rotated Gram
@@ -1130,21 +1139,21 @@ class TestCdceEstimate:
 
     def test_empty_pilot_frame_rejected(self):
         zero = np.zeros((D.m, D.n), dtype=complex)
-        fake = Frame(tf=zero, pilot_only_tf=zero, pilot_mask=np.zeros((D.m, D.n), bool), dims=D)
+        fake = Frame(tf=zero, pilot_only_tf=zero, dims=D)
         with pytest.raises(ValueError, match="pilot"):
             cdce_estimate(zero, fake, STATS, n0=1.0)
 
     def test_with_data_mode_runs_the_rms_threshold(self, frame):
         rng = np.random.default_rng(4)
-        spec = FrameSpec(dims=D, data_mode="qpsk")
+        spec = FrameSpec(dims=D, data_mode="with_data")
         data_frame = assemble_frame(spec, rng)
         ch = make_channel([(0.8, 1, 0)])
         y = received_tf(data_frame, ch, n0=0.01, rng=rng)
         est = cdce_estimate(y, data_frame, STATS, n0=0.01)
         assert (1, 0) in est.pairs
 
-    @pytest.mark.parametrize("data_mode,rule", [("none", "pilot_only"), ("qpsk", "with_data")])
-    def test_the_frame_picks_the_threshold_rule(self, monkeypatch, data_mode, rule):
+    @pytest.mark.parametrize("data_mode", ["pilot_only", "with_data"])
+    def test_the_frame_picks_the_threshold_rule(self, monkeypatch, data_mode):
         rng = np.random.default_rng(5)
         fr = assemble_frame(FrameSpec(dims=D, data_mode=data_mode), rng)
         y = received_tf(fr, make_channel([(0.8, 1, 0)]), n0=0.01, rng=rng)
@@ -1156,7 +1165,7 @@ class TestCdceEstimate:
 
         monkeypatch.setattr(estimator, "default_gamma", spy)
         cdce_estimate(y, fr, STATS, n0=0.01)
-        assert rules == [rule]
+        assert rules == [data_mode]
 
     @pytest.mark.parametrize("freq_spacing,branch", [(2, "solve_ls"), (4, "solve_lasso")])
     def test_fista_only_for_ill_conditioned_dictionaries(self, monkeypatch, freq_spacing, branch):

@@ -42,6 +42,9 @@ from oracles import (
 
 D = Dims(8, 14, 2)
 
+# the two data fills, with ids naming what fills the data elements
+DATA_FILLS = pytest.mark.parametrize("data_mode", ["pilot_only", "with_data"], ids=["none", "qpsk"])
+
 
 def make_config(**overrides):
     params = dict(
@@ -98,7 +101,7 @@ class TestNmseDb:
 class TestSimConfig:
     def test_defaults(self):
         cfg = make_config()
-        assert cfg.frame.data_mode == "none"
+        assert cfg.frame.data_mode == "pilot_only"
         assert cfg.base_seed == 0
 
     @pytest.mark.parametrize(
@@ -177,7 +180,7 @@ class TestRunTrial:
         with pytest.raises(ValueError, match="SNR"):
             run_trial(make_config(), snr_db, 0)
 
-    @pytest.mark.parametrize("data_mode", ["none", "qpsk"])
+    @DATA_FILLS
     def test_every_nmse_finite_at_the_lowest_simulated_snr(self, data_mode):
         cfg = make_config(frame=FrameSpec(dims=D, data_mode=data_mode), estimators=ESTIMATOR_NAMES)
         with warnings.catch_warnings():
@@ -249,7 +252,7 @@ class TestRunSweep:
         assert abs(small.nmse_db - large.nmse_db) <= max(spread, 0.5)
 
 
-def lasso_sweep_config(data_mode="none", **overrides):
+def lasso_sweep_config(data_mode="pilot_only", **overrides):
     """A lattice sweep with tf_lasso over two SNR points."""
     params = dict(
         frame=FrameSpec(dims=D, data_mode=data_mode),
@@ -275,7 +278,7 @@ def dense_trial(cfg, snr_db, t, cov):
     def summed(gains, pairs):
         return dense_reconstruct_oracle(gains, [dense_atom(d, l, k) for l, k in pairs])
 
-    mask = frame.pilot_mask
+    mask = frame.pilot_only_tf != 0
     ratios = np.where(mask, y_tf / np.where(mask, frame.pilot_only_tf, 1), 0)
     single_tap = np.diag(vec(interpolate_grid_loop(ratios, mask)))
     est = cdce_estimate(y_tf, frame, cfg.stats, n0, lasso=cfg.lasso)
@@ -292,7 +295,7 @@ def dense_trial(cfg, snr_db, t, cov):
 
 
 class TestBandScoring:
-    @pytest.mark.parametrize("data_mode", ["none", "qpsk"])
+    @DATA_FILLS
     def test_every_nmse_matches_a_dense_oracle_trial(self, data_mode):
         cfg = lasso_sweep_config(data_mode, estimators=ESTIMATOR_NAMES, trials=2)
         cov = fit_config_covariance(cfg)
@@ -383,7 +386,7 @@ def assert_each_draw_precedes_its_detection(monkeypatch, cfg):
 
 
 class TestBatchedLassoSweep:
-    @pytest.mark.parametrize("data_mode", ["none", "qpsk"])
+    @DATA_FILLS
     def test_rows_are_the_linear_mean_of_run_trial(self, monkeypatch, solves, data_mode):
         # each SNR point holds two full batches and a partial one
         monkeypatch.setattr(harness, "LASSO_BATCH", 5)
@@ -439,7 +442,7 @@ class TestBatchedLassoSweep:
         assert calls == [(t, 1, ["cdce", "tf_lasso"]) for t in range(3)]
 
     @pytest.mark.parametrize("spec", [
-        FrameSpec(dims=D, data_mode="qpsk"),
+        FrameSpec(dims=D, data_mode="with_data"),
         FrameSpec(dims=D, sequence_kind="zadoff_chu", placement="uniform_random"),
     ], ids=["lattice", "uniform_random"])
     def test_a_lattice_chunk_keeps_only_its_first_frame(self, monkeypatch, spec):
@@ -470,7 +473,7 @@ class TestBatchedLassoSweep:
         # each score is against the truth its trial's chain built
         assert len(truths) == 7 and all(a is h_true for a, (h_true, _, _) in zip(truths, drawn))
 
-    @pytest.mark.parametrize("data_mode", ["none", "qpsk"])
+    @DATA_FILLS
     def test_run_trial_given_its_chain_matches_run_trial(self, monkeypatch, data_mode):
         cfg = lasso_sweep_config(data_mode, estimators=ESTIMATOR_NAMES)
         cov = fit_config_covariance(cfg)
@@ -486,7 +489,7 @@ class TestBatchedLassoSweep:
                 assert sampled == []
                 assert {k: v.hex() for k, v in given.items()} == {k: v.hex() for k, v in solved.items()}
 
-    @pytest.mark.parametrize("data_mode", ["none", "qpsk"])
+    @DATA_FILLS
     def test_sweep_draws_each_channel_just_before_its_detection(self, monkeypatch, data_mode):
         monkeypatch.setattr(harness, "LASSO_BATCH", 5)
         assert_each_draw_precedes_its_detection(monkeypatch, lasso_sweep_config(data_mode, trials=13))
@@ -545,7 +548,7 @@ class TestBatchedLassoSweep:
         assert soft_thresholds == []
         assert given.tobytes() == solved.tobytes()
 
-    @pytest.mark.parametrize("data_mode", ["none", "qpsk"])
+    @DATA_FILLS
     @pytest.mark.parametrize("sequence_kind", ["all_ones", "walsh", "zadoff_chu"])
     def test_lattice_trials_share_one_pilot_only_grid(self, sequence_kind, data_mode):
         # a sweep chunk's tf_lasso problems are all solved against one trial's
@@ -559,7 +562,7 @@ class TestBatchedLassoSweep:
             for t in range(2 * harness.LASSO_BATCH + 1)
         ]
         assert len({frame.pilot_only_tf.tobytes() for frame in frames}) == 1
-        if data_mode == "qpsk":
+        if data_mode == "with_data":
             assert len({frame.tf.tobytes() for frame in frames}) == len(frames)
 
     def test_full_grid_pairs_are_built_once_per_dims(self):

@@ -10,6 +10,7 @@ from cdce.pilots import (
     Frame,
     FrameSpec,
     Lattice,
+    _pilot_positions,
     assemble_frame,
     discrete_af,
     make_pilot_sequence,
@@ -103,7 +104,7 @@ class TestFrameSpec:
     def test_bad_enums_rejected(self):
         with pytest.raises(ValueError):
             FrameSpec(dims=D, sequence_kind="pn")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="pilot_only or with_data"):
             FrameSpec(dims=D, data_mode="qam")
         with pytest.raises(ValueError):
             FrameSpec(dims=D, placement="speckle")
@@ -112,10 +113,10 @@ class TestFrameSpec:
     def test_qpsk_needs_a_resource_element_without_a_pilot(self, placement):
         full = Lattice(freq_spacing=1, time_spacing=1)
         with pytest.raises(ValueError, match="qpsk"):
-            FrameSpec(dims=D, lattice=full, data_mode="qpsk", placement=placement)
+            FrameSpec(dims=D, lattice=full, data_mode="with_data", placement=placement)
         assert FrameSpec(dims=D, lattice=full, placement=placement).n_pilots == D.grid_size
         # one subcarrier without pilots leaves room for data
-        FrameSpec(dims=D, lattice=Lattice(freq_offset=1, freq_spacing=1), data_mode="qpsk")
+        FrameSpec(dims=D, lattice=Lattice(freq_offset=1, freq_spacing=1), data_mode="with_data")
 
 
 class TestAssembleFrame:
@@ -141,34 +142,49 @@ class TestAssembleFrame:
 
     def test_mask_marks_exactly_the_lattice(self):
         frame = assemble_frame(FrameSpec(dims=D))
-        rows, cols = np.nonzero(frame.pilot_mask)
+        rows, cols = np.nonzero(frame.pilot_only_tf)
         assert set(rows) == {0, 2, 4, 6}
         assert set(cols) == set(range(14))
-        assert frame.pilot_mask.sum() == 56
+        assert np.count_nonzero(frame.pilot_only_tf) == 56
+
+    @pytest.mark.parametrize("data_mode", ["pilot_only", "with_data"])
+    @pytest.mark.parametrize("placement", ["lattice", "uniform_random"])
+    @pytest.mark.parametrize("kind", ["all_ones", "walsh", "zadoff_chu"])
+    def test_nonzero_pilot_grid_marks_exactly_the_placed_pilots(self, kind, placement, data_mode):
+        # every pilot symbol has modulus sqrt(pilot_power) > 0, so the pilot
+        # positions are the non-zero entries of the pilot-only grid; 16
+        # symbols give the lattice the 64 pilots a Walsh row needs
+        spec = FrameSpec(dims=Dims(8, 16, 2), sequence_kind=kind, placement=placement,
+                         data_mode=data_mode, pilot_power=0.5)
+        for seed in range(3):
+            placed = np.zeros((8, 16), dtype=bool)
+            placed[_pilot_positions(spec, np.random.default_rng(seed))] = True
+            frame = assemble_frame(spec, np.random.default_rng(seed))
+            np.testing.assert_array_equal(frame.pilot_only_tf != 0, placed)
+            np.testing.assert_array_equal(frame.tf[placed], frame.pilot_only_tf[placed])
 
     def test_qpsk_fill_covers_non_pilot_positions(self):
-        spec = FrameSpec(dims=D, data_mode="qpsk")
+        spec = FrameSpec(dims=D, data_mode="with_data")
         frame = assemble_frame(spec, np.random.default_rng(0))
-        data = frame.tf[~frame.pilot_mask]
+        pilots = frame.pilot_only_tf != 0
+        data = frame.tf[~pilots]
         assert np.all(np.abs(np.abs(data) - 1.0) < 1e-12)
-        np.testing.assert_array_equal(
-            frame.tf[frame.pilot_mask], frame.pilot_only_tf[frame.pilot_mask]
-        )
+        np.testing.assert_array_equal(frame.tf[pilots], frame.pilot_only_tf[pilots])
 
     def test_qpsk_symbol_energy_is_exactly_unit(self):
         rng = np.random.default_rng(1)
-        frame = assemble_frame(FrameSpec(dims=D, data_mode="qpsk"), rng)
-        energies = np.abs(frame.tf[~frame.pilot_mask]) ** 2
+        frame = assemble_frame(FrameSpec(dims=D, data_mode="with_data"), rng)
+        energies = np.abs(frame.tf[frame.pilot_only_tf == 0]) ** 2
         assert energies.mean() == pytest.approx(1.0, rel=0.01)
 
     def test_qpsk_needs_rng(self):
         with pytest.raises(ValueError, match="rng"):
-            assemble_frame(FrameSpec(dims=D, data_mode="qpsk"))
+            assemble_frame(FrameSpec(dims=D, data_mode="with_data"))
 
     def test_uniform_random_placement(self):
         spec = FrameSpec(dims=D, placement="uniform_random")
         frame = assemble_frame(spec, np.random.default_rng(5))
-        assert frame.pilot_mask.sum() == spec.n_pilots
+        assert np.count_nonzero(frame.pilot_only_tf) == spec.n_pilots
         assert np.sum(np.abs(frame.pilot_only_tf) ** 2) == pytest.approx(spec.n_pilots)
 
     def test_uniform_random_needs_rng(self):
@@ -179,7 +195,7 @@ class TestAssembleFrame:
         spec = FrameSpec(dims=D, placement="uniform_random")
         a = assemble_frame(spec, np.random.default_rng(8))
         b = assemble_frame(spec, np.random.default_rng(8))
-        np.testing.assert_array_equal(a.pilot_mask, b.pilot_mask)
+        np.testing.assert_array_equal(a.pilot_only_tf, b.pilot_only_tf)
 
 
 class TestPilotDdImage:
@@ -249,4 +265,4 @@ class TestDiscreteAf:
     def test_frame_invariants_hold(self):
         frame = assemble_frame(FrameSpec(dims=D))
         assert isinstance(frame, Frame)
-        assert frame.tf.shape == frame.pilot_only_tf.shape == frame.pilot_mask.shape
+        assert frame.tf.shape == frame.pilot_only_tf.shape == (D.m, D.n)
