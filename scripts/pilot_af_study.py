@@ -13,7 +13,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from cdce.grids import Dims
-from cdce.pilots import FrameSpec, Lattice, assemble_frame, discrete_af, pilot_dd_image
+from cdce.pilots import FrameSpec, assemble_frame, discrete_af, pilot_dd_image
 
 
 # A sidelobe below this fraction of the peak is taken as zero, and the
@@ -21,31 +21,31 @@ from cdce.pilots import FrameSpec, Lattice, assemble_frame, discrete_af, pilot_d
 SIDELOBE_FLOOR = 1e-9
 
 
-def lattice_replicas(d: Dims, lattice: Lattice) -> set:
+def lattice_replicas(d: Dims, freq_spacing: int, time_spacing: int) -> set:
     """AF bins occupied by grating lobes of the pilot lattice itself; these
     are common to every sequence riding the lattice and are excluded from
     the sidelobe scan."""
     bins = {(0, 0)}
-    if d.m % lattice.freq_spacing == 0:
-        step = d.m // lattice.freq_spacing
-        for j in range(lattice.freq_spacing):
+    if d.m % freq_spacing == 0:
+        step = d.m // freq_spacing
+        for j in range(freq_spacing):
             bins.add((j * step % d.m, 0))
-    if d.n % lattice.time_spacing == 0:
-        step = d.n // lattice.time_spacing
-        for j in range(lattice.time_spacing):
+    if d.n % time_spacing == 0:
+        step = d.n // time_spacing
+        for j in range(time_spacing):
             bins.add((0, j * step % d.n))
     return bins
 
 
-def study(d: Dims, lattice: Lattice, kind: str) -> dict:
-    spec = FrameSpec(dims=d, lattice=lattice, sequence_kind=kind)
+def study(d: Dims, freq_spacing: int, time_spacing: int, kind: str) -> dict:
+    spec = FrameSpec(dims=d, freq_spacing=freq_spacing, time_spacing=time_spacing, sequence_kind=kind)
     frame = assemble_frame(spec)
     x_dd = pilot_dd_image(frame)
     energy = np.sort(np.abs(x_dd.ravel()) ** 2)[::-1]
     total = energy.sum()
     bins_90 = int(np.searchsorted(np.cumsum(energy), 0.9 * total) + 1)
     af = np.abs(discrete_af(x_dd))
-    excluded = lattice_replicas(d, lattice)
+    excluded = lattice_replicas(d, freq_spacing, time_spacing)
     peak = af[0, 0]
     sidelobe = max(
         af[l, k]
@@ -76,8 +76,7 @@ def main() -> int:
     args = parser.parse_args()
 
     d = Dims(args.m, args.n, cp_len=0)
-    lattice = Lattice(freq_spacing=args.freq_spacing, time_spacing=args.time_spacing)
-    rows = [study(d, lattice, kind) for kind in ("all_ones", "walsh", "zadoff_chu")]
+    rows = [study(d, args.freq_spacing, args.time_spacing, kind) for kind in ("all_ones", "walsh", "zadoff_chu")]
     header = f"{'sequence':12s} {'pilots':>6s} {'bins@90%':>8s} {'af peak':>10s} {'sidelobe':>10s} {'ratio':>8s}"
     print(header)
     for r in rows:

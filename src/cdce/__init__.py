@@ -17,7 +17,7 @@ from .channel import (
     reconstruct,
     unit_path_tf_channel,
 )
-from .pilots import Lattice, FrameSpec, Frame, make_pilot_sequence, assemble_frame, pilot_dd_image, discrete_af
+from .pilots import FrameSpec, Frame, make_pilot_sequence, assemble_frame, pilot_dd_image, discrete_af
 from .estimator import (
     CoarseEstimate,
     Dictionary,

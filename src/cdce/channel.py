@@ -62,26 +62,19 @@ class PathParams:
 
 @dataclass(frozen=True)
 class ChannelStats:
-    """Ensemble parameters of the random channel.
-
-    ``gain_variance`` defaults to 1/n_paths so the average total path power
-    is one.
-    """
+    """Ensemble parameters of the random channel: ``n_paths`` paths on
+    distinct bins of the region [0, l_max] x [-k_max, k_max], each gain of
+    variance 1/n_paths, so the average total path power is one."""
 
     n_paths: int = 3
     l_max: int = 2
     k_max: int = 3
-    gain_variance: float | None = None
 
     def __post_init__(self) -> None:
         if self.n_paths < 1:
             raise ValueError(f"need at least one path, got {self.n_paths}")
         if self.l_max < 0 or self.k_max < 0:
             raise ValueError("l_max and k_max must be non-negative")
-        if self.gain_variance is not None and not (
-            math.isfinite(self.gain_variance) and self.gain_variance > 0
-        ):
-            raise ValueError(f"gain variance must be finite and positive, got {self.gain_variance}")
         if self.n_paths > self.region_size:
             raise ValueError(
                 f"cannot draw {self.n_paths} distinct paths from a region of {self.region_size} bins"
@@ -94,10 +87,6 @@ class ChannelStats:
             raise ValueError(
                 f"k_max {self.k_max} must stay below half the Doppler grid (N/2 = {dims.n / 2})"
             )
-
-    @property
-    def per_path_variance(self) -> float:
-        return 1.0 / self.n_paths if self.gain_variance is None else self.gain_variance
 
     @property
     def region_size(self) -> int:
@@ -143,12 +132,13 @@ def draw_paths(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one random channel's paths as flat indices into
     ``stats.region_pairs`` and complex gains: distinct (delay, Doppler) bins
-    uniform over [0, l_max] x [-k_max, k_max], i.i.d. complex Gaussian gains.
+    uniform over [0, l_max] x [-k_max, k_max], i.i.d. complex Gaussian gains
+    of variance 1/n_paths.
     A region that ``ChannelStats.check_doppler_grid`` rejects raises before
     any draw."""
     stats.check_doppler_grid(dims)
     flat = rng.choice(stats.region_size, size=stats.n_paths, replace=False)
-    sigma = math.sqrt(stats.per_path_variance / 2.0)
+    sigma = math.sqrt(1.0 / stats.n_paths / 2.0)
     gains = sigma * (rng.standard_normal(stats.n_paths) + 1j * rng.standard_normal(stats.n_paths))
     return flat, gains
 

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Three subcommands: `sweep` runs the configured Monte Carlo sweep and writes
-a CSV or JSON table, `single` reports every configured estimator's NMSE for
+a CSV table, `single` reports every configured estimator's NMSE for
 one (SNR, trial) pair, and `af` writes the pilot DD image and its discrete
 ambiguity surface as JSON grids.
 """
@@ -34,7 +34,7 @@ def _grid_payload(a: np.ndarray) -> dict:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     rows = run_sweep(cfg)
-    emit(rows, args.out, fmt=args.format)
+    emit(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -75,8 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run an NMSE sweep over the SNR grid")
     p_sweep.add_argument("--config", required=True, help="YAML config file")
-    p_sweep.add_argument("--out", required=True, help="output file path")
-    p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_single = sub.add_parser("single", help="report one trial's NMSE per estimator")

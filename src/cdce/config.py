@@ -19,7 +19,7 @@ from .channel import ChannelStats
 from .estimator import LassoConfig
 from .grids import Dims
 from .harness import SimConfig
-from .pilots import FrameSpec, Lattice
+from .pilots import FrameSpec
 
 __all__ = ["ConfigError", "load_config", "ENV_BASE_SEED"]
 
@@ -60,10 +60,6 @@ _float = _typed((int, float), "a number", float)
 _str = _typed(str, "a string")
 
 
-def _optional(parse):
-    return lambda value, where: None if value is None else parse(value, where)
-
-
 def _nonempty_list(parse, noun: str):
     def parse_list(value, where: str) -> tuple:
         if not isinstance(value, (list, tuple)) or not value:
@@ -79,11 +75,10 @@ def _same(parse, *keys: str) -> dict:
 
 # YAML key -> (dataclass field, parser), one table per section.
 _DIMS = _same(_int, "m", "n", "cp_len")
-_STATS = {**_same(_int, "n_paths", "l_max", "k_max"), "gain_variance": ("gain_variance", _optional(_float))}
-_LATTICE = _same(_int, "freq_spacing", "time_spacing", "freq_offset", "time_offset")
+_STATS = _same(_int, "n_paths", "l_max", "k_max")
 _FRAME = {
+    **_same(_int, "freq_spacing", "time_spacing"),
     "sequence": ("sequence_kind", _str),
-    "sequence_param": ("sequence_param", _optional(_int)),
     "pilot_power": ("pilot_power", _float),
     "placement": ("placement", _str),
 }
@@ -94,7 +89,7 @@ _TOP = {
     "estimators": ("estimators", _nonempty_list(_str, "names")),
     **_same(_int, "trials", "cov_samples", "base_seed"),
 }
-_SECTIONS = {"dims": _DIMS, "stats": _STATS, "frame": {**_LATTICE, **_FRAME}, "lasso": _LASSO}
+_SECTIONS = {"dims": _DIMS, "stats": _STATS, "frame": _FRAME, "lasso": _LASSO}
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:
@@ -146,10 +141,8 @@ def load_config(path: str, env: dict | None = None) -> SimConfig:
 
     dims = _build(Dims, f"dims section in {path}", _section(raw, "dims"), _DIMS, "dims.")
     stats = _build(ChannelStats, f"stats section in {path}", _section(raw, "stats"), _STATS, "stats.")
-    frame_raw, where = _section(raw, "frame"), f"frame section in {path}"
-    lattice = _build(Lattice, where, frame_raw, _LATTICE, "frame.")
-    frame = _build(FrameSpec, where, frame_raw, _FRAME, "frame.", dims=dims, lattice=lattice,
-                   **_fields(raw, _MODE, ""))
+    frame = _build(FrameSpec, f"frame section in {path}", _section(raw, "frame"), _FRAME, "frame.",
+                   dims=dims, **_fields(raw, _MODE, ""))
     lasso = _build(LassoConfig, f"lasso section in {path}", _section(raw, "lasso"), _LASSO, "lasso.")
 
     seed = {}

@@ -9,10 +9,9 @@ across trials and converted to dB at the end.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import sys
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import numpy.random  # numpy loads it lazily; load it with cdce, not in the first trial
@@ -136,13 +135,12 @@ class SimConfig:
             frame = assemble_frame(replace(self.frame, data_mode="pilot_only"))
             cond = cached_dictionary(frame.pilot_only_tf, stats.region_pairs, frame.dims).cond
             if not cond < LS_CONDITION_LIMIT:
-                lattice = self.frame.lattice
                 raise ValueError(
                     f"the pilot lattice aliases the search region: its dictionary's condition number "
                     f"{cond:.3g} is not below {LS_CONDITION_LIMIT:.0e}. A lattice resolves the region when "
                     f"freq_spacing·(l_max+1) ≤ M and time_spacing·(2·k_max+1) ≤ N; here "
-                    f"{lattice.freq_spacing}·{stats.l_max + 1} against M = {dims.m} and "
-                    f"{lattice.time_spacing}·{2 * stats.k_max + 1} against N = {dims.n}"
+                    f"{self.frame.freq_spacing}·{stats.l_max + 1} against M = {dims.m} and "
+                    f"{self.frame.time_spacing}·{2 * stats.k_max + 1} against N = {dims.n}"
                 )
 
 
@@ -337,32 +335,30 @@ def run_sweep(cfg: SimConfig, cov: CovarianceModel | None = None) -> list[Result
     return rows
 
 
-def emit(rows: list[ResultRow], path: str, fmt: str = "csv") -> None:
-    """Write sweep rows to disk as CSV or JSON.
+def emit(rows: list[ResultRow], path: str) -> None:
+    """Write sweep rows to disk as CSV.
 
-    An empty row list still produces a valid file (header only for CSV, an
-    empty array for JSON). A noiseless SNR point is written as "inf" in both;
-    the JSON is strict, so a NaN in a row is a ValueError.
+    An empty row list still produces the header. A noiseless SNR point is
+    written as "inf". An SNR label is its ``:g`` form when that
+    reads back as the same float, and its ``repr`` otherwise, so two
+    distinct points never share a label.
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown format {fmt!r}, choose csv or json")
     try:
-        if fmt == "csv":
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["estimator", "snr_db", "trials", "nmse_db", "stderr_db"])
-                for row in rows:
-                    writer.writerow([
-                        row.estimator,
-                        f"{row.snr_db:g}",
-                        row.trials,
-                        f"{row.nmse_db:.6f}",
-                        f"{row.stderr_db:.6f}",
-                    ])
-        else:
-            records = [{**asdict(r), "snr_db": r.snr_db if math.isfinite(r.snr_db) else "inf"} for r in rows]
-            text = json.dumps(records, indent=2, allow_nan=False)
-            with open(path, "w") as fh:
-                fh.write(text + "\n")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["estimator", "snr_db", "trials", "nmse_db", "stderr_db"])
+            for row in rows:
+                writer.writerow([
+                    row.estimator,
+                    _snr_label(row.snr_db),
+                    row.trials,
+                    f"{row.nmse_db:.6f}",
+                    f"{row.stderr_db:.6f}",
+                ])
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
+
+
+def _snr_label(snr_db: float) -> str:
+    short = f"{snr_db:g}"
+    return short if float(short) == snr_db else repr(snr_db)

@@ -1,24 +1,24 @@
 """Pilot sequences, TF frame assembly, and delay-Doppler pilot analysis.
 
-Pilots are laid on a rectangular lattice of the TF grid (or on uniformly
-random positions for the randomized-pilot baseline) in column-major scan
-order. The remaining resource elements are either zero (``pilot_only``
-frames) or unit-energy QPSK data (``with_data``). Every pilot symbol has
-modulus sqrt(pilot_power) > 0, so the pilot positions are the non-zero
-entries of a frame's pilot-only grid.
+Pilots are laid on a rectangular lattice of the TF grid anchored at
+subcarrier 0 and symbol 0 (or on uniformly random positions for the
+randomized-pilot baseline) in column-major scan order, and carry one
+all-ones, Walsh or Zadoff-Chu sequence. The remaining resource elements are
+either zero (``pilot_only`` frames) or unit-energy QPSK data (``with_data``).
+Every pilot symbol has modulus sqrt(pilot_power) > 0, so the pilot positions
+are the non-zero entries of a frame's pilot-only grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import Dims, tf_to_dd, twisted_convolution
 
 __all__ = [
-    "Lattice",
     "FrameSpec",
     "Frame",
     "make_pilot_sequence",
@@ -33,52 +33,38 @@ _PLACEMENTS = ("lattice", "uniform_random")
 
 
 @dataclass(frozen=True)
-class Lattice:
-    """Pilot lattice geometry: spacings and offsets in each grid dimension."""
+class FrameSpec:
+    """Frame layout: a lattice with pilots at every ``freq_spacing``-th
+    subcarrier and ``time_spacing``-th symbol from (0, 0), or as many pilots
+    at uniformly random positions."""
 
+    dims: Dims
     freq_spacing: int = 2
     time_spacing: int = 1
-    freq_offset: int = 0
-    time_offset: int = 0
-
-    def __post_init__(self) -> None:
-        if self.freq_spacing < 1 or self.time_spacing < 1:
-            raise ValueError("lattice spacings must be at least 1")
-        if self.freq_offset < 0 or self.time_offset < 0:
-            raise ValueError("lattice offsets must be non-negative")
-
-
-@dataclass(frozen=True)
-class FrameSpec:
-    dims: Dims
-    lattice: Lattice = field(default_factory=Lattice)
     sequence_kind: str = "all_ones"
-    sequence_param: int | None = None
     pilot_power: float = 1.0
     data_mode: str = "pilot_only"
     placement: str = "lattice"
 
     def __post_init__(self) -> None:
+        if self.freq_spacing < 1 or self.time_spacing < 1:
+            raise ValueError("lattice spacings must be at least 1")
         if self.sequence_kind not in _SEQUENCE_KINDS:
-            raise ValueError(f"sequence kind must be one of {_SEQUENCE_KINDS}")
+            raise ValueError(f"sequence kind must be one of {_SEQUENCE_KINDS}, got {self.sequence_kind!r}")
         if self.data_mode not in _DATA_MODES:
             raise ValueError(f"mode must be {' or '.join(_DATA_MODES)}, got {self.data_mode!r}")
         if self.placement not in _PLACEMENTS:
-            raise ValueError(f"placement must be one of {_PLACEMENTS}")
+            raise ValueError(f"placement must be one of {_PLACEMENTS}, got {self.placement!r}")
         if not (math.isfinite(self.pilot_power) and self.pilot_power > 0):
             raise ValueError(f"pilot power must be finite and positive, got {self.pilot_power}")
-        if self.lattice.freq_offset >= self.dims.m or self.lattice.time_offset >= self.dims.n:
-            raise ValueError("lattice offsets leave no pilot positions")
         if self.data_mode == "with_data" and self.n_pilots == self.dims.grid_size:
             raise ValueError("pilots fill every resource element, leaving none for the with_data qpsk fill")
-        # the sequence is built per frame; an impossible length or parameter fails here
-        make_pilot_sequence(self.sequence_kind, self.n_pilots, self.sequence_param)
+        # the sequence is built per frame; an impossible length fails here
+        make_pilot_sequence(self.sequence_kind, self.n_pilots)
 
     @property
     def n_pilots(self) -> int:
-        rows = len(range(self.lattice.freq_offset, self.dims.m, self.lattice.freq_spacing))
-        cols = len(range(self.lattice.time_offset, self.dims.n, self.lattice.time_spacing))
-        return rows * cols
+        return len(range(0, self.dims.m, self.freq_spacing)) * len(range(0, self.dims.n, self.time_spacing))
 
 
 @dataclass(frozen=True)
@@ -91,37 +77,25 @@ class Frame:
     dims: Dims
 
 
-def make_pilot_sequence(kind: str, length: int, param: int | None = None) -> np.ndarray:
+def make_pilot_sequence(kind: str, length: int) -> np.ndarray:
     """Generate a unit-modulus pilot sequence.
 
-    ``param`` selects the Sylvester-Hadamard row for ``walsh`` (default
-    length // 2) and the root for ``zadoff_chu`` (default 1, must be coprime
-    with the length).
+    ``walsh`` is row length // 2 of the Sylvester-Hadamard matrix, and
+    ``zadoff_chu`` has root 1.
     """
     if length < 1:
         raise ValueError(f"sequence length must be positive, got {length}")
     if kind == "all_ones":
         return np.ones(length, dtype=complex)
+    n = np.arange(length)
     if kind == "walsh":
         if length & (length - 1):
             raise ValueError(f"Walsh sequences need a power-of-two length, got {length}")
-        row = length // 2 if param is None else param
-        if not 0 <= row < length:
-            raise ValueError(f"Walsh row must lie in [0, {length}), got {row}")
-        # Sylvester-Hadamard row: H[row, j] = (-1)^popcount(row & j), with the
-        # parity folded bit by bit (np.bitwise_count needs numpy 2)
-        bits = row & np.arange(length)
-        parity = np.zeros(length, dtype=int)
-        for shift in range(length.bit_length()):
-            parity ^= (bits >> shift) & 1
-        return (1 - 2 * parity).astype(complex)
+        # H[row, j] = (-1)^popcount(row & j), and row = length // 2 has one bit
+        return np.where(n & (length // 2), -1.0 + 0j, 1.0 + 0j)
     if kind == "zadoff_chu":
-        root = 1 if param is None else param
-        if math.gcd(root, length) != 1:
-            raise ValueError(f"Zadoff-Chu root {root} must be coprime with the length {length}")
-        n = np.arange(length)
         # n (n + 1) on odd lengths, n^2 on even ones
-        return np.exp(-1j * np.pi * (root * n * (n + length % 2)) / length)
+        return np.exp(-1j * np.pi * (n * (n + length % 2)) / length)
     raise ValueError(f"unknown sequence kind {kind!r}")
 
 
@@ -129,8 +103,8 @@ def _pilot_positions(spec: FrameSpec, rng: np.random.Generator | None) -> tuple[
     """Rows and columns of the pilots, in column-major scan order."""
     d = spec.dims
     if spec.placement == "lattice":
-        rows = np.arange(spec.lattice.freq_offset, d.m, spec.lattice.freq_spacing)
-        cols = np.arange(spec.lattice.time_offset, d.n, spec.lattice.time_spacing)
+        rows = np.arange(0, d.m, spec.freq_spacing)
+        cols = np.arange(0, d.n, spec.time_spacing)
         return np.tile(rows, cols.size), np.repeat(cols, rows.size)
     if rng is None:
         raise ValueError("uniform_random placement needs an rng")
@@ -146,7 +120,7 @@ def assemble_frame(spec: FrameSpec, rng: np.random.Generator | None = None) -> F
     """
     d = spec.dims
     rows, cols = _pilot_positions(spec, rng)
-    seq = make_pilot_sequence(spec.sequence_kind, rows.size, spec.sequence_param)
+    seq = make_pilot_sequence(spec.sequence_kind, rows.size)
     pilot_only = np.zeros((d.m, d.n), dtype=complex)
     pilot_only[rows, cols] = math.sqrt(spec.pilot_power) * seq
     if spec.data_mode == "pilot_only":

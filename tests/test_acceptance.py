@@ -44,7 +44,6 @@ from cdce.grids import (
 from cdce.harness import SimConfig, _trial_rngs, fit_config_covariance, run_sweep, run_trial
 from cdce.pilots import (
     FrameSpec,
-    Lattice,
     assemble_frame,
     discrete_af,
     pilot_dd_image,
@@ -336,11 +335,10 @@ def test_criterion_8_transform_and_property_suite():
 
 def test_criterion_9_pilot_sequence_analysis():
     d16 = Dims(16, 16, 2)
-    lattice = Lattice(freq_spacing=2, time_spacing=1)
     exclude = {(0, 0), (8, 0)}
 
     def study(kind):
-        frame = assemble_frame(FrameSpec(dims=d16, lattice=lattice, sequence_kind=kind))
+        frame = assemble_frame(FrameSpec(dims=d16, freq_spacing=2, time_spacing=1, sequence_kind=kind))
         n_pilots = int(np.count_nonzero(frame.pilot_only_tf))
         x_dd = pilot_dd_image(frame)
         energies = np.sort(np.abs(x_dd.ravel()) ** 2)[::-1]

@@ -20,7 +20,7 @@ from cdce.channel import (
 )
 from cdce.estimator import LassoConfig, reconstruct
 from cdce.grids import Dims, unvec, vec
-from cdce.pilots import Frame, FrameSpec, Lattice, assemble_frame
+from cdce.pilots import Frame, FrameSpec, assemble_frame
 
 from oracles import (
     bands_to_dense,
@@ -56,10 +56,14 @@ def interp_masks():
     """Pilot masks of every kind the vectorized interpolation must handle."""
     rng = np.random.default_rng(3)
     masks = []
-    for d, lattice in ((D, Lattice()), (D, Lattice(freq_spacing=3, time_spacing=2)),
-                       (Dims(9, 5, 2), Lattice(freq_spacing=2, time_spacing=2, time_offset=1)),
-                       (Dims(6, 11, 1), Lattice(freq_spacing=4, time_spacing=3, freq_offset=1))):
-        masks.append(assemble_frame(FrameSpec(dims=d, lattice=lattice)).pilot_only_tf != 0)
+    for f, t in ((2, 1), (3, 2)):
+        masks.append(assemble_frame(FrameSpec(dims=D, freq_spacing=f, time_spacing=t)).pilot_only_tf != 0)
+    # lattices with a leading gap before their first pilot row or column
+    leading_column = np.zeros((9, 5), bool)
+    leading_column[::2, 1::2] = True
+    leading_row = np.zeros((6, 11), bool)
+    leading_row[1::4, ::3] = True
+    masks += [leading_column, leading_row]
     for shape, share in (((8, 14), 0.5), ((8, 14), 0.1), ((5, 9), 0.3), ((1, 6), 0.5), ((7, 1), 0.5)):
         mask = rng.random(shape) < share
         mask[rng.integers(shape[0]), rng.integers(shape[1])] = True
@@ -138,7 +142,7 @@ class TestStLs:
     def test_affine_grid_interpolated_exactly(self):
         d9 = Dims(9, 5, 2)
         fr = assemble_frame(
-            FrameSpec(dims=d9, lattice=Lattice(freq_spacing=2, time_spacing=2))
+            FrameSpec(dims=d9, freq_spacing=2, time_spacing=2)
         )
         rows = np.arange(d9.m)[:, None]
         cols = np.arange(d9.n)[None, :]
@@ -258,7 +262,7 @@ def full_pilot_frame4(small_setup):
     # trace in the received grid and the noiseless fit is exact
     d4 = small_setup[0]
     return assemble_frame(
-        FrameSpec(dims=d4, lattice=Lattice(freq_spacing=1), sequence_kind="zadoff_chu")
+        FrameSpec(dims=d4, freq_spacing=1, sequence_kind="zadoff_chu")
     )
 
 

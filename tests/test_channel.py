@@ -74,11 +74,13 @@ class TestTypes:
     def test_region_size(self):
         assert ChannelStats().region_size == 21
 
-    def test_default_per_path_variance(self):
-        assert ChannelStats(n_paths=4).per_path_variance == pytest.approx(0.25)
-
-    def test_explicit_gain_variance(self):
-        assert ChannelStats(n_paths=4, gain_variance=0.5).per_path_variance == 0.5
+    def test_gain_variance_is_one_over_n_paths(self):
+        stats = ChannelStats(n_paths=4)
+        _, gains = draw_paths(stats, D, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        rng.choice(stats.region_size, size=4, replace=False)
+        normals = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        np.testing.assert_array_equal(gains, math.sqrt(0.25 / 2) * normals)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -86,9 +88,6 @@ class TestTypes:
             dict(n_paths=0),
             dict(l_max=-1),
             dict(k_max=-1),
-            dict(gain_variance=0.0),
-            dict(gain_variance=math.nan),
-            dict(gain_variance=math.inf),
         ],
     )
     def test_invalid_stats(self, kwargs):

@@ -86,6 +86,19 @@ TOO_FEW_PATHS = [
 ]
 
 
+# The channel's gain variance is 1/n_paths, a lattice starts at (0, 0) and a
+# sequence kind names one sequence, so these keys are unknown like any typo.
+REMOVED_KEYS = [
+    (text, rf"unknown keys \['{key}'\] in section '{section}'")
+    for text, section, key in (
+        ("stats: {gain_variance: 0.5}", "stats", "gain_variance"),
+        ("frame: {freq_offset: 1}", "frame", "freq_offset"),
+        ("frame: {time_offset: 1}", "frame", "time_offset"),
+        ("frame: {sequence: zadoff_chu, sequence_param: 2}", "frame", "sequence_param"),
+    )
+]
+
+
 class TestLoadConfig:
     def test_repo_pilot_config(self):
         cfg = load_config(REPO_CONFIG)
@@ -93,8 +106,8 @@ class TestLoadConfig:
         assert cfg.stats.n_paths == 3
         assert cfg.stats.l_max == 2
         assert cfg.stats.k_max == 3
-        assert cfg.frame.lattice.freq_spacing == 2
-        assert cfg.frame.lattice.time_spacing == 1
+        assert cfg.frame.freq_spacing == 2
+        assert cfg.frame.time_spacing == 1
         assert cfg.frame.sequence_kind == "all_ones"
         assert cfg.frame.data_mode == "pilot_only"
         assert cfg.snr_grid_db == (0.0, 5.0, 10.0, 15.0, 20.0)
@@ -148,7 +161,6 @@ class TestLoadConfig:
             ("dims: {m: 0}", "invalid dims"),
             ("dims: {cp_len: 9}", "invalid dims"),
             ("stats: {n_paths: 0}", "invalid stats"),
-            ("stats: {gain_variance: -1}", "invalid stats"),
             ("frame: {pilot_power: strong}", "number"),
             ("mode: blind", "mode"),
             # the frame takes mode as the config spells it, so no other name
@@ -169,12 +181,10 @@ class TestLoadConfig:
             ("stats: {k_max: 7}", "Doppler grid"),
             ("stats: {n_paths: 22}", "distinct paths"),
             ("frame: {sequence: walsh}", "power-of-two"),
-            ("frame: {sequence: zadoff_chu, sequence_param: 2}", "coprime"),
             ("lasso: {lambda: .nan}", "invalid lasso"),
             ("lasso: {tol: .nan}", "invalid lasso"),
             ("frame: {pilot_power: .nan}", "invalid frame"),
             ("frame: {pilot_power: .inf}", "invalid frame"),
-            ("stats: {gain_variance: .nan}", "invalid stats"),
             ("snr_grid_db: [.nan]", "invalid config"),
             ("snr_grid_db: [10, -.inf]", "invalid config"),
             ("snr_grid_db: [1.0e+303]", "invalid config"),
@@ -182,7 +192,7 @@ class TestLoadConfig:
             ("snr_grid_db: [-3082]", "invalid config"),
             ("snr_grid_db: [10, -1541.3]", "invalid config"),
             ("mode: with_data\nframe: {freq_spacing: 1}", "invalid frame"),
-        ] + DUPLICATES + REPEATED + ALIASED + TOO_FEW_RANDOM_PILOTS + TOO_FEW_PATHS,
+        ] + DUPLICATES + REPEATED + ALIASED + TOO_FEW_RANDOM_PILOTS + TOO_FEW_PATHS + REMOVED_KEYS,
     )
     def test_bad_configs_rejected(self, tmp_path, text, fragment):
         path = write_config(tmp_path, text)
@@ -298,29 +308,15 @@ class TestCliSweep:
         assert lines[1].startswith("st_lmmse,10,2,")
         assert lines[2].startswith("st_ls,10,2,")
 
-    def test_writes_json_rows(self, tmp_path):
+    def test_format_flag_is_gone(self, tmp_path, capsys):
+        # the sweep writes CSV only
         path = write_config(tmp_path, SMALL)
         out = tmp_path / "rows.json"
-        assert main([
-            "sweep", "--config", path, "--out", str(out), "--format", "json"
-        ]) == 0
-        payload = json.loads(out.read_text())
-        assert [row["estimator"] for row in payload] == ["st_lmmse", "st_ls"]
-        assert all(row["trials"] == 2 for row in payload)
-
-    def test_noiseless_json_is_strict(self, tmp_path):
-        # a bare Infinity token is not JSON; the noiseless SNR is written as
-        # "inf", the same token as in the CSV
-        path = write_config(tmp_path, SMALL.replace("[10]", "[.inf]"))
-        out = tmp_path / "rows.json"
-        assert main(["sweep", "--config", path, "--out", str(out), "--format", "json"]) == 0
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        payload = json.loads(out.read_text(), parse_constant=reject)
-        assert [row["snr_db"] for row in payload] == ["inf", "inf"]
-        assert all(isinstance(row["nmse_db"], float) for row in payload)
+        with pytest.raises(SystemExit) as caught:
+            main(["sweep", "--config", path, "--out", str(out), "--format", "json"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_output_is_an_error(self, tmp_path, capsys):
         path = write_config(tmp_path, SMALL)

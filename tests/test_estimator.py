@@ -37,7 +37,7 @@ from cdce.estimator import (
 )
 from cdce.config import load_config
 from cdce.grids import Dims, _twist_tables, remove_cp, tf_to_dd, tf_to_time, time_to_tf, vec
-from cdce.pilots import Frame, FrameSpec, Lattice, assemble_frame
+from cdce.pilots import Frame, FrameSpec, assemble_frame
 
 from oracles import (
     bands_to_dense,
@@ -1172,7 +1172,7 @@ class TestCdceEstimate:
         # n0 = 0 keeps all 21 region bins; pilots on every fourth subcarrier
         # cannot tell delay 0 from delay 2, so two columns coincide. The
         # branch is chosen before the call: a FISTA trial never enters solve_ls
-        fr = assemble_frame(FrameSpec(dims=D, lattice=Lattice(freq_spacing=freq_spacing)))
+        fr = assemble_frame(FrameSpec(dims=D, freq_spacing=freq_spacing))
         y = received_tf(fr, make_channel([(0.9, 1, 1)]))
         entered, finished = [], []
         for name in ("solve_ls", "solve_lasso"):

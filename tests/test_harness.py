@@ -1,5 +1,4 @@
 import csv
-import json
 import math
 import warnings
 
@@ -579,7 +578,7 @@ class TestEmit:
 
     def test_csv_header_and_rows(self, tmp_path):
         out = tmp_path / "rows.csv"
-        emit(self.ROWS, str(out), "csv")
+        emit(self.ROWS, str(out))
         lines = out.read_text().splitlines()
         assert lines[0] == "estimator,snr_db,trials,nmse_db,stderr_db"
         assert lines[1] == "st_ls,0,4,-3.250000,0.500000"
@@ -587,7 +586,7 @@ class TestEmit:
 
     def test_csv_roundtrip(self, tmp_path):
         out = tmp_path / "rows.csv"
-        emit(self.ROWS, str(out), "csv")
+        emit(self.ROWS, str(out))
         with open(out, newline="") as fh:
             parsed = list(csv.DictReader(fh))
         assert [p["estimator"] for p in parsed] == ["st_ls", "cdce"]
@@ -595,54 +594,26 @@ class TestEmit:
 
     def test_empty_rows_still_write_the_header(self, tmp_path):
         out = tmp_path / "empty.csv"
-        emit([], str(out), "csv")
+        emit([], str(out))
         assert out.read_text().splitlines() == [
             "estimator,snr_db,trials,nmse_db,stderr_db"
         ]
 
-    def test_json_mirrors_all_fields(self, tmp_path):
-        out = tmp_path / "rows.json"
-        emit(self.ROWS, str(out), "json")
-        payload = json.loads(out.read_text())
-        assert payload == [
-            {
-                "estimator": "st_ls",
-                "snr_db": 0.0,
-                "trials": 4,
-                "nmse_db": -3.25,
-                "stderr_db": 0.5,
-            },
-            {
-                "estimator": "cdce",
-                "snr_db": 5.0,
-                "trials": 4,
-                "nmse_db": -11.125,
-                "stderr_db": 0.25,
-            },
-        ]
-
-    def test_noiseless_point_is_inf_in_csv_and_strict_json(self, tmp_path):
+    def test_noiseless_point_is_inf(self, tmp_path):
         rows = [ResultRow(estimator="cdce", snr_db=math.inf, trials=4, nmse_db=-200.0, stderr_db=0.0)]
-        emit(rows, str(tmp_path / "rows.csv"), "csv")
+        emit(rows, str(tmp_path / "rows.csv"))
         assert (tmp_path / "rows.csv").read_text().splitlines()[1].split(",")[1] == "inf"
-        emit(rows, str(tmp_path / "rows.json"), "json")
 
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        payload = json.loads((tmp_path / "rows.json").read_text(), parse_constant=reject)
-        assert payload[0]["snr_db"] == "inf"
-
-    def test_non_finite_nmse_is_not_written_as_json(self, tmp_path):
-        rows = [ResultRow(estimator="cdce", snr_db=0.0, trials=4, nmse_db=math.nan, stderr_db=0.0)]
-        with pytest.raises(ValueError):
-            emit(rows, str(tmp_path / "rows.json"), "json")
-        assert not (tmp_path / "rows.json").exists()
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            emit(self.ROWS, str(tmp_path / "x.xml"), "xml")
+    def test_snr_labels_tell_distinct_points_apart(self, tmp_path):
+        # both points load, their seed keys differ, and both print as 100 under :g
+        snrs = [0.0, 5.0, 10.0, 15.0, 20.0, -2.5, 100.00001, 100.00002]
+        rows = [ResultRow(estimator="st_ls", snr_db=s, trials=4, nmse_db=-3.25, stderr_db=0.5) for s in snrs]
+        out = tmp_path / "rows.csv"
+        emit(rows, str(out))
+        labels = [line.split(",")[1] for line in out.read_text().splitlines()[1:]]
+        assert labels == ["0", "5", "10", "15", "20", "-2.5", "100.00001", "100.00002"]
+        assert [float(label) for label in labels] == snrs
 
     def test_unwritable_path_reports_the_target(self):
         with pytest.raises(OSError, match="cannot write results"):
-            emit(self.ROWS, "/nonexistent-dir/rows.csv", "csv")
+            emit(self.ROWS, "/nonexistent-dir/rows.csv")

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from cdce.grids import Dims
-from cdce.pilots import Lattice
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "pilot_af_study.py"
 _spec = importlib.util.spec_from_file_location("pilot_af_study", SCRIPT)
@@ -21,7 +20,7 @@ _spec.loader.exec_module(pilot_af_study)
     [("all_ones", 2, math.inf), ("walsh", 8, 8.00), ("zadoff_chu", 231, 3.17)],
 )
 def test_study_at_the_script_defaults(kind, bins, ratio):
-    row = pilot_af_study.study(Dims(16, 16, cp_len=0), Lattice(freq_spacing=2, time_spacing=1), kind)
+    row = pilot_af_study.study(Dims(16, 16, cp_len=0), 2, 1, kind)
     assert row["sequence"] == kind
     assert row["n_pilots"] == 128
     assert row["bins_for_90pct"] == bins

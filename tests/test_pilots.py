@@ -9,7 +9,6 @@ from cdce.grids import Dims, tf_to_dd
 from cdce.pilots import (
     Frame,
     FrameSpec,
-    Lattice,
     _pilot_positions,
     assemble_frame,
     discrete_af,
@@ -28,43 +27,37 @@ class TestMakePilotSequence:
             make_pilot_sequence("all_ones", 4), np.ones(4, dtype=complex)
         )
 
-    def test_walsh_row_one_alternates(self):
-        np.testing.assert_array_equal(
-            make_pilot_sequence("walsh", 4, param=1), [1, -1, 1, -1]
-        )
-
     def test_walsh_default_row(self):
         seq = make_pilot_sequence("walsh", 8)
         np.testing.assert_array_equal(seq, np.array([1, 1, 1, 1, -1, -1, -1, -1]))
 
     def test_walsh_needs_power_of_two(self):
-        with pytest.raises(ValueError, match="power-of-two"):
-            make_pilot_sequence("walsh", 6)
-
-    def test_walsh_row_range(self):
-        with pytest.raises(ValueError):
-            make_pilot_sequence("walsh", 4, param=4)
+        for n in set(range(1, 257)) - {2**k for k in range(9)}:
+            with pytest.raises(ValueError, match="power-of-two"):
+                make_pilot_sequence("walsh", n)
 
     @pytest.mark.parametrize("n", [2**k for k in range(9)])
     def test_walsh_rows_match_sylvester_hadamard(self, n):
-        h = hadamard(n).astype(complex)
-        for r in range(n):
-            np.testing.assert_array_equal(make_pilot_sequence("walsh", n, r), h[r])
+        # scipy builds H_n by Sylvester's doubling H_2n = [[H, H], [H, -H]]
+        np.testing.assert_array_equal(make_pilot_sequence("walsh", n), hadamard(n)[n // 2].astype(complex))
+
+    def test_zadoff_chu_is_the_root_one_sequence(self):
+        for n in range(1, 257):
+            # x[k] = exp(-j pi k (k + n mod 2) / n), its phase reduced mod 2 pi in integers
+            k = np.arange(n)
+            expected = np.exp(-1j * np.pi * (k * (k + n % 2) % (2 * n)) / n)
+            np.testing.assert_allclose(make_pilot_sequence("zadoff_chu", n), expected, rtol=0, atol=1e-12)
 
     def test_zadoff_chu_prime_length_has_flat_autocorrelation(self):
-        z = make_pilot_sequence("zadoff_chu", 7, param=1)
+        z = make_pilot_sequence("zadoff_chu", 7)
         for lag in range(1, 7):
             corr = np.vdot(z, np.roll(z, lag))
             assert abs(corr) == pytest.approx(0.0, abs=1e-10)
 
     def test_zadoff_chu_even_length_formula(self):
-        z = make_pilot_sequence("zadoff_chu", 4, param=1)
+        z = make_pilot_sequence("zadoff_chu", 4)
         n = np.arange(4)
         np.testing.assert_allclose(z, np.exp(-1j * np.pi * n * n / 4), atol=1e-12)
-
-    def test_zadoff_chu_root_must_be_coprime(self):
-        with pytest.raises(ValueError, match="coprime"):
-            make_pilot_sequence("zadoff_chu", 8, param=2)
 
     @pytest.mark.parametrize("kind", ["all_ones", "walsh", "zadoff_chu"])
     def test_unit_modulus(self, kind):
@@ -84,13 +77,14 @@ class TestFrameSpec:
     def test_default_lattice_pilot_count(self):
         assert FrameSpec(dims=D).n_pilots == 56
 
-    def test_offsets_shrink_the_lattice(self):
-        spec = FrameSpec(dims=D, lattice=Lattice(freq_offset=1, time_offset=4))
-        assert spec.n_pilots == len(range(1, 8, 2)) * len(range(4, 14))
+    def test_spacings_thin_the_lattice(self):
+        spec = FrameSpec(dims=D, freq_spacing=3, time_spacing=4)
+        assert spec.n_pilots == len(range(0, 8, 3)) * len(range(0, 14, 4)) == 12
 
-    def test_offset_beyond_grid_rejected(self):
-        with pytest.raises(ValueError):
-            FrameSpec(dims=D, lattice=Lattice(freq_offset=8))
+    @pytest.mark.parametrize("spacings", [(0, 1), (2, 0), (-1, 1)])
+    def test_spacings_below_one_rejected(self, spacings):
+        with pytest.raises(ValueError, match="spacings"):
+            FrameSpec(dims=D, freq_spacing=spacings[0], time_spacing=spacings[1])
 
     def test_nonpositive_power_rejected(self):
         with pytest.raises(ValueError):
@@ -102,21 +96,21 @@ class TestFrameSpec:
             FrameSpec(dims=D, pilot_power=power)
 
     def test_bad_enums_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got 'pn'"):
             FrameSpec(dims=D, sequence_kind="pn")
-        with pytest.raises(ValueError, match="pilot_only or with_data"):
+        with pytest.raises(ValueError, match="pilot_only or with_data, got 'qam'"):
             FrameSpec(dims=D, data_mode="qam")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got 'speckle'"):
             FrameSpec(dims=D, placement="speckle")
 
     @pytest.mark.parametrize("placement", ["lattice", "uniform_random"])
     def test_qpsk_needs_a_resource_element_without_a_pilot(self, placement):
-        full = Lattice(freq_spacing=1, time_spacing=1)
+        full = dict(freq_spacing=1, time_spacing=1)
         with pytest.raises(ValueError, match="qpsk"):
-            FrameSpec(dims=D, lattice=full, data_mode="with_data", placement=placement)
-        assert FrameSpec(dims=D, lattice=full, placement=placement).n_pilots == D.grid_size
-        # one subcarrier without pilots leaves room for data
-        FrameSpec(dims=D, lattice=Lattice(freq_offset=1, freq_spacing=1), data_mode="with_data")
+            FrameSpec(dims=D, **full, data_mode="with_data", placement=placement)
+        assert FrameSpec(dims=D, **full, placement=placement).n_pilots == D.grid_size
+        # one symbol without pilots leaves room for data
+        FrameSpec(dims=Dims(8, 2, 2), freq_spacing=1, time_spacing=2, data_mode="with_data")
 
 
 class TestAssembleFrame:
@@ -127,12 +121,12 @@ class TestAssembleFrame:
         np.testing.assert_array_equal(frame.tf, frame.pilot_only_tf)
 
     def test_dense_all_ones_lattice_fills_grid(self):
-        spec = FrameSpec(dims=D, lattice=Lattice(freq_spacing=1, time_spacing=1))
+        spec = FrameSpec(dims=D, freq_spacing=1, time_spacing=1)
         frame = assemble_frame(spec)
         np.testing.assert_allclose(frame.tf, np.ones((D.m, D.n)), atol=1e-12)
 
     def test_scan_order_is_column_major(self):
-        spec = FrameSpec(dims=Dims(4, 2, 0), sequence_kind="walsh", lattice=Lattice())
+        spec = FrameSpec(dims=Dims(4, 2, 0), sequence_kind="walsh")
         frame = assemble_frame(spec)
         seq = make_pilot_sequence("walsh", 4)
         expected = np.zeros((4, 2), dtype=complex)
@@ -200,7 +194,7 @@ class TestAssembleFrame:
 
 class TestPilotDdImage:
     def test_full_grid_all_ones_is_impulse(self):
-        spec = FrameSpec(dims=D, lattice=Lattice(freq_spacing=1, time_spacing=1))
+        spec = FrameSpec(dims=D, freq_spacing=1, time_spacing=1)
         img = pilot_dd_image(assemble_frame(spec))
         expected = np.zeros((D.m, D.n))
         expected[0, 0] = np.sqrt(D.grid_size)
