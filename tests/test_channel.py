@@ -88,6 +88,10 @@ class TestTypes:
             dict(n_paths=0),
             dict(l_max=-1),
             dict(k_max=-1),
+            dict(n_paths=-3),
+            # more paths than the 21 bins of the default region hold
+            dict(n_paths=22),
+            dict(n_paths=4, l_max=0, k_max=1),
         ],
     )
     def test_invalid_stats(self, kwargs):

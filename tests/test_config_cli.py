@@ -174,6 +174,8 @@ class TestLoadConfig:
             ("dims: [8, 14]", "must be a mapping"),
             ("lasso: {lambda: -0.5}", "invalid lasso"),
             ("frame: {freq_spacing: 0}", "invalid frame"),
+            ("frame: {time_spacing: 0}", "lattice spacings must be at least 1"),
+            ("frame: {freq_spacing: -2}", "lattice spacings must be at least 1"),
             ("estimators: [kalman]", "invalid config"),
             ("trials: 0", "invalid config"),
             ("stats: {l_max: 3}", "CP length"),

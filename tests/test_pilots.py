@@ -27,6 +27,10 @@ class TestMakePilotSequence:
             make_pilot_sequence("all_ones", 4), np.ones(4, dtype=complex)
         )
 
+    def test_walsh_row_one_alternates(self):
+        # at length 2 the row length // 2 is row one
+        np.testing.assert_array_equal(make_pilot_sequence("walsh", 2), [1, -1])
+
     def test_walsh_default_row(self):
         seq = make_pilot_sequence("walsh", 8)
         np.testing.assert_array_equal(seq, np.array([1, 1, 1, 1, -1, -1, -1, -1]))
@@ -80,6 +84,21 @@ class TestFrameSpec:
     def test_spacings_thin_the_lattice(self):
         spec = FrameSpec(dims=D, freq_spacing=3, time_spacing=4)
         assert spec.n_pilots == len(range(0, 8, 3)) * len(range(0, 14, 4)) == 12
+
+    @pytest.mark.parametrize("spacings,n_pilots", [((8, 1), 14), ((20, 14), 1)])
+    def test_spacing_past_the_grid_keeps_the_first_row_and_column(self, spacings, n_pilots):
+        spec = FrameSpec(dims=D, freq_spacing=spacings[0], time_spacing=spacings[1])
+        assert spec.n_pilots == n_pilots
+        mask = assemble_frame(spec).pilot_only_tf != 0
+        assert mask[0, 0]
+        assert mask.sum() == n_pilots
+
+    def test_lattice_starts_at_the_origin(self):
+        for f, t in ((1, 1), (2, 1), (3, 2), (5, 4), (7, 13)):
+            mask = assemble_frame(FrameSpec(dims=D, freq_spacing=f, time_spacing=t)).pilot_only_tf != 0
+            expected = np.zeros((D.m, D.n), bool)
+            expected[::f, ::t] = True
+            np.testing.assert_array_equal(mask, expected)
 
     @pytest.mark.parametrize("spacings", [(0, 1), (2, 0), (-1, 1)])
     def test_spacings_below_one_rejected(self, spacings):
