@@ -3,7 +3,7 @@
 Three subcommands: `sweep` runs the configured Monte Carlo sweep and writes
 a CSV table, `single` reports every configured estimator's NMSE for
 one (SNR, trial) pair, and `af` writes the pilot DD image and its discrete
-ambiguity surface as JSON grids.
+ambiguity surface as JSON grids, with their summary.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ConfigError, load_config
 from .harness import emit, ratio_db, run_sweep, run_trial
-from .pilots import assemble_frame, pilot_dd_image, discrete_af
+from .pilots import af_summary, assemble_frame, discrete_af, pilot_dd_image
 
 __all__ = ["main"]
 
@@ -49,16 +49,18 @@ def _cmd_single(args: argparse.Namespace) -> int:
 
 def _cmd_af(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.base_seed]))
-    frame = assemble_frame(cfg.frame, rng)
-    x_dd = pilot_dd_image(frame)
+    # each call gets a generator from the same seed, and a random placement
+    # draws its pilot positions first, so both see the same pilots
+    seed = np.random.SeedSequence([cfg.base_seed])
+    x_dd = pilot_dd_image(assemble_frame(cfg.frame, np.random.default_rng(seed)))
     payload = {
         "dd_image": _grid_payload(x_dd),
         "ambiguity": _grid_payload(discrete_af(x_dd)),
+        "summary": af_summary(cfg.frame, np.random.default_rng(seed)),
     }
     try:
         with open(args.out, "w") as fh:
-            json.dump(payload, fh)
+            json.dump(payload, fh, allow_nan=False)
             fh.write("\n")
     except OSError as exc:
         raise OSError(f"cannot write {args.out}: {exc}") from exc
@@ -84,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_single.add_argument("--trial", type=int, required=True)
     p_single.set_defaults(func=_cmd_single)
 
-    p_af = sub.add_parser("af", help="write the pilot DD image and ambiguity surface")
+    p_af = sub.add_parser("af", help="write the pilot DD image, ambiguity surface and their summary")
     p_af.add_argument("--config", required=True, help="YAML config file")
     p_af.add_argument("--out", required=True, help="output JSON path")
     p_af.set_defaults(func=_cmd_af)

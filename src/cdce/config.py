@@ -12,6 +12,7 @@ CDCE_BASE_SEED in the environment overrides the seed.
 from __future__ import annotations
 
 import os
+import re
 
 import yaml
 
@@ -44,6 +45,15 @@ class _UniqueKeyLoader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeL
                     raise ConfigError(f"repeated key {key!r} in {mark.name}, line {mark.line + 1}")
                 keys.append(key)
         return super().construct_mapping(node, deep)
+
+
+# YAML 1.1 reads a float only with a dot and a signed exponent, so 1e-2 and
+# 1E3 would be strings; read them as numbers here, and only here.
+_UniqueKeyLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9]+(?:\.[0-9]+)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"),
+)
 
 
 def _typed(types, noun: str, convert=None):

@@ -113,6 +113,12 @@ class SimConfig:
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be non-negative, got {self.base_seed}")
         stats, dims = self.stats, self.dims
+        if not self.frame.n_pilots * self.frame.pilot_power < MAX_N0:
+            # the noise variance's limit: squared errors stay finite below it
+            raise ValueError(
+                f"pilot energy n_pilots·pilot_power = {self.frame.n_pilots}·{self.frame.pilot_power:.3g} "
+                f"is not below {MAX_N0:.3g}, the square root of the largest float"
+            )
         if stats.n_paths < 3:
             # ||h||² of P Gaussian gains is near zero like a Gamma(P) variable
             raise ValueError(

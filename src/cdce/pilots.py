@@ -25,6 +25,7 @@ __all__ = [
     "assemble_frame",
     "pilot_dd_image",
     "discrete_af",
+    "af_summary",
 ]
 
 _SEQUENCE_KINDS = ("all_ones", "walsh", "zadoff_chu")
@@ -147,3 +148,33 @@ def discrete_af(x_dd: np.ndarray) -> np.ndarray:
     A[0, 0] equals the grid energy and |A| peaks there.
     """
     return twisted_convolution(x_dd, x_dd)
+
+
+def af_summary(spec: FrameSpec, rng: np.random.Generator | None = None) -> dict:
+    """The pilot analysis of a frame's pilot-only grid: ``n_pilots``,
+    ``bins_for_90pct`` (the fewest DD bins holding 90 % of its energy),
+    ``af_peak`` (|AF| at the origin) and ``af_max_sidelobe``, the largest
+    |AF| off the grating lobes, or 0.0 below 1e-9 of the peak, where it is
+    rounding noise of an exact zero. A lattice's grating lobes are the bins
+    (j M / freq_spacing, i N / time_spacing), along each axis whose spacing
+    divides the grid; a random placement has none but the origin.
+    """
+    x_dd = pilot_dd_image(assemble_frame(spec, rng))
+    energy = np.cumsum(np.sort(np.abs(x_dd.ravel()) ** 2)[::-1])
+    af = np.abs(discrete_af(x_dd))
+    d = spec.dims
+    off_lobe = np.ones(af.shape, dtype=bool)
+    if spec.placement == "lattice":
+        delays = range(0, d.m, d.m // spec.freq_spacing) if d.m % spec.freq_spacing == 0 else [0]
+        dopplers = range(0, d.n, d.n // spec.time_spacing) if d.n % spec.time_spacing == 0 else [0]
+        off_lobe[np.ix_(delays, dopplers)] = False
+    else:
+        off_lobe[0, 0] = False
+    peak = float(af[0, 0])
+    sidelobe = float(af[off_lobe].max(initial=0.0))
+    return {
+        "n_pilots": spec.n_pilots,
+        "bins_for_90pct": int(np.searchsorted(energy, 0.9 * energy[-1]) + 1),
+        "af_peak": peak,
+        "af_max_sidelobe": sidelobe if sidelobe >= 1e-9 * peak else 0.0,
+    }

@@ -18,6 +18,7 @@ from cdce.channel import (
     ChannelStats,
     PathParams,
     effective_tf_channel,
+    full_grid_pairs,
     sample_channel,
 )
 from cdce.estimator import (
@@ -26,7 +27,6 @@ from cdce.estimator import (
     cdce_estimate,
     doppler_col,
     reconstruct,
-    signed_doppler,
     solve_lasso,
     solve_ls,
     twisted_convolution,
@@ -44,6 +44,7 @@ from cdce.grids import (
 from cdce.harness import SimConfig, _trial_rngs, fit_config_covariance, run_sweep, run_trial
 from cdce.pilots import (
     FrameSpec,
+    af_summary,
     assemble_frame,
     discrete_af,
     pilot_dd_image,
@@ -65,9 +66,7 @@ STATS = ChannelStats()
 SNR_GRID = (0.0, 5.0, 10.0, 15.0, 20.0)
 TRIALS = 500
 RUNTIME_BUDGET_S = 600.0
-REGION = tuple(
-    (l, k) for l in range(STATS.l_max + 1) for k in range(-STATS.k_max, STATS.k_max + 1)
-)
+REGION = STATS.region_pairs
 
 
 def report(criterion, ok, detail):
@@ -206,8 +205,7 @@ def test_criterion_4_tf_lasso_failure_on_the_lattice(pilot_sweep):
     # whole grid; its noise amplification grows by G, and tf_lasso must pay
     # at least that much over cdce at every SNR.
     nmse, _ = pilot_sweep
-    full = [(l, signed_doppler(kc, D.n)) for kc in range(D.n) for l in range(D.m)]
-    gain_full = ls_noise_gain(full)
+    gain_full = ls_noise_gain(full_grid_pairs(D))
     gain_region = ls_noise_gain(REGION)
     g_db = 10 * math.log10(gain_full / gain_region)
     p = STATS.n_paths
@@ -335,22 +333,11 @@ def test_criterion_8_transform_and_property_suite():
 
 def test_criterion_9_pilot_sequence_analysis():
     d16 = Dims(16, 16, 2)
-    exclude = {(0, 0), (8, 0)}
 
     def study(kind):
-        frame = assemble_frame(FrameSpec(dims=d16, freq_spacing=2, time_spacing=1, sequence_kind=kind))
-        n_pilots = int(np.count_nonzero(frame.pilot_only_tf))
-        x_dd = pilot_dd_image(frame)
-        energies = np.sort(np.abs(x_dd.ravel()) ** 2)[::-1]
-        cum = np.cumsum(energies)
-        bins = int(np.searchsorted(cum, 0.9 * cum[-1]) + 1)
-        af = np.abs(discrete_af(x_dd))
-        peak = af[0, 0]
-        mask = np.ones(af.shape, dtype=bool)
-        for l, k in exclude:
-            mask[l, k] = False
-        ratio = peak / af[mask].max()
-        return n_pilots, bins, ratio
+        s = af_summary(FrameSpec(dims=d16, freq_spacing=2, time_spacing=1, sequence_kind=kind))
+        ratio = s["af_peak"] / s["af_max_sidelobe"] if s["af_max_sidelobe"] else math.inf
+        return s["n_pilots"], s["bins_for_90pct"], ratio
 
     np_ones, bins_ones, ratio_ones = study("all_ones")
     np_walsh, bins_walsh, ratio_walsh = study("walsh")

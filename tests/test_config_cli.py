@@ -13,7 +13,7 @@ from cdce.cli import main
 from cdce.config import ENV_BASE_SEED, ConfigError, _UniqueKeyLoader, load_config
 from cdce.grids import Dims
 from cdce.harness import ESTIMATOR_NAMES, SimConfig, run_trial
-from cdce.pilots import FrameSpec, assemble_frame, discrete_af, pilot_dd_image
+from cdce.pilots import FrameSpec, af_summary, assemble_frame, discrete_af, pilot_dd_image
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 REPO_CONFIG = str(CONFIG_DIR / "pilot_only.yaml")
@@ -194,6 +194,13 @@ class TestLoadConfig:
             ("snr_grid_db: [-3082]", "invalid config"),
             ("snr_grid_db: [10, -1541.3]", "invalid config"),
             ("mode: with_data\nframe: {freq_spacing: 1}", "invalid frame"),
+            # e-notation reads as a number, but not where it is quoted or
+            # where an integer is due
+            ("lasso: {lambda: '1e-2'}", "lasso.lambda must be a number, got '1e-2'"),
+            ("trials: 1e3", "trials must be an integer, got 1000.0"),
+            # a pilot energy at or above harness.MAX_N0, wherever the pilots sit
+            ("frame: {pilot_power: 1.0e+307}", r"56·1e\+307 is not below 1\.34e\+154"),
+            ("frame: {placement: uniform_random, sequence: zadoff_chu, pilot_power: 1.0e+307}", "pilot energy"),
         ] + DUPLICATES + REPEATED + ALIASED + TOO_FEW_RANDOM_PILOTS + TOO_FEW_PATHS + REMOVED_KEYS,
     )
     def test_bad_configs_rejected(self, tmp_path, text, fragment):
@@ -219,6 +226,18 @@ class TestLoadConfig:
         block = section.split("```yaml\n", 1)[1].split("```", 1)[0]
         documented = load_config(write_config(tmp_path, block, "readme.yaml"), env={})
         assert documented == load_config(write_config(tmp_path, ""), env={})
+
+    def test_e_notation_floats_load(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, "lasso: {lambda: 1e-2, tol: 1E-6}\nsnr_grid_db: [0, 1E3, 5e+1]"))
+        assert (cfg.lasso.lam, cfg.lasso.tol) == (0.01, 1e-6)
+        assert cfg.snr_grid_db == (0.0, 1000.0, 50.0)
+        # the loader's resolver is its own: PyYAML's loaders still read a string
+        assert yaml.safe_load("1e-2") == "1e-2"
+
+    @pytest.mark.parametrize("placement", ["lattice", "uniform_random"])
+    def test_large_finite_pilot_power_loads(self, tmp_path, placement):
+        text = f"frame: {{placement: {placement}, sequence: zadoff_chu, pilot_power: 1.0e+100}}"
+        assert load_config(write_config(tmp_path, text)).frame.pilot_power == 1e100
 
     def test_merged_keys_may_be_overridden(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "dims: {<<: {m: 16, n: 16}, n: 14}"))
@@ -342,14 +361,22 @@ class TestCliSweep:
         assert not out.exists()
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 class TestCliAf:
     def test_payload_matches_library_surfaces(self, tmp_path):
         out = tmp_path / "af.json"
         assert main(["af", "--config", AF_CONFIG, "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert set(payload) == {"dd_image", "ambiguity"}
+        payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert set(payload) == {"dd_image", "ambiguity", "summary"}
 
         cfg = load_config(AF_CONFIG)
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.base_seed]))
+        assert payload["summary"] == af_summary(cfg.frame, rng)
+        assert payload["summary"]["bins_for_90pct"] == 2
+        assert payload["summary"]["af_max_sidelobe"] == 0.0
         frame = assemble_frame(
             cfg.frame, np.random.default_rng(np.random.SeedSequence([cfg.base_seed]))
         )
@@ -366,6 +393,17 @@ class TestCliAf:
                 np.array(block["re"]) + 1j * np.array(block["im"])
             ).reshape(cfg.dims.m, cfg.dims.n, order="F")
             np.testing.assert_allclose(rebuilt, grid, atol=1e-12)
+
+    def test_random_placement_summary_reads_the_written_surface(self, tmp_path):
+        # the summary's frame draws the same pilot positions as the grids'
+        config = write_config(tmp_path, "frame: {placement: uniform_random, sequence: zadoff_chu}")
+        out = tmp_path / "af.json"
+        assert main(["af", "--config", config, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        block = payload["ambiguity"]
+        af = np.abs(np.array(block["re"]) + 1j * np.array(block["im"]))
+        assert payload["summary"]["af_peak"] == pytest.approx(af[0])
+        assert payload["summary"]["af_max_sidelobe"] == pytest.approx(af[1:].max())
 
     def test_column_major_flattening(self, tmp_path):
         out = tmp_path / "af.json"

@@ -10,6 +10,7 @@ from cdce.pilots import (
     Frame,
     FrameSpec,
     _pilot_positions,
+    af_summary,
     assemble_frame,
     discrete_af,
     make_pilot_sequence,
@@ -235,6 +236,29 @@ class TestPilotDdImage:
         img = pilot_dd_image(assemble_frame(spec))
         energy = np.abs(img) ** 2
         assert energy.max() < 0.5 * energy.sum()
+
+
+D16 = Dims(16, 16, 2)
+
+
+class TestAfSummary:
+    @pytest.mark.parametrize(
+        "kind,bins,sidelobe,ratio",
+        [("all_ones", 2, "0.00", "inf"), ("walsh", 8, "16.00", "8.00"), ("zadoff_chu", 231, "40.42", "3.17")],
+    )
+    def test_sequences_on_the_16x16_half_lattice(self, kind, bins, sidelobe, ratio):
+        s = af_summary(FrameSpec(dims=D16, sequence_kind=kind))
+        peak, lobe = s["af_peak"], s["af_max_sidelobe"]
+        ratio_got = f"{peak / lobe if lobe else math.inf:.2f}"
+        assert (s["n_pilots"], s["bins_for_90pct"], f"{peak:.2f}", f"{lobe:.2f}", ratio_got) == (
+            128, bins, "128.00", sidelobe, ratio)
+
+    @pytest.mark.parametrize("spacing", [(2, 2), (4, 2), (2, 4), (4, 4)])
+    def test_all_ones_has_no_sidelobe_off_the_grating_lobes(self, spacing):
+        # the lobes are the product set (j M / fs, i N / ts), cross lobes
+        # such as (8, 8) at 2 x 2 included
+        fs, ts = spacing
+        assert af_summary(FrameSpec(dims=D16, freq_spacing=fs, time_spacing=ts))["af_max_sidelobe"] == 0.0
 
 
 class TestDiscreteAf:
