@@ -49,14 +49,12 @@ def _cmd_single(args: argparse.Namespace) -> int:
 
 def _cmd_af(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    # each call gets a generator from the same seed, and a random placement
-    # draws its pilot positions first, so both see the same pilots
-    seed = np.random.SeedSequence([cfg.base_seed])
-    x_dd = pilot_dd_image(assemble_frame(cfg.frame, np.random.default_rng(seed)))
+    frame = assemble_frame(cfg.frame, np.random.default_rng(np.random.SeedSequence([cfg.base_seed])))
+    x_dd = pilot_dd_image(frame)
     payload = {
         "dd_image": _grid_payload(x_dd),
         "ambiguity": _grid_payload(discrete_af(x_dd)),
-        "summary": af_summary(cfg.frame, np.random.default_rng(seed)),
+        "summary": af_summary(cfg.frame, frame),
     }
     try:
         with open(args.out, "w") as fh:

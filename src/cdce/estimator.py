@@ -490,11 +490,14 @@ def cdce_estimate(
 ) -> ChannelEstimate:
     """Run the full two-stage pipeline on a received TF grid.
 
-    A frame whose grid differs from its pilot-only grid carries data and gets
-    the with-data threshold. The correlation surface is normalized by the
-    pilot frame energy before thresholding, so the pilot-only threshold
-    sqrt(N0)/3 acts on gain-scale scores; the with-data RMS threshold is
-    invariant to this scaling. Stage two always fits the raw received vector.
+    The frame's ``data_mode`` picks the threshold rule of that name. The
+    correlation surface is normalized by the pilot frame energy before
+    thresholding, so the pilot-only threshold sqrt(N0)/3 acts on gain-scale
+    scores; the with-data RMS threshold is invariant to this scaling. Stage
+    two always fits the raw received vector: by ``solve_ls`` when the
+    dictionary is tall and its ``cond`` is below LS_CONDITION_LIMIT, checked
+    here, so a FISTA trial never enters ``solve_ls``, and else by
+    ``solve_lasso``.
     """
     d = frame.dims
     x_dd = tf_to_dd(frame.pilot_only_tf, d)
@@ -503,8 +506,7 @@ def cdce_estimate(
         raise ValueError("the pilot frame is empty")
     y_dd = tf_to_dd(y_tf, d)
     scores = twisted_convolution(y_dd, x_dd) / pilot_energy
-    mode = "pilot_only" if np.array_equal(frame.tf, frame.pilot_only_tf) else "with_data"
-    gamma = default_gamma(mode, n0=n0, v_dd=scores, region_size=stats.region_size)
+    gamma = default_gamma(frame.data_mode, n0=n0, v_dd=scores, region_size=stats.region_size)
     coarse = threshold_select(scores, stats, gamma)
     h = np.zeros(0, dtype=complex)
     if coarse.p_hat:

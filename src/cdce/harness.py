@@ -47,21 +47,13 @@ NMSE_FLOOR_DB = -200.0
 _COV_SEED_TAG = 0x636F76
 
 # Trials per run_sweep chunk, and so per batched tf_lasso solve on a pilot
-# lattice. Medians per solve on the 8 x 14 lattice dictionary, whose Gram
-# blocks run as real gemms (scripts/time_fista_loops.py --batch 64 96 128,
-# one BLAS thread, x86-64, the sizes alternating in each run), for 64 / 96 /
-# 128 rows: on 500 solves, an acceptance sweep's trials per SNR point (the
-# median of three runs), 0.550 / 0.491 / 0.507 ms on configs/pilot_only.yaml,
-# where 96 rows led in every run, and 0.510 / 0.464 / 0.452 ms on
-# configs/with_data.yaml; on 384 solves (two runs) 0.55-0.57 / 0.47-0.49 /
-# 0.53-0.54 and 0.54-0.55 / 0.49-0.54 / 0.52-0.57 ms. 128 rows led only on
-# 100 solves, a sweep no config runs. One-by-one solves of the single-vector
-# loop, one matmul of [S | shift] per iteration, took 3.47 ms on
-# configs/pilot_only.yaml and 3.43 ms on configs/with_data.yaml (medians of
-# 7 rounds of 500 solves, one run per config; the same run read 0.60 and
-# 0.57 ms per solve in 96-row chunks). A lattice chunk with tf_lasso holds
-# its trials' true bands (28 KiB each at 8 x 14) and received grids, one
-# frame, and the solve's (P, K) blocks, about 1.5 MiB at 96 rows.
+# lattice. scripts/time_fista_loops.py --solves 500 --batch 64 96 128 (one
+# BLAS thread, x86-64, the sizes alternating in each run; medians of three
+# runs) read 0.550 / 0.491 / 0.507 ms per solve on configs/pilot_only.yaml
+# and 0.510 / 0.464 / 0.452 ms on configs/with_data.yaml, against about
+# 3.4 ms per one-by-one single-vector solve. A lattice chunk holds its
+# trials' true bands (28 KiB each at 8 x 14), received grids, one frame and
+# the solve's (P, K) blocks: about 1.5 MiB at 96 rows.
 LASSO_BATCH = 96
 
 # The largest noise variance simulated: noise of this variance squares to at
@@ -308,10 +300,13 @@ def run_sweep(cfg: SimConfig, cov: CovarianceModel | None = None) -> list[Result
     against the same truths; on other frames run_trial scores every
     estimator, tf_lasso one problem at a time. The chain of one trial and
     its run_trial call run back to back, so each trial's channel is drawn
-    just before its estimators run; a lattice config whose only estimator
-    is tf_lasso makes no run_trial call. Every estimator's row equals, bit
-    for bit, the mean of run_trial's results, except a lattice sweep's
-    tf_lasso row, which equals it to rounding.
+    just before its estimators run: bench/tracing.py scores each
+    threshold_select against the latest sample_channel, and chains run
+    ahead for a whole chunk would score detection against the wrong channel
+    (tests/test_harness.py checks the order). A lattice config whose only
+    estimator is tf_lasso makes no run_trial call. Every estimator's row
+    equals, bit for bit, the mean of run_trial's results, except a lattice
+    sweep's tf_lasso row, which equals it to rounding.
     """
     if cov is None and "fs_lmmse" in cfg.estimators:
         cov = fit_config_covariance(cfg)

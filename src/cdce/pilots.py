@@ -70,12 +70,13 @@ class FrameSpec:
 
 @dataclass(frozen=True)
 class Frame:
-    """Assembled TF frame: the full grid and the pilot-only grid, whose
-    non-zero entries are the pilot positions."""
+    """Assembled TF frame: the full grid, the pilot-only grid, whose
+    non-zero entries are the pilot positions, and the spec's data fill."""
 
     tf: np.ndarray
     pilot_only_tf: np.ndarray
     dims: Dims
+    data_mode: str
 
 
 def make_pilot_sequence(kind: str, length: int) -> np.ndarray:
@@ -125,13 +126,13 @@ def assemble_frame(spec: FrameSpec, rng: np.random.Generator | None = None) -> F
     pilot_only = np.zeros((d.m, d.n), dtype=complex)
     pilot_only[rows, cols] = math.sqrt(spec.pilot_power) * seq
     if spec.data_mode == "pilot_only":
-        return Frame(tf=pilot_only.copy(), pilot_only_tf=pilot_only, dims=d)
+        return Frame(tf=pilot_only.copy(), pilot_only_tf=pilot_only, dims=d, data_mode=spec.data_mode)
     if rng is None:
         raise ValueError("QPSK data fill needs an rng")
     bits = rng.integers(0, 2, size=(d.m, d.n, 2))
     tf = ((2 * bits[..., 0] - 1) + 1j * (2 * bits[..., 1] - 1)) / math.sqrt(2)
     tf[rows, cols] = pilot_only[rows, cols]
-    return Frame(tf=tf, pilot_only_tf=pilot_only, dims=d)
+    return Frame(tf=tf, pilot_only_tf=pilot_only, dims=d, data_mode=spec.data_mode)
 
 
 def pilot_dd_image(frame: Frame) -> np.ndarray:
@@ -150,16 +151,17 @@ def discrete_af(x_dd: np.ndarray) -> np.ndarray:
     return twisted_convolution(x_dd, x_dd)
 
 
-def af_summary(spec: FrameSpec, rng: np.random.Generator | None = None) -> dict:
-    """The pilot analysis of a frame's pilot-only grid: ``n_pilots``,
-    ``bins_for_90pct`` (the fewest DD bins holding 90 % of its energy),
-    ``af_peak`` (|AF| at the origin) and ``af_max_sidelobe``, the largest
-    |AF| off the grating lobes, or 0.0 below 1e-9 of the peak, where it is
-    rounding noise of an exact zero. A lattice's grating lobes are the bins
-    (j M / freq_spacing, i N / time_spacing), along each axis whose spacing
-    divides the grid; a random placement has none but the origin.
+def af_summary(spec: FrameSpec, frame: Frame) -> dict:
+    """The pilot analysis of the pilot-only grid of ``frame``, assembled
+    from ``spec``: ``n_pilots``, ``bins_for_90pct`` (the fewest DD bins
+    holding 90 % of its energy), ``af_peak`` (|AF| at the origin) and
+    ``af_max_sidelobe``, the largest |AF| off the grating lobes, or 0.0
+    below 1e-9 of the peak, where it is rounding noise of an exact zero.
+    A lattice's grating lobes are the bins (j M / freq_spacing,
+    i N / time_spacing), along each axis whose spacing divides the grid; a
+    random placement has none but the origin.
     """
-    x_dd = pilot_dd_image(assemble_frame(spec, rng))
+    x_dd = pilot_dd_image(frame)
     energy = np.cumsum(np.sort(np.abs(x_dd.ravel()) ** 2)[::-1])
     af = np.abs(discrete_af(x_dd))
     d = spec.dims

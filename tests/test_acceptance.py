@@ -335,7 +335,8 @@ def test_criterion_9_pilot_sequence_analysis():
     d16 = Dims(16, 16, 2)
 
     def study(kind):
-        s = af_summary(FrameSpec(dims=d16, freq_spacing=2, time_spacing=1, sequence_kind=kind))
+        spec = FrameSpec(dims=d16, freq_spacing=2, time_spacing=1, sequence_kind=kind)
+        s = af_summary(spec, assemble_frame(spec))
         ratio = s["af_peak"] / s["af_max_sidelobe"] if s["af_max_sidelobe"] else math.inf
         return s["n_pilots"], s["bins_for_90pct"], ratio
 

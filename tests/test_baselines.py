@@ -152,7 +152,7 @@ class TestStLs:
 
     def test_pilotless_frame_rejected(self):
         zero = np.zeros((D.m, D.n), dtype=complex)
-        fake = Frame(tf=zero, pilot_only_tf=zero, dims=D)
+        fake = Frame(tf=zero, pilot_only_tf=zero, dims=D, data_mode="pilot_only")
         with pytest.raises(ValueError, match="no pilots"):
             st_ls(zero, fake)
 

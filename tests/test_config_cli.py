@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -9,7 +10,7 @@ import pytest
 import yaml
 
 from cdce.channel import ChannelStats
-from cdce.cli import main
+from cdce.cli import build_parser, main
 from cdce.config import ENV_BASE_SEED, ConfigError, _UniqueKeyLoader, load_config
 from cdce.grids import Dims
 from cdce.harness import ESTIMATOR_NAMES, SimConfig, run_trial
@@ -373,13 +374,12 @@ class TestCliAf:
         assert set(payload) == {"dd_image", "ambiguity", "summary"}
 
         cfg = load_config(AF_CONFIG)
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.base_seed]))
-        assert payload["summary"] == af_summary(cfg.frame, rng)
-        assert payload["summary"]["bins_for_90pct"] == 2
-        assert payload["summary"]["af_max_sidelobe"] == 0.0
         frame = assemble_frame(
             cfg.frame, np.random.default_rng(np.random.SeedSequence([cfg.base_seed]))
         )
+        assert payload["summary"] == af_summary(cfg.frame, frame)
+        assert payload["summary"]["bins_for_90pct"] == 2
+        assert payload["summary"]["af_max_sidelobe"] == 0.0
         expected = {
             "dd_image": pilot_dd_image(frame),
             "ambiguity": discrete_af(pilot_dd_image(frame)),
@@ -395,7 +395,7 @@ class TestCliAf:
             np.testing.assert_allclose(rebuilt, grid, atol=1e-12)
 
     def test_random_placement_summary_reads_the_written_surface(self, tmp_path):
-        # the summary's frame draws the same pilot positions as the grids'
+        # the summary reads the frame whose grids the file holds
         config = write_config(tmp_path, "frame: {placement: uniform_random, sequence: zadoff_chu}")
         out = tmp_path / "af.json"
         assert main(["af", "--config", config, "--out", str(out)]) == 0
@@ -422,3 +422,21 @@ class TestCliAf:
         rc = main(["af", "--config", AF_CONFIG, "--out", "/nonexistent-dir/af.json"])
         assert rc == 1
         assert "error: cannot write" in capsys.readouterr().err
+
+
+class TestCliReadme:
+    def test_readme_cli_section_names_the_parser_flags(self):
+        # every subcommand with its flags, as the section's command lines show
+        # them, and no flag in its prose that the parser does not take
+        readme = (CONFIG_DIR.parent / "README.md").read_text()
+        section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for command, rest in re.findall(r"^cdce (\S+)(.*)$", section, re.M):
+            documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", rest))
+        (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        parsed = {
+            command: {flag for action in sub._actions if action.dest != "help" for flag in action.option_strings}
+            for command, sub in subparsers.choices.items()
+        }
+        assert documented == parsed
+        assert set(re.findall(r"--[a-z][a-z-]*", section)) == set().union(*parsed.values())

@@ -1139,7 +1139,7 @@ class TestCdceEstimate:
 
     def test_empty_pilot_frame_rejected(self):
         zero = np.zeros((D.m, D.n), dtype=complex)
-        fake = Frame(tf=zero, pilot_only_tf=zero, dims=D)
+        fake = Frame(tf=zero, pilot_only_tf=zero, dims=D, data_mode="pilot_only")
         with pytest.raises(ValueError, match="pilot"):
             cdce_estimate(zero, fake, STATS, n0=1.0)
 
@@ -1156,6 +1156,24 @@ class TestCdceEstimate:
     def test_the_frame_picks_the_threshold_rule(self, monkeypatch, data_mode):
         rng = np.random.default_rng(5)
         fr = assemble_frame(FrameSpec(dims=D, data_mode=data_mode), rng)
+        y = received_tf(fr, make_channel([(0.8, 1, 0)]), n0=0.01, rng=rng)
+        rules = []
+
+        def spy(mode, **kwargs):
+            rules.append(mode)
+            return default_gamma(mode, **kwargs)
+
+        monkeypatch.setattr(estimator, "default_gamma", spy)
+        cdce_estimate(y, fr, STATS, n0=0.01)
+        assert rules == [data_mode]
+
+    @pytest.mark.parametrize("grid", ["pilot_only_tf", "tf"])
+    @pytest.mark.parametrize("data_mode", ["pilot_only", "with_data"])
+    def test_the_data_mode_alone_picks_the_threshold_rule(self, monkeypatch, grid, data_mode):
+        # a hand-built frame whose grid disagrees with its data_mode: the field wins
+        rng = np.random.default_rng(6)
+        filled = assemble_frame(FrameSpec(dims=D, data_mode="with_data"), rng)
+        fr = Frame(tf=getattr(filled, grid), pilot_only_tf=filled.pilot_only_tf, dims=D, data_mode=data_mode)
         y = received_tf(fr, make_channel([(0.8, 1, 0)]), n0=0.01, rng=rng)
         rules = []
 

@@ -247,7 +247,8 @@ class TestAfSummary:
         [("all_ones", 2, "0.00", "inf"), ("walsh", 8, "16.00", "8.00"), ("zadoff_chu", 231, "40.42", "3.17")],
     )
     def test_sequences_on_the_16x16_half_lattice(self, kind, bins, sidelobe, ratio):
-        s = af_summary(FrameSpec(dims=D16, sequence_kind=kind))
+        spec = FrameSpec(dims=D16, sequence_kind=kind)
+        s = af_summary(spec, assemble_frame(spec))
         peak, lobe = s["af_peak"], s["af_max_sidelobe"]
         ratio_got = f"{peak / lobe if lobe else math.inf:.2f}"
         assert (s["n_pilots"], s["bins_for_90pct"], f"{peak:.2f}", f"{lobe:.2f}", ratio_got) == (
@@ -258,7 +259,8 @@ class TestAfSummary:
         # the lobes are the product set (j M / fs, i N / ts), cross lobes
         # such as (8, 8) at 2 x 2 included
         fs, ts = spacing
-        assert af_summary(FrameSpec(dims=D16, freq_spacing=fs, time_spacing=ts))["af_max_sidelobe"] == 0.0
+        spec = FrameSpec(dims=D16, freq_spacing=fs, time_spacing=ts)
+        assert af_summary(spec, assemble_frame(spec))["af_max_sidelobe"] == 0.0
 
 
 class TestDiscreteAf:
